@@ -78,14 +78,13 @@ class QueryOutcome:
 
 
 def _workers() -> int:
-    raw = os.environ.get("IDQ_THREADS", "")
-    try:
-        v = int(raw)
-    except ValueError:
+    """Worker count from IDQ_THREADS: unset or empty is 1, 0 is one per CPU."""
+    raw = os.environ.get("IDQ_THREADS", "").strip()
+    if not raw:
         return 1
-    if v == 0:
-        return os.cpu_count() or 1
-    return max(1, v)
+    if not raw.isdecimal():
+        raise ValueError(f"IDQ_THREADS must be a non-negative integer, got {raw!r}")
+    return int(raw) or os.cpu_count() or 1
 
 
 def _nearest(codewords: np.ndarray, blocks: np.ndarray):

@@ -214,7 +214,7 @@ def discretize_mv_gaussian(
         axes.append((np.arange(n_points_per_axis) - half) * step)
     mesh = np.meshgrid(*axes, indexing="ij")
     letters = np.stack([g.ravel() for g in mesh], axis=1)
-    # quadratic form through the eigendecomposition keeps this solver-free
+    # quadratic form x^T C^-1 x from the eigenpairs already needed for the check above
     coeff = letters @ basis.eigenvectors
     quad = (coeff**2 / basis.eigenvalues[None, :]).sum(axis=1)
     w = np.exp(-0.5 * quad)

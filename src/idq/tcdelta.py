@@ -238,7 +238,8 @@ def solve_tc_point(
     duration of the solve (they are absorbing anyway) and reported as exact
     zeros in the result.  `exponent_shift=False` drops the Gamma P P^T term,
     which turns the update into the plain rate-distortion iteration (used for
-    the lossy-compression baseline of correlated sources).
+    the lossy-compression baseline of correlated sources).  A solve that stops
+    at `max_iter` logs one WARNING with its last steps in I and D_s.
     """
     p = _probs(p_x)
     g_full = _gamma(gamma)
@@ -276,6 +277,7 @@ def solve_tc_point(
     max_surr_rise = 0.0
     converged = False
     iterations = 0
+    step_i = step_d = math.inf
     q = None
     with np.errstate(divide="ignore", invalid="ignore"):
         for iterations in range(1, max_iter + 1):
@@ -309,12 +311,23 @@ def solve_tc_point(
             if math.isfinite(surr_prev):
                 max_surr_rise = max(max_surr_rise, surr - surr_prev)
             i_bits = i_nats / LN2
-            if abs(i_bits - i_prev) <= tol and abs(d_s - d_prev) <= tol:
+            step_i, step_d = abs(i_bits - i_prev), abs(d_s - d_prev)
+            if step_i <= tol and step_d <= tol:
                 converged = True
                 break
             i_prev, d_prev, lagr_prev, surr_prev = i_bits, d_s, lagr, surr
             tv = t_new
 
+    if not converged:
+        logger.warning(
+            "slope %g: not converged after %d iterations (last |dI| = %.3e bit, "
+            "|dD| = %.3e; tol %.1e)",
+            s,
+            iterations,
+            step_i,
+            step_d,
+            tol,
+        )
     if max_rise > 1e-9:
         logger.debug(
             "I - s*D_s rose by %.3e during slope %g (the update descends J, which "
@@ -513,18 +526,3 @@ def _best_in_chunk(idx, cols, p, g, c, budget) -> float:
     if not ok.any():
         return 0.0
     return float((e_prod - e_joint)[ok].max())
-
-
-def default_slope_grid(
-    n_slopes: int = 40,
-    s_min: float = 0.35,
-    s_max: float = 130.0,
-    include_zero: bool = False,
-) -> np.ndarray:
-    """Geometric slope ladder; dense enough to trace the whole similarity range."""
-    if n_slopes < 1 or s_min <= 0 or s_max < s_min:
-        raise ValueError("need n_slopes >= 1 and 0 < s_min <= s_max")
-    grid = np.geomspace(s_min, s_max, n_slopes)
-    if include_zero:
-        grid = np.concatenate([[0.0], grid])
-    return grid

@@ -160,3 +160,20 @@ def test_compare_mv_small(tmp_path):
             # curve is steep and its linear interpolant overshoots)
             assert r_mstar <= r_ic + 1e-3
             assert r_mstar <= r_i + 1e-3
+
+
+@pytest.mark.parametrize("flag,value", [("--rho", "nan"), ("--variance", "inf")])
+def test_non_finite_covariance_is_a_usage_error(tmp_path, capsys, flag, value):
+    assert run(["idrate-mv", flag, value, "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "covariance matrix has non-finite" in err
+    assert "Warning" not in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_invalid_idq_threads_is_a_usage_error(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("IDQ_THREADS", value)
+    args = ["simulate", "--trials", "1000", "--points", "1", "--block-len", "2",
+            "--out", str(tmp_path / "o.csv")]
+    assert run(args) == 2
+    assert "IDQ_THREADS" in capsys.readouterr().err

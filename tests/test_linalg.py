@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from idq.errors import DimensionMismatch
+from idq.cli import run
+from idq.errors import DimensionMismatch, NonConvergence
 from idq.linalg import (
     EigenPair,
     SymMatrix,
@@ -49,6 +53,67 @@ def test_jacobi_matches_numpy_on_random_symmetric():
         assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-9
         recon = (v * pair.eigenvalues) @ v.T
         assert np.max(np.abs(recon - m)) <= 1e-9 * np.abs(m).max()
+
+
+_entries = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
+
+
+def _symmetric(b):
+    # upper triangle mirrored: exactly symmetric without rounding
+    return np.triu(b) + np.triu(b, 1).T
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """(matrix, is_psd): general symmetric, repeated spectra, or rank-deficient
+    PSD, scaled by 10^-250 .. 10^100."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(("general", "repeated", "rank_deficient")))
+    scale = 10.0 ** draw(st.integers(-250, 100))
+    b = draw(arrays(float, (n, n), elements=_entries))
+    if kind == "general":
+        m, psd = _symmetric(b), False
+    elif kind == "repeated":
+        q, _ = np.linalg.qr(b + n * np.eye(n))
+        w = np.array(draw(st.lists(st.sampled_from((0.0, 1.0, 2.5)), min_size=n, max_size=n)))
+        m, psd = (q * w) @ q.T, True
+        m = (m + m.T) / 2.0
+    else:
+        k = draw(st.integers(0, n - 1))
+        m, psd = b[:, :k] @ b[:, :k].T, True
+    m = m * scale
+    # keep the largest entry a normal float: subnormals carry too few bits for
+    # a 1e-9 relative reconstruction
+    assume(not m.any() or np.abs(m).max() >= 1e-290)
+    return m, psd
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_matrices())
+def test_eigh_contract_property(case):
+    m, psd = case
+    pair = jacobi_eigh(SymMatrix(m))
+    w, v = pair.eigenvalues, pair.eigenvectors
+    n = m.shape[0]
+    scale = np.abs(m).max()
+    assert np.all(np.diff(w) <= 0.0)
+    assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-10
+    assert np.max(np.abs((v * w) @ v.T - m)) <= 1e-9 * scale
+    for k in range(n):
+        nz = np.nonzero(np.abs(v[:, k]) > 1e-12)[0]
+        assert nz.size and v[nz[0], k] >= 0.0
+    if psd:
+        assert w.min() >= 0.0
+
+
+def test_lapack_failure_is_non_convergence(tmp_path, monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NonConvergence):
+        jacobi_eigh(SymMatrix(np.eye(2)))
+    assert run(["idrate-mv", "-M", "2", "--out", str(tmp_path / "o.csv")]) == 3
 
 
 def test_jacobi_clamps_psd_noise():

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -116,6 +117,26 @@ def test_binary_solver_matches_closed_form():
         assert d == pytest.approx(0.5 - q, abs=1e-9)
         assert sol.lagrangian_rise <= 1e-12
         assert sol.surrogate_rise <= 1e-12
+
+
+def test_nonconverged_solve_logs_one_warning(caplog):
+    _, g = bern_setup()
+    with caplog.at_level(logging.WARNING, logger="idq.tcdelta"):
+        sol = solve_tc_point(bernoulli_pmf(0.3), g, math.log(4.0), max_iter=2)
+    assert not sol.converged
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    msg = warnings[0].getMessage()
+    assert "slope 1.38629" in msg and "2 iterations" in msg
+    assert "|dI| = " in msg and "|dD| = " in msg
+
+
+def test_converged_solve_does_not_warn(caplog):
+    pmf, g = bern_setup()
+    with caplog.at_level(logging.WARNING, logger="idq.tcdelta"):
+        sol = solve_tc_point(pmf, g, math.log(4.0))
+    assert sol.converged
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 @pytest.mark.parametrize("exponent_shift", [True, False])
