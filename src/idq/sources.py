@@ -77,7 +77,7 @@ class Pmf:
             raise ValueError("support must be strictly increasing")
         if np.any(p < 0):
             raise ValueError("probabilities must be non-negative")
-        if abs(p.sum() - 1.0) > 1e-12:
+        if not abs(p.sum() - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"probabilities sum to {p.sum()!r}, expected 1")
         object.__setattr__(self, "support", s)
         object.__setattr__(self, "probs", p)

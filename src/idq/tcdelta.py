@@ -9,6 +9,15 @@ column-normalized, followed by t <- Q P.  The constant shift Gamma P P^T is
 precomputed once per solve, and exponentials are stabilized by subtracting the
 per-column maximum exponent (the normalization cancels the shift exactly).
 
+No iteration forms Q.  With e = exp(a) fixed per slope, Q = e t / col where
+col = t e, so t <- t * (e w) with w = P / col.  E_joint, the sum Q P a that
+enters I, and J's shift term are matrix-vector products with e and with the
+elementwise products e * Gamma and e * a, all three built once per slope.  An
+iteration is thus four passes over n x n matrices and makes no n x n
+temporary (`_step`; `ba_step` wraps the same step).  The channel is built
+once, after the loop, and the reported rate, E_prod and E_joint are the
+loop's values for it.
+
 The two steps are exact alternating minimization (Blahut 1972) of
 
     J = I(X; Xhat) + s * sum_ij p_i Q(j|i) (Gamma_ji - shift_ji)
@@ -70,7 +79,7 @@ class Channel:
         if np.any(q < 0):
             raise ValueError("conditional probabilities must be non-negative")
         colsums = q.sum(axis=0)
-        if np.max(np.abs(colsums - 1.0)) > 1e-12:
+        if not np.all(np.abs(colsums - 1.0) <= 1e-12):  # NaN fails too
             raise ValueError("every channel column must sum to 1 within 1e-12")
         object.__setattr__(self, "q", q)
 
@@ -94,8 +103,8 @@ class DistortionMatrix:
         g = np.asarray(self.gamma, dtype=float)
         if g.ndim != 2:
             raise DimensionMismatch("distortion matrix must be 2-D")
-        if np.any(g < 0):
-            raise ValueError("distortions must be non-negative")
+        if not np.all(np.isfinite(g) & (g >= 0)):
+            raise ValueError("distortions must be finite and non-negative")
         object.__setattr__(self, "gamma", g)
 
 
@@ -166,7 +175,7 @@ def triangle_similarity(e_prod: float, e_joint: float, metric: str) -> float:
 
 def _probs(p_x) -> np.ndarray:
     p = p_x.probs if isinstance(p_x, Pmf) else np.asarray(p_x, dtype=float)
-    if p.ndim != 1 or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+    if p.ndim != 1 or np.any(p < 0) or not abs(p.sum() - 1.0) <= 1e-9:
         raise ValueError("source distribution must be a normalized 1-D pmf")
     return p
 
@@ -188,11 +197,38 @@ def mutual_information(p_x, q) -> float:
     return max(float(np.nansum(contrib)), 0.0)
 
 
-def _exponent(g, c, p, s):
+def _tilt(g, p, s: float, exponent_shift: bool = True):
+    """Per-slope matrices of the update: (c, a, e) with c = Gamma p,
+    a = -s * (Gamma - c p^T) (or -s * Gamma without the shift) minus its column
+    maxima, and e = exp(a)."""
+    c = g @ p
     # shift entry (j, i) = p_i * sum_k p_k rho(x_k, xhat_j)
-    a = -s * (g - np.outer(c, p))
+    a = -s * (g - np.outer(c, p)) if exponent_shift else -s * g
     a -= a.max(axis=0, keepdims=True)
-    return a
+    return c, a, np.exp(a)
+
+
+def _step(e, t, p):
+    """One update from codeword marginal t: returns (col, w, ew) with the
+    column normalizers col = t e, w = p / col and ew = e [w, p w].  The new
+    marginal is t * ew[:, 0]; the channel is e t / col (see `_channel`).
+
+    A normalizer so far below the normal range that p / col overflows is an
+    underflow too: the column's mass sits on codewords the grid has lost."""
+    col = t @ e
+    if np.all(col > 0.0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = p / col
+            ew = e @ np.column_stack((w, p * w))
+        if np.isfinite(ew).all():
+            return col, w, ew
+    raise NumericalUnderflow(
+        "a channel column normalized to zero; slope too large for the grid"
+    )
+
+
+def _channel(e, t, col) -> np.ndarray:
+    return e * t[:, None] / col[None, :]
 
 
 def ba_step(p_x, t, gamma, s: float):
@@ -208,16 +244,10 @@ def ba_step(p_x, t, gamma, s: float):
         raise DimensionMismatch("gamma shape must be (len(t), len(p_x))")
     if s < 0:
         raise ValueError("slope must be non-negative")
-    a = _exponent(g, g @ p, p, s)
-    qp = np.exp(a) * tv[:, None]
-    col = qp.sum(axis=0)
-    if np.any(col <= 0.0):
-        raise NumericalUnderflow("a channel column normalized to zero; slope too large")
-    q = qp / col[None, :]
-    channel = Channel(q)
-    t_new = q @ p
+    _, _, e = _tilt(g, p, s)
+    col, _, ew = _step(e, tv, p)
     support = t.support if isinstance(t, Pmf) else np.arange(tv.size, dtype=float)
-    return channel, Pmf(support, t_new)
+    return Channel(_channel(e, tv, col)), Pmf(support, tv * ew[:, 0])
 
 
 def solve_tc_point(
@@ -240,6 +270,12 @@ def solve_tc_point(
     which turns the update into the plain rate-distortion iteration (used for
     the lossy-compression baseline of correlated sources).  A solve that stops
     at `max_iter` logs one WARNING with its last steps in I and D_s.
+
+    Each iteration is four matrix-vector passes (col = t e, e [w, p w],
+    (e * Gamma) w and (e * a) w) over matrices built once per slope.  The
+    channel is formed once, after the loop, from the marginal that produced
+    the last column normalizers, and the rate is the loop's I for that
+    channel (max(I, 0) / ln 2), so no second mutual-information pass is made.
     """
     p = _probs(p_x)
     g_full = _gamma(gamma)
@@ -248,6 +284,8 @@ def solve_tc_point(
         raise DimensionMismatch("gamma columns must match the source alphabet")
     if s < 0:
         raise ValueError("slope must be non-negative")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     if t0 is None:
         t = np.full(m, 1.0 / m)
     else:
@@ -261,13 +299,9 @@ def solve_tc_point(
     if not alive.all():
         logger.debug("pruning %d dead codewords before slope %g", int((~alive).sum()), s)
     g = g_full[alive]
-    tv = t[alive] / t[alive].sum()
-    c = g @ p
-    shift = np.outer(c, p) if exponent_shift else 0.0
-    p_sq = p * p
-    a = -s * (g - shift)
-    a -= a.max(axis=0, keepdims=True)
-    e = np.exp(a)
+    c, a, e = _tilt(g, p, s, exponent_shift)
+    eg, ea = e * g, e * a
+    del g, a  # the loop reads only e, e * Gamma and e * a
 
     i_prev = math.inf
     d_prev = math.inf
@@ -276,47 +310,38 @@ def solve_tc_point(
     max_rise = 0.0
     max_surr_rise = 0.0
     converged = False
-    iterations = 0
     step_i = step_d = math.inf
-    q = None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for iterations in range(1, max_iter + 1):
-            qp = e * tv[:, None]
-            col = qp.sum(axis=0)
-            if np.any(col <= 0.0):
-                raise NumericalUnderflow(
-                    "a channel column normalized to zero; slope too large for the grid"
-                )
-            q = qp / col[None, :]
-            assert (q >= 0.0).all()  # exponential times a non-negative marginal
-            t_new = q @ p
-            # I(X;Xhat) in nats from precomputed logs: log Q = a + log t - log col.
-            lt = np.where(tv > 0, np.log(np.maximum(tv, 5e-324)), 0.0)
-            ltn = np.where(t_new > 0, np.log(np.maximum(t_new, 5e-324)), 0.0)
-            qp2 = q * p[None, :]
-            i_nats = (
-                float((qp2 * a).sum())
-                + float(t_new @ (lt - ltn))
-                - float(np.log(col) @ p)
-            )
-            e_joint = float((qp2 * g).sum())
-            e_prod = float(t_new @ c)
-            d_s = e_prod - e_joint
-            lagr = i_nats - s * d_s
-            # J's shift term: sum_ij p_i Q(j|i) c_j p_i = c . (Q p^2)
-            shift_term = float(c @ (q @ p_sq)) if exponent_shift else 0.0
-            surr = i_nats + s * (e_joint - shift_term)
-            if math.isfinite(lagr_prev):
-                max_rise = max(max_rise, lagr - lagr_prev)
-            if math.isfinite(surr_prev):
-                max_surr_rise = max(max_surr_rise, surr - surr_prev)
-            i_bits = i_nats / LN2
-            step_i, step_d = abs(i_bits - i_prev), abs(d_s - d_prev)
-            if step_i <= tol and step_d <= tol:
-                converged = True
-                break
-            i_prev, d_prev, lagr_prev, surr_prev = i_bits, d_s, lagr, surr
-            tv = t_new
+    t_new = t[alive] / t[alive].sum()
+    for iterations in range(1, max_iter + 1):
+        tv = t_new  # the marginal behind this iteration's channel e tv / col
+        assert (tv >= 0.0).all()  # e >= 0, so the channel is non-negative too
+        col, w, ew = _step(e, tv, p)
+        t_new = tv * ew[:, 0]
+        # I(X;Xhat) in nats from log Q = a + log t - log col.
+        lt = np.where(tv > 0, np.log(np.maximum(tv, 5e-324)), 0.0)
+        ltn = np.where(t_new > 0, np.log(np.maximum(t_new, 5e-324)), 0.0)
+        i_nats = (
+            float(tv @ (ea @ w))
+            + float(t_new @ (lt - ltn))
+            - float(np.log(col) @ p)
+        )
+        e_joint = float(tv @ (eg @ w))
+        e_prod = float(t_new @ c)
+        d_s = e_prod - e_joint
+        lagr = i_nats - s * d_s
+        # J's shift term: sum_ij p_i Q(j|i) c_j p_i = (c t) . (e (p w))
+        shift_term = float((c * tv) @ ew[:, 1]) if exponent_shift else 0.0
+        surr = i_nats + s * (e_joint - shift_term)
+        if math.isfinite(lagr_prev):
+            max_rise = max(max_rise, lagr - lagr_prev)
+        if math.isfinite(surr_prev):
+            max_surr_rise = max(max_surr_rise, surr - surr_prev)
+        i_bits = i_nats / LN2
+        step_i, step_d = abs(i_bits - i_prev), abs(d_s - d_prev)
+        if step_i <= tol and step_d <= tol:
+            converged = True
+            break
+        i_prev, d_prev, lagr_prev, surr_prev = i_bits, d_s, lagr, surr
 
     if not converged:
         logger.warning(
@@ -337,25 +362,19 @@ def solve_tc_point(
         )
 
     q_full = np.zeros((m, n))
-    q_full[alive] = q
+    q_full[alive] = _channel(e, tv, col)
     t_full = q_full @ p
-    channel = Channel(q_full)
-    rate = mutual_information(p, channel)
-    c_full = g_full @ p
-    e_prod = float(t_full @ c_full)
-    e_joint = float(((q_full * p[None, :]) * g_full).sum())
     if xhat_support is None:
         if isinstance(p_x, Pmf) and p_x.n == m:
             xhat_support = p_x.support
         else:
             xhat_support = np.arange(m, dtype=float)
-    marginal = Pmf(xhat_support, t_full)
     return TcSolution(
         slope_s=float(s),
-        channel=channel,
-        code_marginal=marginal,
-        d_s=e_prod - e_joint,
-        rate=rate,
+        channel=Channel(q_full),
+        code_marginal=Pmf(xhat_support, t_full),
+        d_s=d_s,
+        rate=max(i_nats, 0.0) / LN2,
         iterations=iterations,
         converged=converged,
         e_prod=e_prod,

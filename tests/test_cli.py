@@ -70,6 +70,7 @@ def test_exit_codes(tmp_path, capsys):
     assert run(["no-such-command"]) == 2
     assert run(["idrate-iid", "--variance", "-1"]) == 2
     assert run(["tcdelta", "--variance", "-2"]) == 2
+    assert run(["tcdelta", "--source", "bernoulli", "--max-iter", "0"]) == 2
 
 
 def test_spectral_rho0_matches_iid(tmp_path):

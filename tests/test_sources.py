@@ -92,6 +92,8 @@ def test_pmf_validation():
         Pmf(np.array([0.0, 1.0]), np.array([0.6, 0.6]))  # sums to 1.2
     with pytest.raises(ValueError):
         Pmf(np.array([0.0, 1.0]), np.array([-0.1, 1.1]))
+    with pytest.raises(ValueError):
+        Pmf(np.array([0.0, 1.0]), np.array([np.nan, 1.0]))
     assert bernoulli_pmf(0.25).probs.tolist() == [0.75, 0.25]
 
 

@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from idq.errors import DimensionMismatch
 from idq.idrate import binary_entropy, binary_hamming_tc_oracle, id_rate_iid
-from idq.sources import Pmf, bernoulli_pmf, discretize_gaussian
+from idq.linalg import toeplitz_covariance
+from idq.sources import Pmf, bernoulli_pmf, discretize_gaussian, discretize_mv_gaussian
 from idq.tcdelta import (
     Channel,
     DistortionMatrix,
@@ -37,6 +41,9 @@ def test_distortion_matrix_examples():
     assert np.all(np.diag(q.gamma) == 0.0)
     assert q.gamma[0, 2] == 4.0
     assert distortion_matrix([2.0], [2.0]).gamma.tolist() == [[0.0]]
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            DistortionMatrix(np.array([[0.0, bad], [1.0, 0.0]]))
 
 
 def test_channel_validation():
@@ -44,6 +51,8 @@ def test_channel_validation():
         Channel(np.array([[0.6, 0.5], [0.5, 0.5]]))
     with pytest.raises(ValueError):
         Channel(np.array([[-0.1, 1.1], [1.1, -0.1]]))
+    with pytest.raises(ValueError):
+        Channel(np.array([[np.nan, 0.5], [np.nan, 0.5]]))
 
 
 def test_ba_step_zero_slope_fixed_point():
@@ -96,15 +105,67 @@ def test_solve_zero_slope():
     assert sol.converged
 
 
-def test_solution_invariants_recompute():
+def _invariant_cases():
     pmf, g = bern_setup()
-    sol = solve_tc_point(pmf, g, 1.2)
-    assert sol.rate == pytest.approx(mutual_information(pmf, sol.channel), abs=1e-12)
-    t = sol.channel.q @ pmf.probs
-    e_prod = float(t @ (g.gamma @ pmf.probs))
-    e_joint = float((sol.channel.q * pmf.probs[None, :] * g.gamma).sum())
-    assert sol.d_s == pytest.approx(e_prod - e_joint, abs=1e-12)
-    assert np.allclose(sol.code_marginal.probs, t)
+    yield pmf.probs, g, 1.2
+    pmf = discretize_gaussian(1.0, 6.0, 65)
+    yield pmf.probs, distortion_matrix(pmf.support, pmf.support), 2.0
+    letters, probs = discretize_mv_gaussian(toeplitz_covariance([1.0, 0.7], 2), 6.0, 9)
+    yield probs, distortion_matrix(letters, letters), 1.0
+
+
+def test_solution_invariants_recompute():
+    # The scalar fields come from the solver loop; they must describe the
+    # returned channel, also when the solve stops at max_iter.
+    for p, g, s in _invariant_cases():
+        for exponent_shift in (True, False):
+            for max_iter in (5000, 3):
+                sol = solve_tc_point(
+                    p, g, s, max_iter=max_iter, exponent_shift=exponent_shift
+                )
+                if max_iter == 3 and p.size > 2:
+                    assert not sol.converged and sol.iterations == 3
+                q = sol.channel.q
+                t = q @ p
+                e_prod = float(t @ (g.gamma @ p))
+                e_joint = float((q * p[None, :] * g.gamma).sum())
+                assert np.max(np.abs(sol.code_marginal.probs - t)) <= 1e-12
+                assert abs(sol.rate - mutual_information(p, sol.channel)) <= 1e-12
+                assert abs(sol.e_prod - e_prod) <= 1e-12
+                assert abs(sol.e_joint - e_joint) <= 1e-12
+                assert abs(sol.d_s - (e_prod - e_joint)) <= 1e-12
+
+
+@st.composite
+def _kernel_cases(draw):
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 12))
+    p = draw(arrays(float, n, elements=st.floats(0.0, 1.0)))
+    assume(p.sum() > 1e-3)
+    gamma = draw(arrays(float, (m, n), elements=st.floats(0.0, 10.0)))
+    s = draw(st.floats(0.0, 20.0))
+    return p / p.sum(), gamma, s, draw(st.booleans()), draw(st.integers(1, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_cases())
+def test_kernel_matches_dense_update(case):
+    # Dense reference: Q = e t / col with col the column sums, then t <- Q p.
+    p, gamma, s, exponent_shift, k = case
+    sol = solve_tc_point(
+        p, gamma, s, tol=0.0, max_iter=k, exponent_shift=exponent_shift
+    )
+    shift = np.outer(gamma @ p, p) if exponent_shift else 0.0
+    a = -s * (gamma - shift)
+    e = np.exp(a - a.max(axis=0, keepdims=True))
+    t = np.full(gamma.shape[0], 1.0 / gamma.shape[0])
+    for _ in range(sol.iterations):
+        qp = e * t[:, None]
+        q = qp / qp.sum(axis=0)[None, :]
+        t = q @ p
+    assert np.max(np.abs(sol.channel.q - q)) <= 1e-12
+    assert np.max(np.abs(sol.channel.q.sum(axis=0) - 1.0)) <= 1e-12
+    assert sol.surrogate_rise <= 1e-9
 
 
 def test_binary_solver_matches_closed_form():
@@ -277,6 +338,12 @@ def test_component_curve_equal_variances_symmetric():
     assert np.allclose(one.rates, two.rates)
 
 
+def test_nan_source_is_rejected():
+    _, g = bern_setup()
+    with pytest.raises(ValueError):
+        solve_tc_point(np.array([np.nan, 1.0]), g, 1.0)
+
+
 def test_dimension_checks():
     pmf, g = bern_setup()
     with pytest.raises(DimensionMismatch):
@@ -293,5 +360,12 @@ def test_ba_step_underflow_detection():
     p = np.array([0.5, 0.5])
     gamma = np.array([[0.0, 1.0], [10_000.0, 9_801.0]])
     t = np.array([0.0, 1.0])
+    with pytest.raises(NumericalUnderflow):
+        ba_step(p, t, gamma, 1.0)
+    # the second column's best codeword carries mass 1e-312 and the other sits
+    # e^-720 below it, so the column normalizer is subnormal and p / col
+    # overflows; the step must raise instead of returning inf or nan
+    gamma = np.array([[0.0, 720.0], [720.0, 0.0]])
+    t = np.array([1.0 - 1e-312, 1e-312])
     with pytest.raises(NumericalUnderflow):
         ba_step(p, t, gamma, 1.0)
