@@ -174,7 +174,8 @@ def _cmd_tcdelta(args) -> int:
         s_grid = _slope_grid(args, variance=args.variance)
     curve = tc_curve(pmf, gamma, s_grid, tol=args.tol, max_iter=args.max_iter)
     rows = list(zip(curve.d_ids, curve.rates))
-    return _emit(args, _meta(args, "tcdelta"), ["d_id", "rate"], rows)
+    meta = _meta(args, "tcdelta", nonconverged=curve.nonconverged)
+    return _emit(args, meta, ["d_id", "rate"], rows)
 
 
 def _components_for(variance, rho, order, grid_sigmas, grid_points):
@@ -192,21 +193,18 @@ def _cmd_tcdelta_components(args) -> int:
     )
     s_grid = _slope_grid(args, variance=args.variance)
     curve = component_tc_curve(comps, s_grid, tol=args.tol, max_iter=args.max_iter)
-    meta = _meta(args, "tcdelta-components", eigenvalues=",".join(_fmt(v) for v in xi))
+    meta = _meta(args, "tcdelta-components", eigenvalues=",".join(_fmt(v) for v in xi),
+                 nonconverged=curve.nonconverged)
     return _emit(args, meta, ["d_id", "rate"], list(zip(curve.d_ids, curve.rates)))
 
 
 def _cmd_simulate(args) -> int:
     model = IidGaussian(args.variance)
     d_grid = np.linspace(0.0, args.dmax, args.points)
-    rows = []
-    total_fn = 0
-    for d in d_grid:
-        est, stderr, fn = estimate_pr_maybe(
-            model, args.rate, args.block_len, float(d), args.trials, args.seed
-        )
-        total_fn += fn
-        rows.append((float(d), est, stderr))
+    ests, stderrs, total_fn = estimate_pr_maybe(
+        model, args.rate, args.block_len, d_grid, args.trials, args.seed
+    )
+    rows = [(float(d), est, stderr) for d, est, stderr in zip(d_grid, ests, stderrs)]
     meta = _meta(args, "simulate", false_negatives=total_fn)
     return _emit(args, meta, ["d_id", "pr_maybe", "stderr"], rows)
 
@@ -222,7 +220,7 @@ def _cmd_compare(args) -> int:
             for d, r in zip(curve.d_ids, curve.rates)
         ]
         cols = ["d_id", "r_star", "r_tc", "r_lc"]
-        return _emit(args, _meta(args, "compare"), cols, rows)
+        return _emit(args, _meta(args, "compare", nonconverged=curve.nonconverged), cols, rows)
 
     # multivariate comparison: water-filling optimum, component model,
     # joint solver, and the plain rate-distortion (lossy-compression) baseline
@@ -237,18 +235,19 @@ def _cmd_compare(args) -> int:
     gamma_j = distortion_matrix(letters, letters, "quadratic")
     order = args.order
 
-    def mapped(sols):
+    def mapped(exponent_shift):
+        # the solutions hold n x n channels; only their points outlive this call
+        sols = tc_sweep(probs, gamma_j, s_grid, tol=args.tol, max_iter=args.max_iter,
+                        exponent_shift=exponent_shift)
         pts = [solution_point(s, "quadratic") for s in sols]
         d = np.array([q[0] for q in pts]) / order
         r = np.array([q[1] for q in pts]) / order
         o = np.argsort(d)
-        return d[o], r[o]
+        return d[o], r[o], sum(not s.converged for s in sols)
 
-    d_tc, r_tc = mapped(tc_sweep(probs, gamma_j, s_grid, tol=args.tol, max_iter=args.max_iter))
-    d_lc, r_lc = mapped(
-        tc_sweep(probs, gamma_j, s_grid, tol=args.tol, max_iter=args.max_iter,
-                 exponent_shift=False)
-    )
+    d_tc, r_tc, tc_stopped = mapped(True)
+    d_lc, r_lc, lc_stopped = mapped(False)
+    stopped = comp_curve.nonconverged + tc_stopped + lc_stopped
     star = id_curve_multivariate(xi, default_tau_grid(float(xi.max()), args.tau_points))
 
     lo = max(comp_curve.d_ids.min(), d_tc.min(), d_lc.min(), star.d_ids.min())
@@ -267,7 +266,8 @@ def _cmd_compare(args) -> int:
             )
         )
     cols = ["d_id", "r_mstar", "r_ic", "r_i", "r_lc"]
-    meta = _meta(args, "compare", eigenvalues=",".join(_fmt(v) for v in xi))
+    meta = _meta(args, "compare", eigenvalues=",".join(_fmt(v) for v in xi),
+                 nonconverged=stopped)
     return _emit(args, meta, cols, rows)
 
 

@@ -64,11 +64,16 @@ def _tau_value(tau) -> float:
 
 @dataclass(frozen=True)
 class Curve:
-    """Rate-similarity points sorted by strictly increasing d_id."""
+    """Rate-similarity points sorted by strictly increasing d_id.
+
+    `nonconverged` counts the solves behind the points that stopped at their
+    iteration cap; closed-form curves have none.
+    """
 
     points: tuple
     label: str
     monotonicity: str = RATE_NONDECREASING
+    nonconverged: int = 0
 
     def __post_init__(self):
         pts = tuple(self.points)
@@ -92,7 +97,7 @@ class Curve:
         return np.array([p.rate for p in self.points])
 
 
-def curve_from_arrays(d, r, label, monotonicity=RATE_NONDECREASING) -> Curve:
+def curve_from_arrays(d, r, label, monotonicity=RATE_NONDECREASING, nonconverged=0) -> Curve:
     """Sort by d_id, drop duplicate thresholds, and build a validated Curve."""
     d = np.asarray(d, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -100,7 +105,7 @@ def curve_from_arrays(d, r, label, monotonicity=RATE_NONDECREASING) -> Curve:
     d, r = d[order], r[order]
     keep = np.concatenate([[True], np.diff(d) > 0])
     pts = [RateSimilarityPoint(float(a), float(b)) for a, b in zip(d[keep], r[keep])]
-    return Curve(tuple(pts), label, monotonicity)
+    return Curve(tuple(pts), label, monotonicity, nonconverged)
 
 
 def id_rate_iid(variance: float, d_id: float) -> float:

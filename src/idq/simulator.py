@@ -27,7 +27,7 @@ MAX_SUB_BLOCK_BITS = 12.0
 
 _KMEANS_ITERS = 20
 _KMEANS_RTOL = 1e-6
-_ASSIGN_CHUNK = 8192
+_ASSIGN_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -88,26 +88,40 @@ def _workers() -> int:
 
 
 def _nearest(codewords: np.ndarray, blocks: np.ndarray):
-    """Chunked nearest-codeword search; ties resolve to the lowest index."""
+    """Chunked nearest-codeword search; ties resolve to the lowest index.
+
+    Each chunk's distance block holds about _ASSIGN_ENTRIES entries (8 MB) and
+    is built in place, so the chunk size depends only on the codebook, never
+    on the worker count.
+    """
     n = blocks.shape[0]
     idx = np.empty(n, dtype=np.int64)
     dist = np.empty(n)
     cw_sq = (codewords**2).sum(axis=1)
+    # BLAS may round the product differently for two copies of one codeword,
+    # so each index maps to the first copy of its codeword (bytewise equal rows)
+    cw = np.ascontiguousarray(codewords)
+    keys = cw.view(np.dtype((np.void, cw.itemsize * cw.shape[1]))).ravel()
+    _, first, copy_of = np.unique(keys, return_index=True, return_inverse=True)
+    lowest = first[copy_of]
+    rows = max(1, _ASSIGN_ENTRIES // codewords.shape[0])
     workers = _workers()
 
     def one(lo):
-        hi = min(lo + _ASSIGN_CHUNK, n)
+        hi = min(lo + rows, n)
         x = blocks[lo:hi]
         # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2, argmin over c
-        d2 = (x**2).sum(axis=1)[:, None] - 2.0 * (x @ codewords.T) + cw_sq[None, :]
-        ii = d2.argmin(axis=1)
+        d2 = x @ codewords.T
+        d2 *= -2.0
+        d2 += (x**2).sum(axis=1)[:, None]
+        d2 += cw_sq
+        ii = lowest[d2.argmin(axis=1)]
         idx[lo:hi] = ii
         # recompute exactly to avoid cancellation noise in stored distances
         dist[lo:hi] = ((x - codewords[ii]) ** 2).sum(axis=1)
-        return None
 
-    starts = range(0, n, _ASSIGN_CHUNK)
-    if workers > 1 and n > _ASSIGN_CHUNK:
+    starts = range(0, n, rows)
+    if workers > 1 and n > rows:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(one, starts))
     else:
@@ -142,10 +156,11 @@ def train_codebook(samples, rate_bits: float, block_len: int, seed) -> Codebook:
         if prev - distortion < _KMEANS_RTOL * max(prev, 1e-300):
             break
         prev = distortion
-        for k in range(count):
-            members = lab == k
-            if members.any():
-                centroids[k] = x[members].mean(axis=0)
+        sizes = np.bincount(lab, minlength=count)
+        live = sizes > 0
+        for j in range(block_len):
+            sums = np.bincount(lab, weights=x[:, j], minlength=count)
+            centroids[live, j] = sums[live] / sizes[live]
     return Codebook(block_len, centroids)
 
 
@@ -158,12 +173,19 @@ def assign_signature(cb: Codebook, x) -> Signature:
     return Signature(int(idx[0]), float(dist[0]) / cb.block_len)
 
 
-def query_decide(sig: Signature, cb: Codebook, y, d_id: float, x=None) -> QueryOutcome:
-    """Triangle-inequality decision: maybe iff
-    sqrt(d(xhat, y)) <= sqrt(stored) + sqrt(d_id).
+def _maybe(d_hat, stored, d_id):
+    """The triangle rule: maybe iff sqrt(d_hat) <= sqrt(stored) + sqrt(d_id).
 
     d(x, y) <= d_id implies sqrt(d(xhat, y)) <= sqrt(stored) + sqrt(d(x, y))
     <= sqrt(stored) + sqrt(d_id), so a similar pair can never be rejected.
+    Elementwise over arrays of per-sample distances.
+    """
+    return np.sqrt(d_hat) <= np.sqrt(stored) + np.sqrt(d_id)
+
+
+def query_decide(sig: Signature, cb: Codebook, y, d_id: float, x=None) -> QueryOutcome:
+    """Triangle-inequality decision (`_maybe`) for one query block.
+
     Pass the original block `x` to record ground truth in the outcome.
     """
     if d_id < 0:
@@ -173,7 +195,7 @@ def query_decide(sig: Signature, cb: Codebook, y, d_id: float, x=None) -> QueryO
         raise DimensionMismatch("query block length mismatch")
     xhat = cb.codewords[sig.index]
     d_hat = float(((xhat - y) ** 2).sum()) / cb.block_len
-    maybe = math.sqrt(d_hat) <= math.sqrt(sig.stored_dist) + math.sqrt(d_id)
+    maybe = bool(_maybe(d_hat, sig.stored_dist, d_id))
     truly = None
     if x is not None:
         x = np.asarray(x, dtype=float)
@@ -197,7 +219,7 @@ def estimate_pr_maybe(
     model: SourceModel,
     rate_bits: float,
     block_len: int,
-    d_id: float,
+    d_id,
     trials: int,
     seed,
 ):
@@ -209,10 +231,25 @@ def estimate_pr_maybe(
     codebook would exceed MAX_SUB_BLOCK_BITS bits, the block is quantized as a
     concatenation of equal sub-blocks sharing one codebook; the triangle rule
     is applied to the whole block, so admissibility is untouched.
+
+    `d_id` is one threshold or a 1-D sequence of them.  The codebook is
+    trained and the pairs are drawn and encoded once; every threshold is
+    decided on the same pairs.  For a sequence the estimate and standard error
+    are lists, one entry per threshold, and the false-negative count is the
+    total over all thresholds.
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials")
-    if d_id < 0:
+    if block_len < 1:
+        raise ValueError("block_len must be positive")
+    if not (math.isfinite(rate_bits) and rate_bits >= 0):
+        raise ValueError("rate must be finite and non-negative")
+    d_ids = np.asarray(d_id, dtype=float)
+    if d_ids.ndim > 1 or d_ids.size == 0:
+        raise ValueError("d_id must be a number or a non-empty 1-D sequence")
+    if not np.all(np.isfinite(d_ids)):
+        raise ValueError("d_id must be finite")
+    if np.any(d_ids < 0):
         raise ValueError("d_id must be non-negative")
     ss = np.random.SeedSequence(seed)
     train_ss, x_ss, y_ss = ss.spawn(3)
@@ -238,13 +275,18 @@ def estimate_pr_maybe(
         d_hat += ((cb.codewords[idx] - y[:, sl]) ** 2).sum(axis=1)
     stored /= block_len
     d_hat /= block_len
+    d_xy = ((x - y) ** 2).mean(axis=1)
 
-    maybe = np.sqrt(d_hat) <= np.sqrt(stored) + math.sqrt(d_id)
-    truly = ((x - y) ** 2).mean(axis=1) <= d_id
-    false_neg = int((truly & ~maybe).sum())
-    est = float(maybe.mean())
-    stderr = math.sqrt(est * (1.0 - est) / trials)
-    return est, stderr, false_neg
+    ests, stderrs, false_neg = [], [], 0
+    for d in d_ids.ravel():
+        maybe = _maybe(d_hat, stored, d)
+        false_neg += int(((d_xy <= d) & ~maybe).sum())
+        est = float(maybe.mean())
+        ests.append(est)
+        stderrs.append(math.sqrt(est * (1.0 - est) / trials))
+    if d_ids.ndim == 0:
+        return ests[0], stderrs[0], false_neg
+    return ests, stderrs, false_neg
 
 
 def component_scheme_pr_maybe(
@@ -260,7 +302,8 @@ def component_scheme_pr_maybe(
 
     Each block is decorrelated by the covariance KLT; component m quantizes
     its coefficient with a scalar codebook of round(2^rate_m) codewords and
-    answers maybe iff |xhat_m - y_m| <= |xhat_m - x_m| + sqrt(sum_k d_id_k).
+    answers maybe iff |xhat_m - y_m| <= |xhat_m - x_m| + sqrt(sum_k d_id_k)
+    (`_maybe` with threshold sum_k d_id_k).
     The total-budget slack is what admissibility costs at finite blocklength:
     a similar pair may concentrate its whole distance budget M * d(x, y)
     <= M * d_id <= sum_k d_id_k in a single coefficient.  The block is labeled
@@ -305,13 +348,12 @@ def component_scheme_pr_maybe(
     xc = klt_forward(basis, x)
     yc = klt_forward(basis, y)
 
-    slack = math.sqrt(float(d_ids.sum()))
     maybe = np.ones(trials, dtype=bool)
     for m in range(m_dim):
         idx, dist = _nearest(books[m].codewords, xc[:, m][:, None])
         xhat = books[m].codewords[idx, 0]
         d_hat = (xhat - yc[:, m]) ** 2
-        comp_maybe = np.sqrt(d_hat) <= np.sqrt(dist) + slack
+        comp_maybe = _maybe(d_hat, dist, d_ids.sum())
         if decision_log is not None:
             decision_log.append(comp_maybe.copy())
         maybe &= comp_maybe

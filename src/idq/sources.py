@@ -19,8 +19,8 @@ class IidGaussian:
     variance: float
 
     def __post_init__(self):
-        if self.variance <= 0:
-            raise ValueError("variance must be positive")
+        if not (np.isfinite(self.variance) and self.variance > 0):
+            raise ValueError("variance must be positive and finite")
 
 
 @dataclass(frozen=True)

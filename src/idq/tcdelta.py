@@ -449,7 +449,8 @@ def tc_curve(
     metric = _metric_of(gamma)
     pts = [solution_point(s, metric) for s in sols]
     return curve_from_arrays(
-        [q[0] for q in pts], [q[1] for q in pts], label, RATE_NONDECREASING
+        [q[0] for q in pts], [q[1] for q in pts], label, RATE_NONDECREASING,
+        sum(not s.converged for s in sols),
     )
 
 
@@ -485,7 +486,8 @@ def component_tc_curve(
         pts = [solution_point(sol, met) for sol, met in zip(sols_at_s, metrics)]
         d.append(float(np.mean([q[0] for q in pts])))
         r.append(float(np.mean([q[1] for q in pts])))
-    return curve_from_arrays(d, r, label, RATE_NONDECREASING)
+    stopped = sum(not sol.converged for sols in per_comp for sol in sols)
+    return curve_from_arrays(d, r, label, RATE_NONDECREASING, stopped)
 
 
 def _column_lattice(m: int, steps: int) -> np.ndarray:

@@ -6,6 +6,8 @@ import pytest
 
 from idq.cli import parse_curve_file, run
 from idq.idrate import id_rate_iid, lc_delta_rate
+from idq.simulator import estimate_pr_maybe
+from idq.sources import IidGaussian
 
 
 def run_csv(tmp_path, args, name="out.csv"):
@@ -127,22 +129,31 @@ def test_simulate_header_reports_false_negatives(tmp_path):
     )
     assert cols == ["d_id", "pr_maybe", "stderr"]
     assert meta["false_negatives"] == "0"
+    # one run for all points gives each point's own estimate
+    for row in rows:
+        ref = estimate_pr_maybe(IidGaussian(1.0), 1.0, 4, row[0], 2000, 3)
+        assert row[1:] == [float(f"{v:.12g}") for v in ref[:2]]
 
 
-def test_compare_iid_small(tmp_path):
+def _stop_warnings(caplog):
+    return str(sum(r.name == "idq.tcdelta" and r.levelname == "WARNING" for r in caplog.records))
+
+
+def test_compare_iid_small(tmp_path, caplog):
     meta, cols, rows = run_csv(
         tmp_path,
         ["compare", "--source", "iid-gaussian", "--grid-points", "257",
          "--slopes", "12", "--tol", "1e-8", "--max-iter", "3000"],
     )
     assert cols == ["d_id", "r_star", "r_tc", "r_lc"]
+    assert meta["nonconverged"] == _stop_warnings(caplog)
     for d, r_star, r_tc, r_lc in rows:
         assert r_star == pytest.approx(id_rate_iid(1.0, d), abs=1e-9)
         assert r_lc == pytest.approx(lc_delta_rate(1.0, d), abs=1e-9)
         assert r_tc >= r_star - 5e-3
 
 
-def test_compare_mv_small(tmp_path):
+def test_compare_mv_small(tmp_path, caplog):
     meta, cols, rows = run_csv(
         tmp_path,
         ["compare", "--source", "mv-gaussian", "--rho", "0.7", "-M", "2",
@@ -153,6 +164,7 @@ def test_compare_mv_small(tmp_path):
     assert cols == ["d_id", "r_mstar", "r_ic", "r_i", "r_lc"]
     assert len(rows) > 3
     assert "eigenvalues" in meta
+    assert meta["nonconverged"] == _stop_warnings(caplog)
     for d, r_mstar, r_ic, r_i, r_lc in rows:
         assert all(v >= 0 for v in (r_mstar, r_ic, r_i, r_lc))
         if d <= 1.5:
@@ -178,3 +190,26 @@ def test_invalid_idq_threads_is_a_usage_error(tmp_path, capsys, monkeypatch, val
             "--out", str(tmp_path / "o.csv")]
     assert run(args) == 2
     assert "IDQ_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--dmax", "nan"), ("--dmax", "inf"), ("--variance", "nan"), ("--variance", "inf"),
+     ("--block-len", "0"), ("--rate", "inf"), ("--points", "0")],
+)
+def test_invalid_simulate_input_is_a_usage_error(tmp_path, capsys, flag, value):
+    args = ["simulate", "--trials", "1000", "--points", "2", "--block-len", "2",
+            flag, value, "--out", str(tmp_path / "o.csv")]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert "idq: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args,stopped",
+    [(["--grid-points", "65", "--slopes", "3", "--max-iter", "2"], "3"),
+     (["--source", "bernoulli"], "0")],
+)
+def test_tcdelta_header_counts_nonconverged_solves(tmp_path, caplog, args, stopped):
+    meta, cols, rows = run_csv(tmp_path, ["tcdelta"] + args)
+    assert meta["nonconverged"] == stopped == _stop_warnings(caplog)

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from idq import simulator
 from idq.errors import AdmissibilityViolation, DimensionMismatch, TooManyCodewords
 from idq.linalg import klt_forward, jacobi_eigh, toeplitz_covariance
 from idq.simulator import (
@@ -50,6 +53,101 @@ def test_train_validation():
         train_codebook(x, 3.0, 2, 0)  # 64 codewords need 640 samples
 
 
+def _loop_train(x, count, block_len, seed):
+    """train_codebook with the centroid update as a loop over codewords."""
+    rng = np.random.default_rng(seed)
+    centroids = x[rng.choice(x.shape[0], size=count, replace=False)].copy()
+    prev = math.inf
+    for _ in range(simulator._KMEANS_ITERS):
+        lab, d2 = simulator._nearest(centroids, x)
+        distortion = float(d2.mean()) / block_len
+        if prev - distortion < simulator._KMEANS_RTOL * max(prev, 1e-300):
+            break
+        prev = distortion
+        for k in range(count):
+            members = lab == k
+            if members.any():
+                centroids[k] = x[members].mean(axis=0)
+    return centroids
+
+
+@pytest.mark.parametrize("rate,block_len", [(1.0, 1), (3.0, 1), (1.0, 2), (0.6, 5)])
+def test_train_matches_loop_update(rate, block_len):
+    x = sample_block(IidGaussian(1.0), block_len, 3000, 19)
+    count = int(round(2.0 ** (rate * block_len)))
+    cb = train_codebook(x, rate, block_len, 4)
+    ref = _loop_train(x, count, block_len, 4)
+    if block_len == 1:
+        # a column mean is a pairwise sum, bincount a sequential one
+        assert np.max(np.abs(cb.codewords - ref)) <= 1e-12
+    else:
+        assert np.array_equal(cb.codewords, ref)
+
+
+def test_train_empty_cells_keep_their_centroid():
+    # 200 samples over 5 distinct rows: at least 11 of the 16 initial
+    # centroids repeat a lower one and win no samples
+    rows = np.arange(10.0).reshape(5, 2)
+    x = rows[np.random.default_rng(2).integers(0, 5, size=200)]
+    cb = train_codebook(x, 2.0, 2, 8)
+    init = x[np.random.default_rng(8).choice(200, size=16, replace=False)]
+    lab, _ = simulator._nearest(cb.codewords, x)
+    empty = np.bincount(lab, minlength=16) == 0
+    assert empty.sum() >= 11
+    assert np.array_equal(cb.codewords[empty], init[empty])
+    assert np.array_equal(cb.codewords, _loop_train(x, 16, 2, 8))
+
+
+@st.composite
+def _nearest_cases(draw):
+    count = draw(st.integers(1, 300))
+    dim = draw(st.integers(1, 8))
+    rows = draw(st.integers(1, 64))  # rows per chunk
+    n = draw(st.integers(rows + 1, 5 * rows))  # several chunks, maybe a remainder
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    cw = rng.standard_normal((count, dim)) * scale
+    dup = rng.random(count) < draw(st.floats(0.0, 0.5))
+    cw[dup] = cw[rng.integers(0, count, size=count)[dup]]
+    x = rng.standard_normal((n, dim)) * scale
+    on_codeword = rng.random(n) < 0.2
+    x[on_codeword] = cw[rng.integers(0, count, size=n)[on_codeword]]
+    return cw, x, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nearest_cases())
+def test_nearest_contract(case):
+    cw, x, rows = case
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_ASSIGN_ENTRIES", rows * cw.shape[0])
+        for threads in ("1", "2"):
+            mp.setenv("IDQ_THREADS", threads)
+            out[threads] = simulator._nearest(cw, x)
+    idx, dist = out["1"]
+    assert np.array_equal(idx, out["2"][0]) and np.array_equal(dist, out["2"][1])
+    assert np.array_equal(dist, ((x - cw[idx]) ** 2).sum(axis=1))
+    brute = ((x[:, None, :] - cw[None, :, :]) ** 2).sum(axis=2)
+    scale = (np.abs(x).max() + np.abs(cw).max()) ** 2 * cw.shape[1]
+    assert np.all(dist <= brute.min(axis=1) + 1e-9 * scale)
+    first = [np.flatnonzero((cw == c).all(axis=1))[0] for c in cw]
+    assert np.array_equal(np.take(first, idx), idx)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_nearest_copy_of_a_codeword_loses_to_the_first(dim):
+    # OpenBLAS rounds x.c differently in the last columns of a 300-column
+    # product; without the mapping to the first copy, the last copy won for
+    # up to a fifth of these queries
+    rng = np.random.default_rng(dim)
+    cw = rng.standard_normal((300, dim))
+    cw[-1] = cw[0]
+    x = cw[0] + 1e-3 * rng.standard_normal((500, dim))
+    idx, _ = simulator._nearest(cw, x)
+    assert not np.any(idx == 299)
+
+
 def test_assign_signature_examples():
     cb = Codebook(1, np.array([[-1.0], [1.0]]))
     sig = assign_signature(cb, np.array([1.0]))
@@ -81,6 +179,31 @@ def test_query_decide_examples():
 def test_estimate_requires_trials():
     with pytest.raises(ValueError):
         estimate_pr_maybe(IidGaussian(1.0), 1.0, 4, 0.5, 100, 0)
+
+
+@pytest.mark.parametrize(
+    "block_len,d_id", [(0, 0.5), (4, math.nan), (4, math.inf), (4, [0.5, math.nan]), (4, [])]
+)
+def test_estimate_validation(block_len, d_id):
+    with pytest.raises(ValueError):
+        estimate_pr_maybe(IidGaussian(1.0), 1.0, block_len, d_id, 1000, 0)
+
+
+def test_estimate_trains_once_for_all_thresholds(monkeypatch):
+    calls = []
+    real = simulator.train_codebook
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "train_codebook", counted)
+    ests, stderrs, fn = estimate_pr_maybe(IidGaussian(1.0), 1.0, 8, [0.0, 0.25, 0.5], 2000, 5)
+    assert len(calls) == 1
+    singles = [estimate_pr_maybe(IidGaussian(1.0), 1.0, 8, d, 2000, 5) for d in (0.0, 0.25, 0.5)]
+    assert ests == [r[0] for r in singles]
+    assert stderrs == [r[1] for r in singles]
+    assert fn == sum(r[2] for r in singles)
 
 
 def test_estimate_zero_false_negatives():
