@@ -4,11 +4,14 @@ Every output file starts with `# key=value` header lines recording the exact
 command, all parameter values, the rate unit (always bits), and the seed, so
 any file can be regenerated from its own header.  Infinite rates are written
 as the literal string `inf`.  The environment variable IDQ_THREADS caps
-worker parallelism in the simulator (0 = one worker per CPU).
+worker parallelism in the simulator (0 = one worker per CPU).  `--log-level`
+sets the level of the `idq` loggers for the run, whose records go to stderr;
+it changes no output file.
 """
 
 import argparse
 import json
+import logging
 import math
 import sys
 
@@ -98,7 +101,7 @@ def _meta(args, command: str, **extra) -> dict:
         "log_base": "2",
     }
     for key, value in sorted(vars(args).items()):
-        if key in ("func", "out", "format"):
+        if key in ("func", "out", "format", "log_level"):
             continue
         meta[key.replace("_", "-")] = value
     meta.update(extra)
@@ -120,14 +123,21 @@ def _slope_grid(args, variance: float = 1.0, bernoulli: bool = False) -> np.ndar
     return np.geomspace(0.35, 130.0, args.slopes) / variance
 
 
+def _d_grid(args) -> np.ndarray:
+    """`--points` thresholds evenly spaced on [0, --dmax]."""
+    if not math.isfinite(args.dmax):
+        raise ValueError("--dmax must be finite")
+    return np.linspace(0.0, args.dmax, args.points)
+
+
 def _cmd_idrate_iid(args) -> int:
-    d = np.linspace(0.0, args.dmax, args.points)
+    d = _d_grid(args)
     rows = [(di, id_rate_iid(args.variance, di)) for di in d]
     return _emit(args, _meta(args, "idrate-iid"), ["d_id", "rate"], rows)
 
 
 def _cmd_lcdelta(args) -> int:
-    d = np.linspace(0.0, args.dmax, args.points)
+    d = _d_grid(args)
     rows = [(di, lc_delta_rate(args.variance, di)) for di in d]
     return _emit(args, _meta(args, "lcdelta"), ["d_id", "rate"], rows)
 
@@ -200,7 +210,7 @@ def _cmd_tcdelta_components(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model = IidGaussian(args.variance)
-    d_grid = np.linspace(0.0, args.dmax, args.points)
+    d_grid = _d_grid(args)
     ests, stderrs, total_fn = estimate_pr_maybe(
         model, args.rate, args.block_len, d_grid, args.trials, args.seed
     )
@@ -274,6 +284,8 @@ def _cmd_compare(args) -> int:
 def _add_common(sp, seed=False):
     sp.add_argument("--out", default="-", help="output path, - for stdout")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    sp.add_argument("--log-level", choices=("debug", "info", "warning", "error"),
+                    default="warning", help="level of the idq log records sent to stderr")
     if seed:
         sp.add_argument("--seed", type=int, default=0)
 
@@ -375,6 +387,12 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    log = logging.getLogger("idq")
+    saved_level = log.level
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    log.setLevel(args.log_level.upper())
+    log.addHandler(handler)
     try:
         return args.func(args)
     except (NonConvergence, NumericalUnderflow) as exc:
@@ -383,6 +401,9 @@ def run(argv) -> int:
     except (IdqError, ValueError) as exc:
         print(f"idq: {exc}", file=sys.stderr)
         return 2
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(saved_level)
 
 
 def main() -> None:

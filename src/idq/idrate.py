@@ -108,16 +108,21 @@ def curve_from_arrays(d, r, label, monotonicity=RATE_NONDECREASING, nonconverged
     return Curve(tuple(pts), label, monotonicity, nonconverged)
 
 
+def _check_iid_args(variance: float, d_id: float) -> None:
+    """A finite positive variance and a non-negative d_id (inf allowed, NaN not)."""
+    if not (math.isfinite(variance) and variance > 0):
+        raise ValueError("variance must be positive and finite")
+    if not d_id >= 0:  # also rejects NaN
+        raise ValueError("d_id must be non-negative")
+
+
 def id_rate_iid(variance: float, d_id: float) -> float:
     """Identification rate of an i.i.d. Gaussian source at threshold d_id.
 
     log2(2 sigma^2 / (2 sigma^2 - d_id)) below the 2 sigma^2 limit, infinite at
     or above it.
     """
-    if variance <= 0:
-        raise ValueError("variance must be positive")
-    if d_id < 0:
-        raise ValueError("d_id must be non-negative")
+    _check_iid_args(variance, d_id)
     lim = 2.0 * variance
     if d_id >= lim:
         return math.inf
@@ -218,10 +223,7 @@ def lc_delta_rate(variance: float, d_id: float) -> float:
     0.5 * log2(1 / (1 - sqrt(2u - u^2))) with u = d_id / (2 sigma^2); infinite
     for u >= 1.
     """
-    if variance <= 0:
-        raise ValueError("variance must be positive")
-    if d_id < 0:
-        raise ValueError("d_id must be non-negative")
+    _check_iid_args(variance, d_id)
     u = d_id / (2.0 * variance)
     if u >= 1.0:
         return math.inf

@@ -10,12 +10,19 @@ precomputed once per solve, and exponentials are stabilized by subtracting the
 per-column maximum exponent (the normalization cancels the shift exactly).
 
 No iteration forms Q.  With e = exp(a) fixed per slope, Q = e t / col where
-col = t e, so t <- t * (e w) with w = P / col.  E_joint, the sum Q P a that
-enters I, and J's shift term are matrix-vector products with e and with the
-elementwise products e * Gamma and e * a, all three built once per slope.  An
-iteration is thus four passes over n x n matrices and makes no n x n
-temporary (`_step`; `ba_step` wraps the same step).  The channel is built
-once, after the loop, and the reported rate, E_prod and E_joint are the
+col = t e, so t <- t * (e w) with w = P / col.  E_joint and the shift term of
+the objective J (below) are products with e * Gamma and with the 2-row
+[t; c t] e, and the rate needs no third matrix: with amax the column maxima
+subtracted from the exponent a, log Q = a - amax + log t - log col gives
+
+    J = t_new . (log t - log t_new) - P . (log col + amax),
+    I = J - s * (E_joint - shift term).
+
+An iteration is thus three passes over the live rows of e and e * Gamma
+(two when `exponent_shift=False` drops the shift row) and makes no n x n
+temporary (`_step`; `ba_step` wraps the same step).  Rows whose marginal falls
+to PRUNE_EPS are cut from both matrices during the solve.  The channel is
+built once, after the loop, and the reported rate, E_prod and E_joint are the
 loop's values for it.
 
 The two steps are exact alternating minimization (Blahut 1972) of
@@ -198,37 +205,53 @@ def mutual_information(p_x, q) -> float:
 
 
 def _tilt(g, p, s: float, exponent_shift: bool = True):
-    """Per-slope matrices of the update: (c, a, e) with c = Gamma p,
-    a = -s * (Gamma - c p^T) (or -s * Gamma without the shift) minus its column
-    maxima, and e = exp(a)."""
+    """Per-slope terms of the update: (c, amax, e) with c = Gamma p, amax the
+    column maxima of a = -s * (Gamma - c p^T) (or -s * Gamma without the
+    shift), and e = exp(a - amax)."""
     c = g @ p
-    # shift entry (j, i) = p_i * sum_k p_k rho(x_k, xhat_j)
-    a = -s * (g - np.outer(c, p)) if exponent_shift else -s * g
-    a -= a.max(axis=0, keepdims=True)
-    return c, a, np.exp(a)
+    if exponent_shift:
+        # shift entry (j, i) = p_i * sum_k p_k rho(x_k, xhat_j); in place,
+        # s * (c p^T - Gamma) is -s * (Gamma - c p^T) bit for bit
+        a = np.outer(c, p)
+        a -= g
+        a *= s
+    else:
+        a = -s * g
+    amax = a.max(axis=0)
+    a -= amax
+    return c, amax, np.exp(a, out=a)
 
 
-def _step(e, t, p):
-    """One update from codeword marginal t: returns (col, w, ew) with the
-    column normalizers col = t e, w = p / col and ew = e [w, p w].  The new
-    marginal is t * ew[:, 0]; the channel is e t / col (see `_channel`).
+def _step(e, t, p, c=None):
+    """One update from codeword marginal t: returns (col, w, t_new, shift)
+    with the column normalizers col = t e, w = p / col, the new marginal
+    t_new = t * (e w) and J's shift term sum_ij p_i Q(j|i) c_j p_i =
+    ((c t) e) . (p w), which is 0 when `c` is None.  One 2-row product gives
+    col and (c t) e.  The channel is e t / col (see `_channel`).
 
     A normalizer so far below the normal range that p / col overflows is an
     underflow too: the column's mass sits on codewords the grid has lost."""
-    col = t @ e
+    if c is None:
+        col = t @ e
+    else:
+        col, cte = np.vstack((t, c * t)) @ e
     if np.all(col > 0.0):
         with np.errstate(over="ignore", invalid="ignore"):
             w = p / col
-            ew = e @ np.column_stack((w, p * w))
+            ew = e @ w
         if np.isfinite(ew).all():
-            return col, w, ew
+            shift = 0.0 if c is None else float(cte @ (p * w))
+            return col, w, t * ew, shift
     raise NumericalUnderflow(
         "a channel column normalized to zero; slope too large for the grid"
     )
 
 
 def _channel(e, t, col) -> np.ndarray:
-    return e * t[:, None] / col[None, :]
+    """The channel e t / col, written over e."""
+    e *= t[:, None]
+    e /= col
+    return e
 
 
 def ba_step(p_x, t, gamma, s: float):
@@ -245,9 +268,9 @@ def ba_step(p_x, t, gamma, s: float):
     if s < 0:
         raise ValueError("slope must be non-negative")
     _, _, e = _tilt(g, p, s)
-    col, _, ew = _step(e, tv, p)
+    col, _, t_new, _ = _step(e, tv, p)
     support = t.support if isinstance(t, Pmf) else np.arange(tv.size, dtype=float)
-    return Channel(_channel(e, tv, col)), Pmf(support, tv * ew[:, 0])
+    return Channel(_channel(e, tv, col)), Pmf(support, t_new)
 
 
 def solve_tc_point(
@@ -264,18 +287,24 @@ def solve_tc_point(
     difference move less than `tol` between consecutive iterations.
 
     Starts from the uniform codeword marginal unless `t0` warm-starts it;
-    entries of `t0` below PRUNE_EPS are removed from the codeword grid for the
-    duration of the solve (they are absorbing anyway) and reported as exact
-    zeros in the result.  `exponent_shift=False` drops the Gamma P P^T term,
-    which turns the update into the plain rate-distortion iteration (used for
-    the lossy-compression baseline of correlated sources).  A solve that stops
-    at `max_iter` logs one WARNING with its last steps in I and D_s.
+    entries of `t0` at or below PRUNE_EPS are removed from the codeword grid
+    for the duration of the solve (they are absorbing anyway) and reported as
+    exact zeros in the result.  During the solve, once the codewords whose
+    mass has fallen to PRUNE_EPS make up 1/8 of the live rows, they are cut
+    from the iteration's matrices in the same way (one DEBUG line each time);
+    the 1/8 keeps the row copies rare while no iteration streams many dead
+    rows.  `exponent_shift=False` drops the Gamma P P^T term, which turns the
+    update into the plain rate-distortion iteration (used for the
+    lossy-compression baseline of correlated sources).  A solve that stops at
+    `max_iter` logs one WARNING with its last steps in I and D_s.
 
-    Each iteration is four matrix-vector passes (col = t e, e [w, p w],
-    (e * Gamma) w and (e * a) w) over matrices built once per slope.  The
-    channel is formed once, after the loop, from the marginal that produced
-    the last column normalizers, and the rate is the loop's I for that
-    channel (max(I, 0) / ln 2), so no second mutual-information pass is made.
+    Each iteration is three matrix passes over the live rows of matrices
+    built once per slope: [t; c t] e, e w and (e * Gamma) w (without the
+    shift, t e in place of the 2-row product).  I comes from J and the
+    moments (module docstring), so no e * a matrix is kept.  The channel is
+    formed once, after the loop, from the marginal that produced the last
+    column normalizers, and the rate is the loop's I for that channel
+    (max(I, 0) / ln 2), so no second mutual-information pass is made.
     """
     p = _probs(p_x)
     g_full = _gamma(gamma)
@@ -293,15 +322,16 @@ def solve_tc_point(
         if t.shape != (m,):
             raise DimensionMismatch("warm start length must match the codeword grid")
 
-    alive = t > PRUNE_EPS
-    if not alive.any():
+    rows = np.flatnonzero(t > PRUNE_EPS)  # codeword index of each live row
+    if rows.size == 0:
         raise NumericalUnderflow("no codewords above the pruning threshold")
-    if not alive.all():
-        logger.debug("pruning %d dead codewords before slope %g", int((~alive).sum()), s)
-    g = g_full[alive]
-    c, a, e = _tilt(g, p, s, exponent_shift)
-    eg, ea = e * g, e * a
-    del g, a  # the loop reads only e, e * Gamma and e * a
+    if rows.size < m:
+        logger.debug("pruning %d dead codewords before slope %g", m - rows.size, s)
+    g = g_full if rows.size == m else g_full[rows]
+    c, amax, e = _tilt(g, p, s, exponent_shift)
+    eg = e * g
+    del g  # the loop reads only e and e * Gamma
+    p_amax = float(p @ amax)
 
     i_prev = math.inf
     d_prev = math.inf
@@ -311,27 +341,31 @@ def solve_tc_point(
     max_surr_rise = 0.0
     converged = False
     step_i = step_d = math.inf
-    t_new = t[alive] / t[alive].sum()
+    t_new = t[rows] / t[rows].sum()
     for iterations in range(1, max_iter + 1):
         tv = t_new  # the marginal behind this iteration's channel e tv / col
         assert (tv >= 0.0).all()  # e >= 0, so the channel is non-negative too
-        col, w, ew = _step(e, tv, p)
-        t_new = tv * ew[:, 0]
-        # I(X;Xhat) in nats from log Q = a + log t - log col.
+        dead = tv <= PRUNE_EPS
+        n_dead = int(np.count_nonzero(dead))
+        if 8 * n_dead >= tv.size:
+            logger.debug(
+                "slope %g, iteration %d: dropping %d of %d codewords at or below "
+                "PRUNE_EPS", s, iterations, n_dead, tv.size,
+            )
+            live = ~dead
+            rows, e, eg, c, tv = rows[live], e[live], eg[live], c[live], tv[live]
+        col, w, t_new, shift_term = _step(e, tv, p, c if exponent_shift else None)
         lt = np.where(tv > 0, np.log(np.maximum(tv, 5e-324)), 0.0)
         ltn = np.where(t_new > 0, np.log(np.maximum(t_new, 5e-324)), 0.0)
-        i_nats = (
-            float(tv @ (ea @ w))
-            + float(t_new @ (lt - ltn))
-            - float(np.log(col) @ p)
-        )
+        # J and I(X;Xhat) in nats from log Q = a - amax + log t - log col.
+        # p . amax and s * shift_term nearly cancel, so I subtracts them together.
+        j_amax = float(t_new @ (lt - ltn)) - float(np.log(col) @ p)  # J + p . amax
         e_joint = float(tv @ (eg @ w))
+        surr = j_amax - p_amax
+        i_nats = j_amax - s * e_joint - (p_amax - s * shift_term)
         e_prod = float(t_new @ c)
         d_s = e_prod - e_joint
         lagr = i_nats - s * d_s
-        # J's shift term: sum_ij p_i Q(j|i) c_j p_i = (c t) . (e (p w))
-        shift_term = float((c * tv) @ ew[:, 1]) if exponent_shift else 0.0
-        surr = i_nats + s * (e_joint - shift_term)
         if math.isfinite(lagr_prev):
             max_rise = max(max_rise, lagr - lagr_prev)
         if math.isfinite(surr_prev):
@@ -362,7 +396,7 @@ def solve_tc_point(
         )
 
     q_full = np.zeros((m, n))
-    q_full[alive] = _channel(e, tv, col)
+    q_full[rows] = _channel(e, tv, col)
     t_full = q_full @ p
     if xhat_support is None:
         if isinstance(p_x, Pmf) and p_x.n == m:

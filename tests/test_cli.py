@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -213,3 +214,34 @@ def test_invalid_simulate_input_is_a_usage_error(tmp_path, capsys, flag, value):
 def test_tcdelta_header_counts_nonconverged_solves(tmp_path, caplog, args, stopped):
     meta, cols, rows = run_csv(tmp_path, ["tcdelta"] + args)
     assert meta["nonconverged"] == stopped == _stop_warnings(caplog)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [(["idrate-iid", "--dmax", "nan"], "--dmax must be finite"),
+     (["idrate-iid", "--dmax", "inf"], "--dmax must be finite"),
+     (["lcdelta", "--dmax", "nan"], "--dmax must be finite"),
+     (["lcdelta", "--dmax", "inf"], "--dmax must be finite"),
+     (["simulate", "--dmax", "inf"], "--dmax must be finite"),
+     (["idrate-iid", "--variance", "nan"], "variance must be positive and finite"),
+     (["lcdelta", "--variance", "inf"], "variance must be positive and finite")],
+)
+def test_non_finite_closed_form_input_is_a_usage_error(tmp_path, capsys, args, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's linspace warning must not come first
+        assert run(args + ["--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"idq: {message}" in err
+    assert "Warning" not in err
+
+
+def test_log_level_debug_reports_pruning(tmp_path, capsys):
+    args = ["tcdelta", "--grid-points", "65", "--slopes", "3"]
+    quiet, loud = tmp_path / "quiet.csv", tmp_path / "loud.csv"
+    assert run(args + ["--out", str(quiet)]) == 0
+    assert "DEBUG" not in capsys.readouterr().err
+    assert run(args + ["--log-level", "debug", "--out", str(loud)]) == 0
+    err = capsys.readouterr().err
+    assert "DEBUG idq.tcdelta: " in err
+    assert "dead codewords before slope" in err or "at or below PRUNE_EPS" in err
+    assert loud.read_bytes() == quiet.read_bytes()  # the level is not a parameter

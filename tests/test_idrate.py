@@ -154,6 +154,14 @@ def test_similarity_limit():
         similarity_limit(Bernoulli(0.5))
 
 
+@pytest.mark.parametrize("rate", [id_rate_iid, lc_delta_rate])
+def test_closed_forms_reject_non_finite_input(rate):
+    for variance, d_id in ((math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            rate(variance, d_id)
+    assert rate(1.0, math.inf) == math.inf
+
+
 def test_lc_delta_rate_examples():
     assert lc_delta_rate(1.0, 0.0) == 0.0
     u = 0.5

@@ -12,6 +12,8 @@ from idq.idrate import binary_entropy, binary_hamming_tc_oracle, id_rate_iid
 from idq.linalg import toeplitz_covariance
 from idq.sources import Pmf, bernoulli_pmf, discretize_gaussian, discretize_mv_gaussian
 from idq.tcdelta import (
+    DEFAULT_TOL,
+    PRUNE_EPS,
     Channel,
     DistortionMatrix,
     ba_step,
@@ -112,6 +114,15 @@ def _invariant_cases():
     yield pmf.probs, distortion_matrix(pmf.support, pmf.support), 2.0
     letters, probs = discretize_mv_gaussian(toeplitz_covariance([1.0, 0.7], 2), 6.0, 9)
     yield probs, distortion_matrix(letters, letters), 1.0
+    yield _compaction_case()
+
+
+def _compaction_case():
+    # 33-letter N(0, 1) grid over +-8 sigma at slope 0.2 from the uniform start:
+    # the tail codewords' mass falls to PRUNE_EPS within about 120 iterations,
+    # and rows are cut from the solve several times before it converges.
+    pmf = discretize_gaussian(1.0, 8.0, 33)
+    return pmf.probs, distortion_matrix(pmf.support, pmf.support), 0.2
 
 
 def test_solution_invariants_recompute():
@@ -166,6 +177,63 @@ def test_kernel_matches_dense_update(case):
     assert np.max(np.abs(sol.channel.q - q)) <= 1e-12
     assert np.max(np.abs(sol.channel.q.sum(axis=0) - 1.0)) <= 1e-12
     assert sol.surrogate_rise <= 1e-9
+
+
+def _dense_reference(p, gamma, s, exponent_shift, tol=DEFAULT_TOL, max_iter=5000):
+    """The update on every codeword, its scalars computed from Q itself.
+
+    Also returns the rows the solver's 1/8 rule cuts: at the top of an
+    iteration, the live rows at or below PRUNE_EPS once they number 1/8 of
+    the live rows.  This loop cuts nothing; it only marks them."""
+    c = gamma @ p
+    shift = np.outer(c, p) if exponent_shift else np.zeros_like(gamma)
+    a = -s * (gamma - shift)
+    e = np.exp(a - a.max(axis=0, keepdims=True))
+    t = np.full(gamma.shape[0], 1.0 / gamma.shape[0])
+    live = np.ones(t.size, dtype=bool)
+    i_prev = d_prev = lagr_prev = surr_prev = math.inf
+    lagr_rise = surr_rise = 0.0
+    for iterations in range(1, max_iter + 1):
+        dead = live & (t <= PRUNE_EPS)
+        if 8 * dead.sum() >= live.sum():
+            live &= ~dead
+        qp = e * t[:, None]
+        q = qp / qp.sum(axis=0)[None, :]
+        t = q @ p
+        joint = q * p[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            i_nats = float(np.where(joint > 0, joint * np.log(q / t[:, None]), 0.0).sum())
+        e_joint = float((joint * gamma).sum())
+        e_prod = float(t @ c)
+        d_s = e_prod - e_joint
+        lagr = i_nats - s * d_s
+        surr = i_nats + s * (e_joint - float((joint * shift).sum()))
+        if iterations > 1:
+            lagr_rise = max(lagr_rise, lagr - lagr_prev)
+            surr_rise = max(surr_rise, surr - surr_prev)
+        i_bits = i_nats / math.log(2.0)
+        converged = abs(i_bits - i_prev) <= tol and abs(d_s - d_prev) <= tol
+        if converged:
+            break
+        i_prev, d_prev, lagr_prev, surr_prev = i_bits, d_s, lagr, surr
+    fields = dict(rate=max(i_nats, 0.0) / math.log(2.0), d_s=d_s, e_prod=e_prod,
+                  e_joint=e_joint, lagrangian_rise=lagr_rise, surrogate_rise=surr_rise)
+    return iterations, converged, fields, q, t, ~live
+
+
+@pytest.mark.parametrize("exponent_shift", [True, False])
+def test_mid_solve_compaction_matches_dense_update(exponent_shift):
+    p, g, s = _compaction_case()
+    sol = solve_tc_point(p, g.gamma, s, exponent_shift=exponent_shift)
+    iterations, converged, fields, q, t, cut = _dense_reference(p, g.gamma, s, exponent_shift)
+    assert cut.sum() >= 33 // 8  # the 1/8 rule fires during the solve
+    assert (sol.iterations, sol.converged) == (iterations, converged)
+    for name, value in fields.items():
+        assert abs(getattr(sol, name) - value) <= 1e-12, name
+    assert np.all(sol.code_marginal.probs[cut] == 0.0)
+    assert np.all(sol.channel.q[cut] == 0.0)
+    assert np.max(np.abs(sol.code_marginal.probs - t)) <= 1e-12
+    assert np.max(np.abs(sol.channel.q - q)) <= 1e-12
 
 
 def test_binary_solver_matches_closed_form():
