@@ -64,6 +64,7 @@ from .tcdelta import (
     distortion_matrix,
     mutual_information,
     solve_tc_point,
+    sweep_points,
     tc_curve,
     tc_sweep,
 )

@@ -38,13 +38,7 @@ from .sources import (
     spectral_grid,
 )
 from .simulator import estimate_pr_maybe
-from .tcdelta import (
-    component_tc_curve,
-    distortion_matrix,
-    solution_point,
-    tc_curve,
-    tc_sweep,
-)
+from .tcdelta import component_tc_curve, distortion_matrix, sweep_points, tc_curve
 
 _FMT = "{:.12g}"
 
@@ -118,6 +112,8 @@ def _emit(args, meta, columns, rows) -> int:
 
 
 def _slope_grid(args, variance: float = 1.0, bernoulli: bool = False) -> np.ndarray:
+    if args.slopes < 1:
+        raise ValueError("--slopes must be at least 1")
     if bernoulli:
         return np.geomspace(0.05, 8.0, args.slopes)
     return np.geomspace(0.35, 130.0, args.slopes) / variance
@@ -125,6 +121,8 @@ def _slope_grid(args, variance: float = 1.0, bernoulli: bool = False) -> np.ndar
 
 def _d_grid(args) -> np.ndarray:
     """`--points` thresholds evenly spaced on [0, --dmax]."""
+    if args.points < 1:
+        raise ValueError("--points must be at least 1")
     if not math.isfinite(args.dmax):
         raise ValueError("--dmax must be finite")
     return np.linspace(0.0, args.dmax, args.points)
@@ -237,28 +235,23 @@ def _cmd_compare(args) -> int:
     xi, comps = _components_for(
         args.variance, args.rho, args.order, args.grid_sigmas, args.grid_points
     )
+    star = id_curve_multivariate(xi, default_tau_grid(float(xi.max()), args.tau_points))
     s_grid = _slope_grid(args, variance=args.variance)
     comp_curve = component_tc_curve(comps, s_grid, tol=args.tol, max_iter=args.max_iter)
 
     cov = toeplitz_covariance(args.variance * args.rho ** np.arange(args.order), args.order)
     letters, probs = discretize_mv_gaussian(cov, args.joint_grid_sigmas, args.joint_grid_points)
     gamma_j = distortion_matrix(letters, letters, "quadratic")
-    order = args.order
-
-    def mapped(exponent_shift):
-        # the solutions hold n x n channels; only their points outlive this call
-        sols = tc_sweep(probs, gamma_j, s_grid, tol=args.tol, max_iter=args.max_iter,
-                        exponent_shift=exponent_shift)
-        pts = [solution_point(s, "quadratic") for s in sols]
-        d = np.array([q[0] for q in pts]) / order
-        r = np.array([q[1] for q in pts]) / order
+    stopped = comp_curve.nonconverged
+    joint = []  # per-letter (d_id, rate) of the TC solver, then of plain rate-distortion
+    for exponent_shift in (True, False):
+        d, r, n_stopped = sweep_points(probs, gamma_j, s_grid, tol=args.tol,
+                                       max_iter=args.max_iter, exponent_shift=exponent_shift)
+        d, r = d / args.order, r / args.order
         o = np.argsort(d)
-        return d[o], r[o], sum(not s.converged for s in sols)
-
-    d_tc, r_tc, tc_stopped = mapped(True)
-    d_lc, r_lc, lc_stopped = mapped(False)
-    stopped = comp_curve.nonconverged + tc_stopped + lc_stopped
-    star = id_curve_multivariate(xi, default_tau_grid(float(xi.max()), args.tau_points))
+        joint.append((d[o], r[o]))
+        stopped += n_stopped
+    (d_tc, r_tc), (d_lc, r_lc) = joint
 
     lo = max(comp_curve.d_ids.min(), d_tc.min(), d_lc.min(), star.d_ids.min())
     hi = min(comp_curve.d_ids.max(), d_tc.max(), d_lc.max(), star.d_ids.max())

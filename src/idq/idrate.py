@@ -19,10 +19,6 @@ from .sources import (
     SpectralGrid,
 )
 
-#: Monotonicity tags a Curve may carry.
-RATE_NONDECREASING = "rate_nondecreasing_in_d_id"
-RATE_NONINCREASING = "rate_nonincreasing_in_d_id"
-
 _MONO_SLACK = 1e-9
 
 
@@ -64,7 +60,8 @@ def _tau_value(tau) -> float:
 
 @dataclass(frozen=True)
 class Curve:
-    """Rate-similarity points sorted by strictly increasing d_id.
+    """Rate-similarity points sorted by strictly increasing d_id, with rates
+    that do not decrease along the curve beyond a 1e-9 slack.
 
     `nonconverged` counts the solves behind the points that stopped at their
     iteration cap; closed-form curves have none.
@@ -72,7 +69,6 @@ class Curve:
 
     points: tuple
     label: str
-    monotonicity: str = RATE_NONDECREASING
     nonconverged: int = 0
 
     def __post_init__(self):
@@ -81,11 +77,8 @@ class Curve:
         r = np.array([p.rate for p in pts])
         if np.any(np.diff(d) <= 0):
             raise ValueError("d_id must be strictly increasing along the curve")
-        dr = np.diff(r)
-        if self.monotonicity == RATE_NONDECREASING and np.any(dr < -_MONO_SLACK):
+        if np.any(np.diff(r) < -_MONO_SLACK):
             raise ValueError("rate decreased along increasing d_id beyond slack")
-        if self.monotonicity == RATE_NONINCREASING and np.any(dr > _MONO_SLACK):
-            raise ValueError("rate increased along increasing d_id beyond slack")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -97,7 +90,7 @@ class Curve:
         return np.array([p.rate for p in self.points])
 
 
-def curve_from_arrays(d, r, label, monotonicity=RATE_NONDECREASING, nonconverged=0) -> Curve:
+def curve_from_arrays(d, r, label, nonconverged=0) -> Curve:
     """Sort by d_id, drop duplicate thresholds, and build a validated Curve."""
     d = np.asarray(d, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -105,7 +98,7 @@ def curve_from_arrays(d, r, label, monotonicity=RATE_NONDECREASING, nonconverged
     d, r = d[order], r[order]
     keep = np.concatenate([[True], np.diff(d) > 0])
     pts = [RateSimilarityPoint(float(a), float(b)) for a, b in zip(d[keep], r[keep])]
-    return Curve(tuple(pts), label, monotonicity, nonconverged)
+    return Curve(tuple(pts), label, nonconverged)
 
 
 def _check_iid_args(variance: float, d_id: float) -> None:
@@ -158,6 +151,8 @@ def id_point_multivariate(eigenvalues, tau) -> RateSimilarityPoint:
 
 def default_tau_grid(xi_max: float, n_points: int = 200, tau_min: float = None) -> np.ndarray:
     """Log-spaced water levels in [xi_max * 1e-4, xi_max] (ascending)."""
+    if n_points < 1:
+        raise ValueError("the water-level grid needs at least one point")
     if xi_max <= 0:
         raise ValueError("largest component variance must be positive")
     lo = xi_max * 1e-4 if tau_min is None else tau_min
@@ -172,9 +167,7 @@ def id_curve_multivariate(eigenvalues, tau_grid, label="mv-gaussian") -> Curve:
     if np.any(np.diff(taus) <= 0):
         raise TauOutOfRange("tau grid must be sorted strictly ascending")
     pts = [id_point_multivariate(eigenvalues, t) for t in taus[::-1]]
-    return curve_from_arrays(
-        [p.d_id for p in pts], [p.rate for p in pts], label, RATE_NONDECREASING
-    )
+    return curve_from_arrays([p.d_id for p in pts], [p.rate for p in pts], label)
 
 
 def id_point_spectral(psd: SpectralGrid, tau) -> RateSimilarityPoint:
@@ -197,9 +190,7 @@ def id_curve_spectral(psd: SpectralGrid, tau_grid, label="spectral") -> Curve:
     if np.any(np.diff(taus) <= 0):
         raise TauOutOfRange("tau grid must be sorted strictly ascending")
     pts = [id_point_spectral(psd, t) for t in taus[::-1]]
-    return curve_from_arrays(
-        [p.d_id for p in pts], [p.rate for p in pts], label, RATE_NONDECREASING
-    )
+    return curve_from_arrays([p.d_id for p in pts], [p.rate for p in pts], label)
 
 
 def similarity_limit(model: SourceModel) -> float:

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalUnderflow
-from .idrate import RATE_NONDECREASING, Curve, curve_from_arrays
+from .idrate import Curve, curve_from_arrays
 from .sources import Pmf
 
 logger = logging.getLogger(__name__)
@@ -280,7 +280,6 @@ def solve_tc_point(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     t0=None,
-    xhat_support=None,
     exponent_shift: bool = True,
 ) -> TcSolution:
     """Iterate the update at one slope until both the rate and the moment
@@ -398,15 +397,14 @@ def solve_tc_point(
     q_full = np.zeros((m, n))
     q_full[rows] = _channel(e, tv, col)
     t_full = q_full @ p
-    if xhat_support is None:
-        if isinstance(p_x, Pmf) and p_x.n == m:
-            xhat_support = p_x.support
-        else:
-            xhat_support = np.arange(m, dtype=float)
+    if isinstance(p_x, Pmf) and p_x.n == m:
+        support = p_x.support
+    else:
+        support = np.arange(m, dtype=float)
     return TcSolution(
         slope_s=float(s),
         channel=Channel(q_full),
-        code_marginal=Pmf(xhat_support, t_full),
+        code_marginal=Pmf(support, t_full),
         d_s=d_s,
         rate=max(i_nats, 0.0) / LN2,
         iterations=iterations,
@@ -418,46 +416,40 @@ def solve_tc_point(
     )
 
 
-def tc_sweep(
-    p_x,
-    gamma,
-    s_grid,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    warm_start: bool = True,
-    xhat_support=None,
-    exponent_shift: bool = True,
-):
-    """Solve every slope in `s_grid` (sorted ascending) and return the
-    solutions in that order.
+def _sweep(p_x, gamma, s_grid, tol, max_iter, exponent_shift):
+    """Solve every slope of the ascending grid `s_grid`, from the largest down,
+    and yield each solution as soon as it is solved.
 
-    Warm starts traverse the grid from the largest slope downward: the
-    high-slope marginal keeps the full codeword support alive, whereas
+    Each solve is warm-started from the previous solution's code marginal:
+    the high-slope marginal keeps the full codeword support alive, whereas
     low-slope marginals are concentrated and would irreversibly kill codewords
-    needed later (zeros are absorbing under the update).
+    needed later (zeros are absorbing under the update).  Only that marginal
+    is kept between solves.
     """
     svals = np.asarray(s_grid, dtype=float)
     if svals.ndim != 1 or svals.size == 0:
         raise ValueError("slope grid must be a non-empty 1-D array")
     if np.any(svals < 0) or np.any(np.diff(svals) < 0):
         raise ValueError("slope grid must be sorted ascending and non-negative")
-    out = {}
     t_prev = None
     for s in svals[::-1]:
-        sol = solve_tc_point(
-            p_x,
-            gamma,
-            float(s),
-            tol=tol,
-            max_iter=max_iter,
-            t0=t_prev if warm_start else None,
-            xhat_support=xhat_support,
-            exponent_shift=exponent_shift,
-        )
-        out[float(s)] = sol
-        if warm_start:
-            t_prev = sol.code_marginal.probs
-    return [out[float(s)] for s in svals]
+        sol = solve_tc_point(p_x, gamma, float(s), tol=tol, max_iter=max_iter,
+                             t0=t_prev, exponent_shift=exponent_shift)
+        t_prev = sol.code_marginal.probs
+        yield sol
+        del sol  # the next solve runs without it unless the consumer keeps it
+
+
+def tc_sweep(
+    p_x,
+    gamma,
+    s_grid,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+):
+    """Solve every slope in `s_grid` (sorted ascending, warm-started from the
+    largest slope down) and return all the solutions in ascending order."""
+    return list(_sweep(p_x, gamma, s_grid, tol, max_iter, True))[::-1]
 
 
 def _metric_of(gamma) -> str:
@@ -469,6 +461,29 @@ def solution_point(sol: TcSolution, metric: str):
     return triangle_similarity(sol.e_prod, sol.e_joint, metric), sol.rate
 
 
+def sweep_points(
+    p_x,
+    gamma,
+    s_grid,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    exponent_shift: bool = True,
+):
+    """Sweep `s_grid` like `tc_sweep`, but map each solution to its point under
+    gamma's metric as it is solved and drop it (a solution holds a dense
+    channel).  Returns (d_ids, rates, nonconverged) in ascending slope order,
+    with nonconverged the number of solves that stopped at `max_iter`."""
+    metric = _metric_of(gamma)
+    d, r, stopped = [], [], 0
+    for sol in _sweep(p_x, gamma, s_grid, tol, max_iter, exponent_shift):
+        d_id, rate = solution_point(sol, metric)
+        d.append(d_id)
+        r.append(rate)
+        stopped += not sol.converged
+        del sol  # its dense channel would otherwise sit beside the next solve
+    return np.array(d[::-1]), np.array(r[::-1]), stopped
+
+
 def tc_curve(
     p_x,
     gamma,
@@ -476,31 +491,10 @@ def tc_curve(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     label: str = "tc-delta",
-    warm_start: bool = True,
 ) -> Curve:
     """Rate-similarity curve traced by sweeping the slope grid."""
-    sols = tc_sweep(p_x, gamma, s_grid, tol=tol, max_iter=max_iter, warm_start=warm_start)
-    metric = _metric_of(gamma)
-    pts = [solution_point(s, metric) for s in sols]
-    return curve_from_arrays(
-        [q[0] for q in pts], [q[1] for q in pts], label, RATE_NONDECREASING,
-        sum(not s.converged for s in sols),
-    )
-
-
-def component_tc_sweep(
-    components,
-    s_grid,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-):
-    """Per-component sweeps at common slopes; returns a list per component."""
-    if not components:
-        raise ValueError("need at least one component")
-    return [
-        tc_sweep(p_m, g_m, s_grid, tol=tol, max_iter=max_iter)
-        for p_m, g_m in components
-    ]
+    d, r, stopped = sweep_points(p_x, gamma, s_grid, tol=tol, max_iter=max_iter)
+    return curve_from_arrays(d, r, label, nonconverged=stopped)
 
 
 def component_tc_curve(
@@ -513,15 +507,14 @@ def component_tc_curve(
     """Pareto-condition curve of the component model: every component runs the
     solver independently at each common slope; the model's point averages the
     component rates and the component similarity thresholds."""
-    per_comp = component_tc_sweep(components, s_grid, tol=tol, max_iter=max_iter)
-    metrics = [_metric_of(g_m) for _, g_m in components]
-    d, r = [], []
-    for sols_at_s in zip(*per_comp):
-        pts = [solution_point(sol, met) for sol, met in zip(sols_at_s, metrics)]
-        d.append(float(np.mean([q[0] for q in pts])))
-        r.append(float(np.mean([q[1] for q in pts])))
-    stopped = sum(not sol.converged for sols in per_comp for sol in sols)
-    return curve_from_arrays(d, r, label, RATE_NONDECREASING, stopped)
+    if not components:
+        raise ValueError("need at least one component")
+    per_comp = [
+        sweep_points(p_m, g_m, s_grid, tol=tol, max_iter=max_iter) for p_m, g_m in components
+    ]
+    d = [float(np.mean(d_at_s)) for d_at_s in zip(*(pc[0] for pc in per_comp))]
+    r = [float(np.mean(r_at_s)) for r_at_s in zip(*(pc[1] for pc in per_comp))]
+    return curve_from_arrays(d, r, label, nonconverged=sum(pc[2] for pc in per_comp))
 
 
 def _column_lattice(m: int, steps: int) -> np.ndarray:

@@ -235,6 +235,27 @@ def test_non_finite_closed_form_input_is_a_usage_error(tmp_path, capsys, args, m
     assert "Warning" not in err
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [(["idrate-iid", "--points", "0"], "--points must be at least 1"),
+     (["lcdelta", "--points", "-3"], "--points must be at least 1"),
+     (["idrate-mv", "--tau-points", "0"], "the water-level grid needs at least one point"),
+     (["idrate-spectral", "--tau-points", "0"], "the water-level grid needs at least one point"),
+     # checked before any solve: at defaults the sweeps take over a minute
+     (["compare", "--source", "mv-gaussian", "--tau-points", "0"],
+      "the water-level grid needs at least one point"),
+     (["tcdelta", "--slopes", "-3"], "--slopes must be at least 1")],
+    ids=["idrate-iid", "lcdelta", "idrate-mv", "idrate-spectral", "compare-mv", "tcdelta"],
+)
+def test_empty_point_grid_is_a_usage_error(tmp_path, capsys, args, message):
+    out = tmp_path / "o.csv"
+    assert run(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"idq: {message}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_log_level_debug_reports_pruning(tmp_path, capsys):
     args = ["tcdelta", "--grid-points", "65", "--slopes", "3"]
     quiet, loud = tmp_path / "quiet.csv", tmp_path / "loud.csv"

@@ -1,5 +1,6 @@
 import logging
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import idq.tcdelta
+from idq.cli import run
 from idq.errors import DimensionMismatch
 from idq.idrate import binary_entropy, binary_hamming_tc_oracle, id_rate_iid
 from idq.linalg import toeplitz_covariance
@@ -23,6 +26,7 @@ from idq.tcdelta import (
     mutual_information,
     solution_point,
     solve_tc_point,
+    sweep_points,
     tc_curve,
     tc_sweep,
     triangle_similarity,
@@ -404,6 +408,56 @@ def test_component_curve_equal_variances_symmetric():
     two = component_tc_curve([(pmf, g), (pmf, g)], s_grid, tol=1e-8)
     assert np.allclose(one.d_ids, two.d_ids)
     assert np.allclose(one.rates, two.rates)
+
+
+def test_sweep_points_map_tc_sweep_solutions():
+    pmf = discretize_gaussian(1.0, 6.0, 65)
+    g = distortion_matrix(pmf.support, pmf.support)
+    s_grid = np.geomspace(0.5, 20.0, 6)
+    sols = tc_sweep(pmf, g, s_grid, max_iter=40)
+    d, r, stopped = sweep_points(pmf, g, s_grid, max_iter=40)
+    assert [sol.slope_s for sol in sols] == list(s_grid)
+    assert [solution_point(sol, "quadratic") for sol in sols] == list(zip(d, r))
+    assert stopped == sum(not sol.converged for sol in sols) > 0
+
+
+def _two_components():
+    pmf = discretize_gaussian(1.0, 6.0, 65)
+    g = distortion_matrix(pmf.support, pmf.support)
+    return [(pmf, g), (pmf, g)]
+
+
+_FIVE_SLOPES = np.geomspace(0.5, 20.0, 5)
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda: tc_curve(*_two_components()[0], _FIVE_SLOPES).points,
+        lambda: component_tc_curve(_two_components(), _FIVE_SLOPES).points,
+        lambda: run(
+            ["compare", "--source", "mv-gaussian", "--grid-points", "65",
+             "--joint-grid-points", "9", "--slopes", "5", "--tau-points", "20",
+             "--out", "-"]
+        ) == 0,
+    ],
+    ids=["tc_curve", "component_tc_curve", "compare-mv"],
+)
+def test_sweeps_keep_no_earlier_solution(monkeypatch, capsys, sweep):
+    """A sweep maps each solution to its point and drops it: when a solve
+    starts, no earlier solution is alive (only its code marginal, the warm
+    start)."""
+    solve, refs = idq.tcdelta.solve_tc_point, []
+
+    def recording(*args, **kwargs):
+        assert all(ref() is None for ref in refs)
+        sol = solve(*args, **kwargs)
+        refs.append(weakref.ref(sol))
+        return sol
+
+    monkeypatch.setattr(idq.tcdelta, "solve_tc_point", recording)
+    assert sweep()
+    assert len(refs) >= 5
 
 
 def test_nan_source_is_rejected():
