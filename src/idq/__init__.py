@@ -17,7 +17,6 @@ from .errors import (
 from .idrate import (
     Curve,
     RateSimilarityPoint,
-    WaterLevel,
     binary_hamming_tc_oracle,
     id_curve_multivariate,
     id_curve_spectral,

@@ -140,9 +140,12 @@ def _cmd_lcdelta(args) -> int:
     return _emit(args, _meta(args, "lcdelta"), ["d_id", "rate"], rows)
 
 
+def _ar1_covariance(variance, rho, order):
+    return toeplitz_covariance(variance * rho ** np.arange(order), order)
+
+
 def _ar1_eigenvalues(variance, rho, order):
-    cov = toeplitz_covariance(variance * rho ** np.arange(order), order)
-    return jacobi_eigh(cov).eigenvalues
+    return jacobi_eigh(_ar1_covariance(variance, rho, order)).eigenvalues
 
 
 def _cmd_idrate_mv(args) -> int:
@@ -239,7 +242,7 @@ def _cmd_compare(args) -> int:
     s_grid = _slope_grid(args, variance=args.variance)
     comp_curve = component_tc_curve(comps, s_grid, tol=args.tol, max_iter=args.max_iter)
 
-    cov = toeplitz_covariance(args.variance * args.rho ** np.arange(args.order), args.order)
+    cov = _ar1_covariance(args.variance, args.rho, args.order)
     letters, probs = discretize_mv_gaussian(cov, args.joint_grid_sigmas, args.joint_grid_points)
     gamma_j = distortion_matrix(letters, letters, "quadratic")
     stopped = comp_curve.nonconverged

@@ -41,24 +41,6 @@ class RateSimilarityPoint:
 
 
 @dataclass(frozen=True)
-class WaterLevel:
-    """Positive water level; the upper bound is checked against each source."""
-
-    tau: float
-
-    def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError("water level must be positive")
-
-
-def _tau_value(tau) -> float:
-    t = tau.tau if isinstance(tau, WaterLevel) else float(tau)
-    if not t > 0:
-        raise TauOutOfRange("water level must be positive")
-    return t
-
-
-@dataclass(frozen=True)
 class Curve:
     """Rate-similarity points sorted by strictly increasing d_id, with rates
     that do not decrease along the curve beyond a 1e-9 slack.
@@ -125,7 +107,9 @@ def id_rate_iid(variance: float, d_id: float) -> float:
 def water_filling_allocation(eigenvalues, tau) -> np.ndarray:
     """Per-component similarity shares max(0, 2(xi - tau)) for a water level."""
     xi = np.asarray(eigenvalues, dtype=float)
-    t = _tau_value(tau)
+    t = float(tau)
+    if not t > 0:  # also rejects NaN
+        raise TauOutOfRange("water level must be positive")
     if xi.ndim != 1 or xi.size == 0:
         raise ValueError("need a non-empty eigenvalue list")
     if np.any(xi < 0):
@@ -142,7 +126,7 @@ def id_point_multivariate(eigenvalues, tau) -> RateSimilarityPoint:
     """
     xi = np.asarray(eigenvalues, dtype=float)
     alloc = water_filling_allocation(xi, tau)  # validates tau and eigenvalues
-    t = _tau_value(tau)
+    t = float(tau)
     active = xi > t
     rate = float(np.log2(xi[active] / t).sum()) / xi.size
     d_id = float(alloc.sum()) / xi.size
@@ -171,26 +155,15 @@ def id_curve_multivariate(eigenvalues, tau_grid, label="mv-gaussian") -> Curve:
 
 
 def id_point_spectral(psd: SpectralGrid, tau) -> RateSimilarityPoint:
-    """Water-filling point against a sampled PSD (midpoint Riemann sums).
-
-    rate = (1/2pi) int max(0, log2(Phi/tau)), d_id = (1/2pi) int max(0, 2(Phi-tau)).
+    """Water-filling point against a sampled PSD: the multivariate point over
+    the PSD samples, whose means are the midpoint Riemann sums of
+    (1/2pi) int max(0, log2(Phi/tau)) and (1/2pi) int max(0, 2(Phi-tau)).
     """
-    t = _tau_value(tau)
-    phi = psd.values
-    if t > phi.max() * (1.0 + 1e-12):
-        raise TauOutOfRange(f"tau {t} above the PSD maximum {phi.max()}")
-    active = phi > t
-    rate = float(np.log2(phi[active] / t).sum()) / phi.size
-    d_id = 2.0 * float((phi[active] - t).sum()) / phi.size
-    return RateSimilarityPoint(max(d_id, 0.0), max(rate, 0.0))
+    return id_point_multivariate(psd.values, tau)
 
 
 def id_curve_spectral(psd: SpectralGrid, tau_grid, label="spectral") -> Curve:
-    taus = np.asarray(tau_grid, dtype=float)
-    if np.any(np.diff(taus) <= 0):
-        raise TauOutOfRange("tau grid must be sorted strictly ascending")
-    pts = [id_point_spectral(psd, t) for t in taus[::-1]]
-    return curve_from_arrays([p.d_id for p in pts], [p.rate for p in pts], label)
+    return id_curve_multivariate(psd.values, tau_grid, label)
 
 
 def similarity_limit(model: SourceModel) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityViolation, DimensionMismatch, TooManyCodewords
-from .linalg import jacobi_eigh, klt_forward
+from .linalg import klt_forward
 from .sources import MultivariateGaussian, SourceModel, sample_block
 
 MAX_CODEWORDS = 1 << 16
@@ -211,8 +211,18 @@ def _sub_block_len(rate_bits: float, block_len: int) -> int:
     return 1
 
 
-def _train_seeds(seed_seq, k: int):
-    return [np.random.default_rng(child) for child in seed_seq.spawn(k)]
+def _sample_streams(model, block_len: int, n_train: int, n_generators: int, trials: int, seed):
+    """(training blocks, k-means generators, x blocks, y blocks) of one run.
+
+    `seed`'s children 1 and 2 draw x and y; its child 0 spawns one child for
+    the training blocks, then one per generator.
+    """
+    train_ss, x_ss, y_ss = np.random.SeedSequence(seed).spawn(3)
+    x = sample_block(model, block_len, trials, x_ss)
+    y = sample_block(model, block_len, trials, y_ss)
+    blocks_ss, *gen_ss = train_ss.spawn(1 + n_generators)
+    train = sample_block(model, block_len, n_train, blocks_ss)
+    return train, [np.random.default_rng(child) for child in gen_ss], x, y
 
 
 def estimate_pr_maybe(
@@ -251,21 +261,16 @@ def estimate_pr_maybe(
         raise ValueError("d_id must be finite")
     if np.any(d_ids < 0):
         raise ValueError("d_id must be non-negative")
-    ss = np.random.SeedSequence(seed)
-    train_ss, x_ss, y_ss = ss.spawn(3)
-
     sub_len = _sub_block_len(rate_bits, block_len)
     n_sub = block_len // sub_len
     count = int(round(2.0 ** (rate_bits * sub_len)))
     n_train_sub = max(10 * count, 4096)
     n_train_blocks = -(-n_train_sub // n_sub)  # ceil
-    train_blocks = sample_block(model, block_len, n_train_blocks, train_ss.spawn(1)[0])
-    train_sub = train_blocks.reshape(-1, sub_len)
-    km_rng = _train_seeds(train_ss, 1)[0]
-    cb = train_codebook(train_sub, rate_bits, sub_len, km_rng)
+    train_blocks, (km_rng,), x, y = _sample_streams(
+        model, block_len, n_train_blocks, 1, trials, seed
+    )
+    cb = train_codebook(train_blocks.reshape(-1, sub_len), rate_bits, sub_len, km_rng)
 
-    x = sample_block(model, block_len, trials, x_ss)
-    y = sample_block(model, block_len, trials, y_ss)
     stored = np.zeros(trials)
     d_hat = np.zeros(trials)
     for cidx in range(n_sub):
@@ -329,24 +334,17 @@ def component_scheme_pr_maybe(
             f"average component threshold {d_ids.mean():.6g} below target {d_id:.6g}"
         )
 
-    basis = jacobi_eigh(model.covariance)
-    ss = np.random.SeedSequence(seed)
-    train_ss, x_ss, y_ss = ss.spawn(3)
-
     counts = [max(1, int(round(2.0**r))) for r in rates]
     n_train = max(4096, 10 * max(counts))
-    train_blocks = sample_block(model, m_dim, n_train, train_ss.spawn(1)[0])
-    train_coeff = klt_forward(basis, train_blocks)
-    km_rngs = _train_seeds(train_ss, m_dim)
+    train_blocks, km_rngs, x, y = _sample_streams(model, m_dim, n_train, m_dim, trials, seed)
+    train_coeff = klt_forward(model.klt, train_blocks)
     books = [
         train_codebook(train_coeff[:, m][:, None], math.log2(counts[m]), 1, km_rngs[m])
         for m in range(m_dim)
     ]
 
-    x = sample_block(model, m_dim, trials, x_ss)
-    y = sample_block(model, m_dim, trials, y_ss)
-    xc = klt_forward(basis, x)
-    yc = klt_forward(basis, y)
+    xc = klt_forward(model.klt, x)
+    yc = klt_forward(model.klt, y)
 
     maybe = np.ones(trials, dtype=bool)
     for m in range(m_dim):

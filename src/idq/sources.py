@@ -1,12 +1,12 @@
 """Source models, discretization to finite PMFs, spectra, and seeded sampling."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
 from .errors import DimensionMismatch, UnsupportedModel
-from .linalg import SymMatrix, jacobi_eigh
+from .linalg import EigenPair, SymMatrix, jacobi_eigh
 
 # Discretization defaults: 8 sigma half-width leaves < 1e-15 truncated mass,
 # 513 points keep the solver's channel matrices tractable.
@@ -25,12 +25,17 @@ class IidGaussian:
 
 @dataclass(frozen=True)
 class MultivariateGaussian:
+    """Zero-mean Gaussian block; `klt` is its covariance's eigendecomposition,
+    computed once and used for the PSD test, sampling and the KLT."""
+
     covariance: SymMatrix
+    klt: EigenPair = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = np.linalg.eigvalsh(self.covariance.a)
-        if w.min() < -1e-10:
-            raise ValueError(f"covariance is not PSD (min eigenvalue {w.min():.3e})")
+        klt = jacobi_eigh(self.covariance)  # clamps PSD rounding noise to 0
+        if klt.eigenvalues[-1] < 0:
+            raise ValueError(f"covariance is not PSD (min eigenvalue {klt.eigenvalues[-1]:.3e})")
+        object.__setattr__(self, "klt", klt)
 
     @property
     def dim(self) -> int:
@@ -43,8 +48,8 @@ class GaussMarkov:
     rho: float
 
     def __post_init__(self):
-        if self.variance <= 0:
-            raise ValueError("variance must be positive")
+        if not (np.isfinite(self.variance) and self.variance > 0):
+            raise ValueError("variance must be positive and finite")
         if not -1.0 < self.rho < 1.0:
             raise ValueError("AR(1) coefficient must lie in (-1, 1)")
 
@@ -158,22 +163,14 @@ def discretize_gaussian(
     half_width_sigmas: float = DEFAULT_HALF_WIDTH_SIGMAS,
     n_points: int = DEFAULT_GRID_POINTS,
 ) -> Pmf:
-    """Zero-mean Gaussian truncated to [-k sigma, k sigma] on a uniform grid.
-
-    Point masses are proportional to the density at each grid point.  The grid
-    is built from integer offsets so the PMF is symmetric to the last bit.
-    """
-    if variance <= 0:
-        raise ValueError("variance must be positive")
-    if half_width_sigmas <= 0:
-        raise ValueError("half width must be positive")
-    if n_points < 3 or n_points % 2 == 0:
-        raise ValueError("n_points must be an odd integer >= 3 so that 0 is a grid point")
-    half = (n_points - 1) // 2
-    step = half_width_sigmas * np.sqrt(variance) / half
-    support = (np.arange(n_points) - half) * step
-    w = np.exp(-(support**2) / (2.0 * variance))
-    return Pmf(support, w / w.sum())
+    """Zero-mean Gaussian truncated to [-k sigma, k sigma] on a uniform grid:
+    the one-dimensional case of `discretize_mv_gaussian`."""
+    if not (np.isfinite(variance) and variance > 0):
+        raise ValueError("variance must be positive and finite")
+    letters, probs = discretize_mv_gaussian(
+        SymMatrix(np.array([[variance]])), half_width_sigmas, n_points
+    )
+    return Pmf(letters[:, 0], probs)
 
 
 def bernoulli_pmf(p: float) -> Pmf:
@@ -197,11 +194,13 @@ def discretize_mv_gaussian(
 
     The per-axis point count is deliberately small: the letter count is
     n_points_per_axis^M and the solver's channel matrices are quadratic in it.
+    The grid is built from integer offsets so the masses are symmetric to the
+    last bit.
     """
-    if half_width_sigmas <= 0:
-        raise ValueError("half width must be positive")
+    if not (np.isfinite(half_width_sigmas) and half_width_sigmas > 0):
+        raise ValueError("half width must be positive and finite")
     if n_points_per_axis < 3 or n_points_per_axis % 2 == 0:
-        raise ValueError("points per axis must be an odd integer >= 3")
+        raise ValueError("points per axis must be an odd integer >= 3 so that 0 is a grid point")
     cov = covariance.a
     m = covariance.dim
     basis = jacobi_eigh(covariance)
@@ -237,8 +236,7 @@ def sample_block(model: SourceModel, block_len: int, n_blocks: int, seed) -> np.
             raise DimensionMismatch(
                 f"block_len {block_len} != covariance dimension {model.dim}"
             )
-        basis = jacobi_eigh(model.covariance)
-        coloring = basis.eigenvectors * np.sqrt(np.maximum(basis.eigenvalues, 0.0))
+        coloring = model.klt.eigenvectors * np.sqrt(model.klt.eigenvalues)
         z = rng.standard_normal((n_blocks, block_len))
         return z @ coloring.T
     if isinstance(model, GaussMarkov):

@@ -312,6 +312,8 @@ def solve_tc_point(
         raise DimensionMismatch("gamma columns must match the source alphabet")
     if s < 0:
         raise ValueError("slope must be non-negative")
+    if not tol >= 0:  # also rejects NaN, which no step would ever meet
+        raise ValueError("tol must be non-negative")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if t0 is None:

@@ -224,7 +224,15 @@ def test_tcdelta_header_counts_nonconverged_solves(tmp_path, caplog, args, stopp
      (["lcdelta", "--dmax", "inf"], "--dmax must be finite"),
      (["simulate", "--dmax", "inf"], "--dmax must be finite"),
      (["idrate-iid", "--variance", "nan"], "variance must be positive and finite"),
-     (["lcdelta", "--variance", "inf"], "variance must be positive and finite")],
+     (["lcdelta", "--variance", "inf"], "variance must be positive and finite"),
+     (["tcdelta", "--variance", "inf"], "variance must be positive and finite"),
+     (["tcdelta", "--variance", "nan"], "variance must be positive and finite"),
+     (["tcdelta", "--grid-sigmas", "inf"], "half width must be positive and finite"),
+     (["idrate-spectral", "--variance", "inf"], "variance must be positive and finite"),
+     (["idrate-spectral", "--variance", "nan"], "variance must be positive and finite"),
+     # no solve could meet such a stop test: each would run to --max-iter
+     (["tcdelta", "--tol", "nan"], "tol must be non-negative"),
+     (["tcdelta", "--tol", "-1"], "tol must be non-negative")],
 )
 def test_non_finite_closed_form_input_is_a_usage_error(tmp_path, capsys, args, message):
     with warnings.catch_warnings():

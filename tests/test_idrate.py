@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from idq.errors import DomainError, TauOutOfRange, UnsupportedModel
 from idq.idrate import (
@@ -86,14 +88,35 @@ def test_tau_out_of_range():
         id_point_multivariate([1.0], 0.0)
 
 
-def test_water_level_wrapper():
-    from idq.idrate import WaterLevel
+@st.composite
+def _water_filling_cases(draw):
+    """Variances (1-64 entries, at least one positive), two water levels
+    lo <= hi in [1e-3 max, max], and a permutation of the variances.
 
-    pt_raw = id_point_multivariate([1.7, 0.3], 0.3)
-    pt_wrapped = id_point_multivariate([1.7, 0.3], WaterLevel(0.3))
-    assert pt_raw == pt_wrapped
-    with pytest.raises(ValueError):
-        WaterLevel(0.0)
+    The floor keeps the scalar-curve check well conditioned: id_rate_iid
+    recovers tau from 2 sigma^2 - d_id, which loses sigma^2 / tau ulps."""
+    xi = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=1, max_size=64))
+    assume(max(xi) > 0)
+    lo, hi = sorted(draw(st.floats(1e-3, 1.0)) * max(xi) for _ in range(2))
+    return np.array(xi), lo, hi, draw(st.permutations(range(len(xi))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_water_filling_cases())
+def test_water_filling_identities(case):
+    xi, lo, hi, perm = case
+    top = xi.max()
+    p_lo, p_hi = id_point_multivariate(xi, lo), id_point_multivariate(xi, hi)
+    assert 0.0 <= p_hi.rate <= p_lo.rate * (1 + 1e-12)
+    assert 0.0 <= p_hi.d_id <= p_lo.d_id * (1 + 1e-12)
+    assert id_point_multivariate(xi, top) == RateSimilarityPoint(0.0, 0.0)
+    assert p_lo.d_id <= 2.0 * xi.mean() * (1 + 1e-12)
+    p_perm = id_point_multivariate(xi[perm], lo)
+    assert p_perm.rate == pytest.approx(p_lo.rate, rel=1e-12, abs=1e-300)
+    assert p_perm.d_id == pytest.approx(p_lo.d_id, rel=1e-12, abs=1e-300)
+    # M equal variances collapse onto the scalar curve
+    flat = id_point_multivariate(np.full(xi.size, top), lo)
+    assert flat.rate == pytest.approx(id_rate_iid(top, flat.d_id), abs=1e-12)
 
 
 def test_id_curve_multivariate_single_eigenvalue_matches_iid():

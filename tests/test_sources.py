@@ -140,6 +140,20 @@ def test_sample_block_multivariate():
         sample_block(model, 3, 10, 5)
 
 
+def test_rank_deficient_large_scale_covariance_is_psd():
+    # B B^T with entries near 1e8: the rounding noise in its zero eigenvalues
+    # (of order 1e-7) lies inside the relative clamp but outside an absolute 1e-10
+    for seed in range(5):
+        b = 1e4 * (1.0 + 0.1 * np.random.default_rng(seed).standard_normal((8, 3)))
+        c = b @ b.T
+        model = MultivariateGaussian(SymMatrix((c + c.T) / 2))
+        assert np.all(np.abs(model.klt.eigenvalues[3:]) <= 1e-12 * model.klt.eigenvalues[0])
+        x = sample_block(model, 8, 20_000, seed)
+        assert np.linalg.matrix_rank(x, tol=1e-6 * np.abs(x).max()) == 3
+        emp = x.T @ x / x.shape[0]
+        assert np.max(np.abs(emp - model.covariance.a)) <= 0.1 * np.abs(c).max()
+
+
 def test_sample_block_bernoulli():
     x = sample_block(Bernoulli(0.3), 4, 50_000, 8)
     assert set(np.unique(x)) <= {0.0, 1.0}
