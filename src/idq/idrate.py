@@ -125,11 +125,15 @@ def id_point_multivariate(eigenvalues, tau) -> RateSimilarityPoint:
     rate = (1/M) sum max(0, log2(xi/tau)), d_id = (1/M) sum max(0, 2(xi - tau)).
     """
     xi = np.asarray(eigenvalues, dtype=float)
-    alloc = water_filling_allocation(xi, tau)  # validates tau and eigenvalues
-    t = float(tau)
+    water_filling_allocation(xi, tau)  # validates tau and eigenvalues
+    return _water_point(xi, float(tau))
+
+
+def _water_point(xi, t: float) -> RateSimilarityPoint:
+    """`id_point_multivariate` for inputs already validated."""
     active = xi > t
     rate = float(np.log2(xi[active] / t).sum()) / xi.size
-    d_id = float(alloc.sum()) / xi.size
+    d_id = float(np.maximum(0.0, 2.0 * (xi - t)).sum()) / xi.size
     return RateSimilarityPoint(max(d_id, 0.0), max(rate, 0.0))
 
 
@@ -150,7 +154,14 @@ def id_curve_multivariate(eigenvalues, tau_grid, label="mv-gaussian") -> Curve:
     taus = np.asarray(tau_grid, dtype=float)
     if np.any(np.diff(taus) <= 0):
         raise TauOutOfRange("tau grid must be sorted strictly ascending")
-    pts = [id_point_multivariate(eigenvalues, t) for t in taus[::-1]]
+    xi = np.asarray(eigenvalues, dtype=float)
+    # the eigenvalues and the largest level are checked once, as the first
+    # point would check them; the smaller levels need only be positive
+    pts = [id_point_multivariate(xi, taus[-1])] if taus.size else []
+    for t in taus[-2::-1]:
+        if not t > 0:  # also rejects NaN
+            raise TauOutOfRange("water level must be positive")
+        pts.append(_water_point(xi, float(t)))
     return curve_from_arrays([p.d_id for p in pts], [p.rate for p in pts], label)
 
 

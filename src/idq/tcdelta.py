@@ -21,9 +21,19 @@ subtracted from the exponent a, log Q = a - amax + log t - log col gives
 An iteration is thus three passes over the live rows of e and e * Gamma
 (two when `exponent_shift=False` drops the shift row) and makes no n x n
 temporary (`_step`; `ba_step` wraps the same step).  Rows whose marginal falls
-to PRUNE_EPS are cut from both matrices during the solve.  The channel is
-built once, after the loop, and the reported rate, E_prod and E_joint are the
-loop's values for it.
+to PRUNE_EPS are cut from both matrices during the solve, and entries of e
+that would be sub-normal are exact zeros.  The channel is built once, after
+the loop, and the reported rate, E_prod and E_joint are the loop's values for
+it.
+
+Without the shift, quadratic distortion between one lexicographic product
+grid on both sides is a sum over axes, Gamma = sum_k Gamma_k, and nothing is
+subtracted from a column (its own codeword has distortion 0), so
+e = E_1 (x) ... (x) E_M with E_k = exp(-s Gamma_k).  `distortion_matrix` keeps
+the per-axis grids for such tables, and the plain rate-distortion solve then
+runs its passes as per-axis mode products (`_Kron`): 33 x 33 factors in place
+of a 1089 x 1089 matrix at M = 2.  The shifted TC update stays dense, since
+c p^T does not factor.
 
 The two steps are exact alternating minimization (Blahut 1972) of
 
@@ -47,10 +57,11 @@ the channel moments: E_prod - E_joint for Hamming distance, and
 (sqrt(E_prod) - sqrt(E_joint))^2 for quadratic distance.
 """
 
+import functools
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,10 +112,16 @@ class Channel:
 
 @dataclass(frozen=True)
 class DistortionMatrix:
-    """Per-letter distortions; entry (j, i) = rho(x_i, xhat_j) >= 0."""
+    """Per-letter distortions; entry (j, i) = rho(x_i, xhat_j) >= 0.
+
+    `axes` is set by `distortion_matrix` when the table is quadratic between
+    one lexicographic product grid on both sides: the per-axis grids, so that
+    Gamma = sum_k Gamma_k with Gamma_k the squared differences along axis k.
+    """
 
     gamma: np.ndarray
     metric: str = QUADRATIC
+    axes: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.gamma, dtype=float)
@@ -150,7 +167,9 @@ def distortion_matrix(x_grid, xhat_grid, metric: str = QUADRATIC) -> DistortionM
     """Distortion table between a source grid and a codeword grid.
 
     Grids may be 1-D scalars or (n, d) blocks; quadratic means squared
-    Euclidean distance, hamming the 0/1 inequality indicator.
+    Euclidean distance, summed one coordinate at a time, hamming the 0/1
+    inequality indicator.  A quadratic table between one lexicographic
+    product grid on both sides keeps its per-axis grids (`axes`).
     """
     x = np.asarray(x_grid, dtype=float)
     xh = np.asarray(xhat_grid, dtype=float)
@@ -163,12 +182,36 @@ def distortion_matrix(x_grid, xhat_grid, metric: str = QUADRATIC) -> DistortionM
     if x.shape[1] != xh.shape[1]:
         raise DimensionMismatch("source and codeword letters have different widths")
     if metric == QUADRATIC:
-        diff = xh[:, None, :] - x[None, :, :]
-        return DistortionMatrix((diff**2).sum(axis=2), QUADRATIC)
+        g = _sq_diff(xh[:, 0], x[:, 0])
+        for k in range(1, x.shape[1]):
+            g += _sq_diff(xh[:, k], x[:, k])
+        dm = DistortionMatrix(g, QUADRATIC)
+        if np.array_equal(x, xh):
+            object.__setattr__(dm, "axes", _product_axes(x))
+        return dm
     if metric == HAMMING:
         same = np.all(xh[:, None, :] == x[None, :, :], axis=2)
         return DistortionMatrix(1.0 - same.astype(float), HAMMING)
     raise ValueError(f"unknown metric {metric!r}")
+
+
+def _sq_diff(a, b) -> np.ndarray:
+    """The table (a_j - b_i)^2 of one coordinate."""
+    d = np.subtract.outer(a, b)
+    d *= d
+    return d
+
+
+def _product_axes(x):
+    """The per-axis grids whose lexicographic product is the letter list x
+    (rows of x), or None when x is no such product."""
+    axes = tuple(np.unique(col) for col in x.T)
+    if math.prod(a.size for a in axes) != len(x):
+        return None
+    mesh = np.meshgrid(*axes, indexing="ij")
+    if all(np.array_equal(m.ravel(), col) for m, col in zip(mesh, x.T)):
+        return axes
+    return None
 
 
 def triangle_similarity(e_prod: float, e_joint: float, metric: str) -> float:
@@ -204,10 +247,24 @@ def mutual_information(p_x, q) -> float:
     return max(float(np.nansum(contrib)), 0.0)
 
 
+#: exp(a) is sub-normal below this exponent
+_LOG_TINY = math.log(np.finfo(float).tiny)
+
+
+def _exp(a) -> np.ndarray:
+    """exp(a) in place, with exact zeros where the result would be sub-normal
+    (numpy's exp is about 100x slower there, and so is every product that
+    reads such entries).  Each entry moves by less than 2.3e-308."""
+    normal = a >= _LOG_TINY
+    np.exp(a, out=a, where=normal)
+    a[~normal] = 0.0
+    return a
+
+
 def _tilt(g, p, s: float, exponent_shift: bool = True):
     """Per-slope terms of the update: (c, amax, e) with c = Gamma p, amax the
     column maxima of a = -s * (Gamma - c p^T) (or -s * Gamma without the
-    shift), and e = exp(a - amax)."""
+    shift), and e = exp(a - amax) (`_exp`)."""
     c = g @ p
     if exponent_shift:
         # shift entry (j, i) = p_i * sum_k p_k rho(x_k, xhat_j); in place,
@@ -219,7 +276,44 @@ def _tilt(g, p, s: float, exponent_shift: bool = True):
         a = -s * g
     amax = a.max(axis=0)
     a -= amax
-    return c, amax, np.exp(a, out=a)
+    return c, amax, _exp(a)
+
+
+def _mode_products(mats, v) -> np.ndarray:
+    """(A_1 (x) ... (x) A_M) v for v over a lexicographic product grid: one
+    small matrix product per axis, each of which moves its axis last."""
+    for a in mats:
+        v = (a @ v.reshape(a.shape[1], -1)).T
+    return v.ravel()
+
+
+class _Kron:
+    """Rows `rows` of sum_r A_r1 (x) ... (x) A_rM over a lexicographic product
+    grid, applied by per-axis mode products and never formed in the loop; the
+    rows left out act as exact zeros.  `t @ k`, `k @ w` and `k[live]` mean
+    what they mean on the dense matrix, so `_step` and the solver loop run on
+    either."""
+
+    __array_ufunc__ = None  # numpy then hands `t @ k` to __rmatmul__
+
+    def __init__(self, terms, rows):
+        self.terms, self.rows = terms, rows
+
+    def __getitem__(self, live):
+        return _Kron(self.terms, self.rows[live])
+
+    def __matmul__(self, w):
+        return sum(_mode_products(term, w) for term in self.terms)[self.rows]
+
+    def __rmatmul__(self, t):
+        full = np.zeros(math.prod(a.shape[0] for a in self.terms[0]))
+        full[self.rows] = t
+        return sum(_mode_products([a.T for a in term], full) for term in self.terms)
+
+    def dense(self) -> np.ndarray:
+        kron = (functools.reduce(np.kron, term) for term in self.terms)
+        e = functools.reduce(np.add, kron)
+        return e if self.rows.size == len(e) else e[self.rows]
 
 
 def _step(e, t, p, c=None):
@@ -304,7 +398,34 @@ def solve_tc_point(
     formed once, after the loop, from the marginal that produced the last
     column normalizers, and the rate is the loop's I for that channel
     (max(I, 0) / ln 2), so no second mutual-information pass is made.
+
+    Without the shift, a `DistortionMatrix` with `axes` (quadratic, one
+    product grid on both sides) has e = E_1 (x) ... (x) E_M with
+    E_k = exp(-s Gamma_k), since Gamma = sum_k Gamma_k and no column shift is
+    needed (amax = 0).  The passes then run as per-axis mode products; for
+    M = 2, t e = E_1^T T E_2, e w = E_1 W E_2^T and
+    (e * Gamma) w = (E_1 * Gamma_1) W E_2^T + E_1 W (E_2 * Gamma_2)^T.  Cut
+    rows are held as exact zeros.  Every other input, and a factored solve
+    whose column normalizer underflows (the dense kernel's column shift keeps
+    that column finite), runs on the dense matrices.
     """
+    try:
+        return _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift)
+    except NumericalUnderflow:
+        if _kernel_axes(gamma, exponent_shift) is None:
+            raise
+    logger.debug("slope %g: a column normalizer underflowed on the per-axis "
+                 "kernel; solving again on the dense one", s)
+    return _solve(p_x, _gamma(gamma), s, tol, max_iter, t0, exponent_shift)
+
+
+def _kernel_axes(gamma, exponent_shift):
+    """The per-axis grids the solve factors its kernel over, or None (dense)."""
+    return None if exponent_shift else getattr(gamma, "axes", None)
+
+
+def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift) -> TcSolution:
+    """`solve_tc_point` on the kernel that gamma's structure selects."""
     p = _probs(p_x)
     g_full = _gamma(gamma)
     m, n = g_full.shape
@@ -328,11 +449,19 @@ def solve_tc_point(
         raise NumericalUnderflow("no codewords above the pruning threshold")
     if rows.size < m:
         logger.debug("pruning %d dead codewords before slope %g", m - rows.size, s)
-    g = g_full if rows.size == m else g_full[rows]
-    c, amax, e = _tilt(g, p, s, exponent_shift)
-    eg = e * g
-    del g  # the loop reads only e and e * Gamma
-    p_amax = float(p @ amax)
+    axes = _kernel_axes(gamma, exponent_shift)
+    if axes is None:
+        g = g_full if rows.size == m else g_full[rows]
+        c, amax, e = _tilt(g, p, s, exponent_shift)
+        eg = e * g
+        del g  # the loop reads only e and e * Gamma
+        p_amax = float(p @ amax)
+    else:
+        gk = [_sq_diff(a, a) for a in axes]
+        ek = [_exp(-s * table) for table in gk]
+        e = _Kron([ek], rows)
+        eg = _Kron([ek[:k] + [ek[k] * gk[k]] + ek[k + 1:] for k in range(len(ek))], rows)
+        c, p_amax = (g_full @ p)[rows], 0.0
 
     i_prev = math.inf
     d_prev = math.inf
@@ -397,7 +526,7 @@ def solve_tc_point(
         )
 
     q_full = np.zeros((m, n))
-    q_full[rows] = _channel(e, tv, col)
+    q_full[rows] = _channel(e.dense() if isinstance(e, _Kron) else e, tv, col)
     t_full = q_full @ p
     if isinstance(p_x, Pmf) and p_x.n == m:
         support = p_x.support

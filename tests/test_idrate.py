@@ -142,6 +142,42 @@ def test_id_curve_monotone_in_tau():
     assert np.all(np.diff(ds) <= 1e-12)
 
 
+def _curve_point_by_point(xi, taus):
+    """id_curve_multivariate as one checked id_point_multivariate per level."""
+    pts = [id_point_multivariate(xi, t) for t in np.asarray(taus, dtype=float)[::-1]]
+    return curve_from_arrays([p.d_id for p in pts], [p.rate for p in pts], "mv-gaussian")
+
+
+def _outcome(fn, *args):
+    try:
+        curve = fn(*args)
+    except (ValueError, IndexError) as exc:  # the type and message are compared
+        return type(exc), str(exc)
+    return curve.d_ids.tolist(), curve.rates.tolist()
+
+
+@pytest.mark.parametrize(
+    "xi, taus",
+    [
+        ([1.7, 0.3], default_tau_grid(1.7, 50)),
+        ([1.7, 0.3], []),
+        ([1.7, 0.3], [0.1, 1.7 * (1 + 1e-13)]),
+        ([1.7, 0.3], [0.1, 2.0]),
+        ([1.7, 0.3], [-0.1, 0.2]),
+        ([1.7, 0.3], [0.0, 0.2]),
+        ([1.7, 0.3], [0.1, np.nan, 0.2]),
+        ([1.7, 0.3], [0.1, 0.2, np.nan]),
+        ([1.7, 0.3], [3.0, np.nan, 0.2]),
+        ([1.7, -0.3], [0.1, 0.2]),
+        ([], [0.1, 0.2]),
+        ([[1.7, 0.3]], [0.1, 0.2]),
+    ],
+)
+def test_id_curve_multivariate_checks_once_like_each_point(xi, taus):
+    # validating the eigenvalues once per curve keeps every value and error
+    assert _outcome(id_curve_multivariate, xi, taus) == _outcome(_curve_point_by_point, xi, taus)
+
+
 def test_id_point_spectral_flat_psd_matches_iid():
     grid = spectral_grid(IidGaussian(1.5), 4096)
     for tau in (0.1, 0.5, 1.0, 1.4):

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import idq.tcdelta
 from idq.cli import run
-from idq.errors import DimensionMismatch
+from idq.errors import DimensionMismatch, NumericalUnderflow
 from idq.idrate import binary_entropy, binary_hamming_tc_oracle, id_rate_iid
 from idq.linalg import toeplitz_covariance
 from idq.sources import Pmf, bernoulli_pmf, discretize_gaussian, discretize_mv_gaussian
@@ -19,6 +19,7 @@ from idq.tcdelta import (
     PRUNE_EPS,
     Channel,
     DistortionMatrix,
+    TcSolution,
     ba_step,
     brute_force_tc_oracle,
     component_tc_curve,
@@ -491,3 +492,114 @@ def test_ba_step_underflow_detection():
     t = np.array([1.0 - 1e-312, 1e-312])
     with pytest.raises(NumericalUnderflow):
         ba_step(p, t, gamma, 1.0)
+
+
+def _product_letters(axes):
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def test_distortion_matrix_keeps_axes_of_product_grids():
+    for cov, points in (([1.0, 0.7], 9), ([1.0, 0.5, 0.2], 5)):
+        letters, _ = discretize_mv_gaussian(toeplitz_covariance(cov, len(cov)), 6.0, points)
+        g = distortion_matrix(letters, letters)
+        assert len(g.axes) == len(cov)
+        assert np.array_equal(_product_letters(g.axes), letters)
+        # one coordinate at a time gives the table the (m, n, d) sum gives
+        ref = ((letters[:, None, :] - letters[None, :, :]) ** 2).sum(axis=2)
+        assert np.array_equal(g.gamma, ref)
+        perm = np.random.default_rng(0).permutation(len(letters))
+        assert distortion_matrix(letters[perm], letters[perm]).axes is None
+        assert distortion_matrix(letters, letters[perm]).axes is None
+        assert distortion_matrix(letters, 1.5 * letters).axes is None
+        assert distortion_matrix(letters, letters, "hamming").axes is None
+    pmf = discretize_gaussian(1.0, 6.0, 65)
+    (axis,) = distortion_matrix(pmf.support, pmf.support).axes
+    assert np.array_equal(axis, pmf.support)
+    assert distortion_matrix(pmf.support[::-1], pmf.support[::-1]).axes is None
+
+
+def _solve_or_error(*args, **kwargs):
+    try:
+        return solve_tc_point(*args, **kwargs)
+    except NumericalUnderflow as exc:
+        return type(exc)
+
+
+def _assert_same_solve(a, b):
+    if not isinstance(a, TcSolution) or not isinstance(b, TcSolution):
+        assert a == b
+        return
+    assert (a.iterations, a.converged) == (b.iterations, b.converged)
+    for name in ("rate", "d_s", "e_prod", "e_joint", "lagrangian_rise", "surrogate_rise"):
+        assert abs(getattr(a, name) - getattr(b, name)) <= 1e-12, name
+    assert np.max(np.abs(a.channel.q - b.channel.q)) <= 1e-12
+    assert np.max(np.abs(a.code_marginal.probs - b.code_marginal.probs)) <= 1e-12
+
+
+@st.composite
+def _product_grid_cases(draw):
+    axis = arrays(float, st.integers(2, 6), elements=st.floats(-3.0, 3.0), unique=True)
+    axes = [np.sort(draw(axis)) for _ in range(draw(st.integers(1, 3)))]
+    letters = _product_letters(axes)
+    n = len(letters)
+    p = draw(arrays(float, n, elements=st.floats(0.0, 1.0)))
+    assume(p.sum() > 1e-3)
+    t0 = None
+    if draw(st.booleans()):  # warm start, some of it at or below PRUNE_EPS
+        t0 = draw(arrays(float, n, elements=st.floats(1e-3, 1.0)))
+        dead = draw(arrays(bool, n))
+        assume(not dead.all())
+        t0[dead] = draw(st.sampled_from([0.0, 1e-310, PRUNE_EPS]))
+    s = draw(st.floats(0.0, 20.0))
+    return letters, p / p.sum(), s, t0, draw(st.integers(1, 5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_product_grid_cases())
+def test_factored_kernel_matches_dense(case):
+    # the plain rate-distortion solve on a product grid's DistortionMatrix
+    # (per-axis kernel) against the same Gamma passed as a raw array (dense)
+    letters, p, s, t0, k = case
+    g = distortion_matrix(letters, letters)
+    assert g.axes is not None
+    for tol, max_iter in ((0.0, k), (DEFAULT_TOL, 1000)):
+        a = _solve_or_error(p, g, s, tol, max_iter, t0, exponent_shift=False)
+        b = _solve_or_error(p, g.gamma, s, tol, max_iter, t0, exponent_shift=False)
+        if tol == 0.0 and any(getattr(x, "converged", False) for x in (a, b)):
+            # At tol=0 a solve stops early only where I and D_s stop moving to
+            # the last bit, as with a point-mass p or one live codeword, where
+            # both are 0 identically.  Rounding decides at which iteration
+            # either kernel sees two equal values while E_prod and the marginal
+            # still move, so only what the stop rule watches is compared.
+            for name in ("rate", "d_s"):
+                assert abs(getattr(a, name) - getattr(b, name)) <= 1e-12, name
+        else:
+            _assert_same_solve(a, b)
+
+
+def test_factored_kernel_falls_back_when_a_column_underflows():
+    # the only live codeword sits at squared distance 100 from letter 10:
+    # exp(-20 * 100) underflows, while the dense kernel's column shift keeps
+    # that column at 1
+    g = distortion_matrix([0.0, 10.0], [0.0, 10.0])
+    p, t0 = np.array([0.5, 0.5]), np.array([1.0, 0.0])
+    sol = solve_tc_point(p, g, 20.0, t0=t0, exponent_shift=False)
+    assert sol.channel.q.tolist() == [[1.0, 1.0], [0.0, 0.0]]
+    _assert_same_solve(sol, solve_tc_point(p, g.gamma, 20.0, t0=t0, exponent_shift=False))
+
+
+def test_exponent_table_has_exact_zeros_for_subnormal_entries():
+    # at s=115 the 65-letter table's entries ten letters off the diagonal
+    # would be sub-normal; they are written as 0, so none moves by more than
+    # the smallest normal number
+    pmf = discretize_gaussian(1.0, 8.0, 65)
+    g = distortion_matrix(pmf.support, pmf.support).gamma
+    p, tiny = pmf.probs, np.finfo(float).tiny
+    for shift in (True, False):
+        _, amax, e = idq.tcdelta._tilt(g, p, 115.0, shift)
+        a = -115.0 * (g - np.outer(g @ p, p)) if shift else -115.0 * g
+        exact = np.exp(a - amax)
+        assert np.any((exact > 0) & (exact < tiny))
+        assert not np.any((e > 0) & (e < tiny))
+        assert np.max(np.abs(e - exact)) < tiny
