@@ -4,9 +4,13 @@ Every output file starts with `# key=value` header lines recording the exact
 command, all parameter values, the rate unit (always bits), and the seed, so
 any file can be regenerated from its own header.  Infinite rates are written
 as the literal string `inf`.  The environment variable IDQ_THREADS caps
-worker parallelism in the simulator (0 = one worker per CPU).  `--log-level`
-sets the level of the `idq` loggers for the run, whose records go to stderr;
-it changes no output file.
+worker parallelism (unset = 1, 0 = one worker per CPU): the simulator's
+nearest-codeword search, and `compare --source mv-gaussian`, which with more
+than one worker runs its joint sweeps and its component model side by side.
+Output files do not depend on it; WARNING lines of the two sides may
+interleave in any order, and the `nonconverged=` header is the stable count.
+`--log-level` sets the level of the `idq` loggers for the run, whose records
+go to stderr; it changes no output file.
 """
 
 import argparse
@@ -14,6 +18,7 @@ import json
 import logging
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -37,7 +42,7 @@ from .sources import (
     discretize_mv_gaussian,
     spectral_grid,
 )
-from .simulator import estimate_pr_maybe
+from .simulator import _workers, estimate_pr_maybe
 from .tcdelta import component_tc_curve, distortion_matrix, sweep_points, tc_curve
 
 _FMT = "{:.12g}"
@@ -240,21 +245,39 @@ def _cmd_compare(args) -> int:
     )
     star = id_curve_multivariate(xi, default_tau_grid(float(xi.max()), args.tau_points))
     s_grid = _slope_grid(args, variance=args.variance)
-    comp_curve = component_tc_curve(comps, s_grid, tol=args.tol, max_iter=args.max_iter)
 
-    cov = _ar1_covariance(args.variance, args.rho, args.order)
-    letters, probs = discretize_mv_gaussian(cov, args.joint_grid_sigmas, args.joint_grid_points)
-    gamma_j = distortion_matrix(letters, letters, "quadratic")
+    # With more than one worker the joint sweeps (lane 1) and the component
+    # model (lane 2) run side by side.  The two joint sweeps share a lane, so
+    # their dense joint-letter matrices are never alive at once.
+    def components():
+        return component_tc_curve(comps, s_grid, tol=args.tol, max_iter=args.max_iter)
+
+    def joint():
+        cov = _ar1_covariance(args.variance, args.rho, args.order)
+        letters, probs = discretize_mv_gaussian(cov, args.joint_grid_sigmas,
+                                                args.joint_grid_points)
+        gamma_j = distortion_matrix(letters, letters, "quadratic")
+        return [sweep_points(probs, gamma_j, s_grid, tol=args.tol, max_iter=args.max_iter,
+                             exponent_shift=exponent_shift)
+                for exponent_shift in (True, False)]
+
+    if _workers() > 1:  # an invalid IDQ_THREADS stops the run before any solve
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            lanes = [pool.submit(joint), pool.submit(components)]
+        sweeps = lanes[0].result()  # lane 1's error comes first if both failed
+        comp_curve = lanes[1].result()
+    else:
+        comp_curve = components()
+        sweeps = joint()
+
     stopped = comp_curve.nonconverged
-    joint = []  # per-letter (d_id, rate) of the TC solver, then of plain rate-distortion
-    for exponent_shift in (True, False):
-        d, r, n_stopped = sweep_points(probs, gamma_j, s_grid, tol=args.tol,
-                                       max_iter=args.max_iter, exponent_shift=exponent_shift)
+    curves = []  # per-letter (d_id, rate) of the TC solver, then of plain rate-distortion
+    for d, r, n_stopped in sweeps:
         d, r = d / args.order, r / args.order
         o = np.argsort(d)
-        joint.append((d[o], r[o]))
+        curves.append((d[o], r[o]))
         stopped += n_stopped
-    (d_tc, r_tc), (d_lc, r_lc) = joint
+    (d_tc, r_tc), (d_lc, r_lc) = curves
 
     lo = max(comp_curve.d_ids.min(), d_tc.min(), d_lc.min(), star.d_ids.min())
     hi = min(comp_curve.d_ids.max(), d_tc.max(), d_lc.max(), star.d_ids.max())

@@ -112,8 +112,10 @@ def water_filling_allocation(eigenvalues, tau) -> np.ndarray:
         raise TauOutOfRange("water level must be positive")
     if xi.ndim != 1 or xi.size == 0:
         raise ValueError("need a non-empty eigenvalue list")
-    if np.any(xi < 0):
-        raise ValueError("eigenvalues must be non-negative")
+    if not np.all(np.isfinite(xi) & (xi >= 0)):
+        # a NaN or inf would pass every comparison below and poison the point
+        raise ValueError("eigenvalues must be non-negative" if np.any(xi < 0)
+                         else "eigenvalues must be finite")
     if t > xi.max() * (1.0 + 1e-12):
         raise TauOutOfRange(f"tau {t} above the largest component variance {xi.max()}")
     return np.maximum(0.0, 2.0 * (xi - t))

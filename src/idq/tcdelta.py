@@ -57,7 +57,6 @@ the channel moments: E_prod - E_joint for Hamming distance, and
 (sqrt(E_prod) - sqrt(E_joint))^2 for quadratic distance.
 """
 
-import functools
 import itertools
 import logging
 import math
@@ -311,9 +310,17 @@ class _Kron:
         return sum(_mode_products([a.T for a in term], full) for term in self.terms)
 
     def dense(self) -> np.ndarray:
-        kron = (functools.reduce(np.kron, term) for term in self.terms)
-        e = functools.reduce(np.add, kron)
-        return e if self.rows.size == len(e) else e[self.rows]
+        """The rows `rows` of the matrix, and no others: each row is the outer
+        product of one row per axis, multiplied left to right as np.kron
+        does, so every entry is the same product, bit for bit."""
+        idx = np.unravel_index(self.rows, [a.shape[0] for a in self.terms[0]])
+        out = None
+        for term in self.terms:
+            block = term[0][idx[0]]
+            for a, i in zip(term[1:], idx[1:]):
+                block = (block[:, :, None] * a[i][:, None, :]).reshape(self.rows.size, -1)
+            out = block if out is None else np.add(out, block, out=out)
+        return out
 
 
 def _step(e, t, p, c=None):
@@ -399,6 +406,12 @@ def solve_tc_point(
     column normalizers, and the rate is the loop's I for that channel
     (max(I, 0) / ln 2), so no second mutual-information pass is made.
 
+    Memory: a dense solve holds e and e * Gamma, and a mid-solve cut copies
+    one of them at a time.  e * Gamma is dropped before the channel is
+    formed, and the channel is e itself, overwritten, unless rows were cut
+    (then an m x n array of zeros takes the live rows).  A factored solve
+    builds only the live rows of e, for the channel.
+
     Without the shift, a `DistortionMatrix` with `axes` (quadratic, one
     product grid on both sides) has e = E_1 (x) ... (x) E_M with
     E_k = exp(-s Gamma_k), since Gamma = sum_k Gamma_k and no column shift is
@@ -483,7 +496,10 @@ def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift) -> TcSolution:
                 "PRUNE_EPS", s, iterations, n_dead, tv.size,
             )
             live = ~dead
-            rows, e, eg, c, tv = rows[live], e[live], eg[live], c[live], tv[live]
+            rows, c, tv = rows[live], c[live], tv[live]
+            # one matrix at a time, so no old and new copies of both are alive
+            e = e[live]
+            eg = eg[live]
         col, w, t_new, shift_term = _step(e, tv, p, c if exponent_shift else None)
         lt = np.where(tv > 0, np.log(np.maximum(tv, 5e-324)), 0.0)
         ltn = np.where(t_new > 0, np.log(np.maximum(t_new, 5e-324)), 0.0)
@@ -525,16 +541,20 @@ def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift) -> TcSolution:
             s,
         )
 
-    q_full = np.zeros((m, n))
-    q_full[rows] = _channel(e.dense() if isinstance(e, _Kron) else e, tv, col)
-    t_full = q_full @ p
+    del eg  # the channel needs only e
+    q = _channel(e.dense() if isinstance(e, _Kron) else e, tv, col)
+    if rows.size < m:  # cut rows are exact zeros of the channel
+        q_full = np.zeros((m, n))
+        q_full[rows] = q
+        q = q_full
+    t_full = q @ p
     if isinstance(p_x, Pmf) and p_x.n == m:
         support = p_x.support
     else:
         support = np.arange(m, dtype=float)
     return TcSolution(
         slope_s=float(s),
-        channel=Channel(q_full),
+        channel=Channel(q),
         code_marginal=Pmf(support, t_full),
         d_s=d_s,
         rate=max(i_nats, 0.0) / LN2,

@@ -5,7 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+from idq import cli
 from idq.cli import parse_curve_file, run
+from idq.errors import NumericalUnderflow
 from idq.idrate import id_rate_iid, lc_delta_rate
 from idq.simulator import estimate_pr_maybe
 from idq.sources import IidGaussian
@@ -174,6 +176,71 @@ def test_compare_mv_small(tmp_path, caplog):
             # curve is steep and its linear interpolant overshoots)
             assert r_mstar <= r_ic + 1e-3
             assert r_mstar <= r_i + 1e-3
+
+
+# 129 component letters, 21 x 21 joint letters, 4 slopes: 6 of the 16 solves
+# stop at --max-iter
+_MV_SMALL = ["compare", "--source", "mv-gaussian", "--rho", "0.7", "-M", "2",
+             "--grid-points", "129", "--joint-grid-points", "21", "--joint-grid-sigmas", "5",
+             "--slopes", "4", "--tau-points", "60", "--tol", "1e-7", "--max-iter", "200"]
+
+
+def test_compare_mv_is_byte_identical_for_any_idq_threads(tmp_path, caplog, monkeypatch):
+    files, stopped = {}, {}
+    for threads in (None, "1", "2", "0"):
+        if threads is None:
+            monkeypatch.delenv("IDQ_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("IDQ_THREADS", threads)
+        caplog.clear()
+        out = tmp_path / f"threads-{threads}.csv"
+        assert run(_MV_SMALL + ["--out", str(out)]) == 0
+        files[threads] = out.read_bytes()
+        # WARNING lines of the two lanes may interleave; their count may not change
+        stopped[threads] = _stop_warnings(caplog)
+        assert parse_curve_file(out.read_text())[0]["nonconverged"] == stopped[threads]
+    assert len(set(files.values())) == 1
+    assert set(stopped.values()) == {"6"}
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_invalid_idq_threads_stops_compare_mv(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("IDQ_THREADS", value)
+    assert run(_MV_SMALL + ["--out", str(tmp_path / "o.csv")]) == 2
+    assert "IDQ_THREADS" in capsys.readouterr().err
+
+
+def _underflow(message):
+    def fail(*args, **kwargs):
+        raise NumericalUnderflow(message)
+    return fail
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("lane", ["sweep_points", "component_tc_curve"])
+def test_numerical_failure_in_either_compare_lane_exits_3(tmp_path, capsys, monkeypatch,
+                                                         threads, lane):
+    monkeypatch.setenv("IDQ_THREADS", threads)
+    monkeypatch.setattr(cli, lane, _underflow(f"{lane} failed"))
+    out = tmp_path / "o.csv"
+    assert run(_MV_SMALL + ["--out", str(out)]) == 3
+    assert f"idq: numerical failure: {lane} failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads,first", [("1", "component_tc_curve"),
+                                           ("2", "sweep_points")])
+def test_compare_mv_reports_one_error_when_both_lanes_fail(tmp_path, capsys, monkeypatch,
+                                                           threads, first):
+    # one worker stops at the component model, which it runs first; side by
+    # side, the joint lane's error is raised first
+    monkeypatch.setenv("IDQ_THREADS", threads)
+    for lane in ("sweep_points", "component_tc_curve"):
+        monkeypatch.setattr(cli, lane, _underflow(f"{lane} failed"))
+    assert run(_MV_SMALL + ["--out", str(tmp_path / "o.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("numerical failure") == 1
+    assert f"idq: numerical failure: {first} failed" in err
 
 
 @pytest.mark.parametrize("flag,value", [("--rho", "nan"), ("--variance", "inf")])

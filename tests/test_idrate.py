@@ -88,6 +88,19 @@ def test_tau_out_of_range():
         id_point_multivariate([1.0], 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_eigenvalues_are_rejected(bad):
+    for xi in ([1.7, bad], [bad]):
+        with pytest.raises(ValueError, match="eigenvalues must be finite"):
+            id_point_multivariate(xi, 0.1)
+        with pytest.raises(ValueError, match="eigenvalues must be finite"):
+            id_curve_multivariate(xi, [0.1, 0.2])
+    # a negative eigenvalue keeps its own message, also beside a NaN or inf
+    for xi in ([-1.0, bad], [1.7, -math.inf]):
+        with pytest.raises(ValueError, match="eigenvalues must be non-negative"):
+            id_curve_multivariate(xi, [0.1, 0.2])
+
+
 @st.composite
 def _water_filling_cases(draw):
     """Variances (1-64 entries, at least one positive), two water levels

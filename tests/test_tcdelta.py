@@ -1,3 +1,4 @@
+import functools
 import logging
 import math
 import weakref
@@ -603,3 +604,52 @@ def test_exponent_table_has_exact_zeros_for_subnormal_entries():
         assert np.any((exact > 0) & (exact < tiny))
         assert not np.any((e > 0) & (e < tiny))
         assert np.max(np.abs(e - exact)) < tiny
+
+
+@st.composite
+def _kron_cases(draw):
+    sizes = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
+    terms = [
+        [draw(arrays(float, (k, k), elements=st.floats(-10.0, 10.0))) for k in sizes]
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    n = math.prod(sizes)
+    if draw(st.booleans()):
+        rows = np.arange(n)
+    else:
+        rows = np.flatnonzero(draw(arrays(bool, n)))
+        assume(rows.size > 0)
+    return terms, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kron_cases())
+def test_kron_dense_builds_only_its_rows_bit_for_bit(case):
+    terms, rows = case
+    full = functools.reduce(np.add, (functools.reduce(np.kron, term) for term in terms))
+    dense = idq.tcdelta._Kron(terms, rows).dense()
+    assert dense.shape == (rows.size, full.shape[1])
+    assert dense.tobytes() == full[rows].tobytes()
+
+
+def test_rows_cut_before_and_during_a_factored_solve_give_the_dense_channel(caplog):
+    # 121 product letters at slope 0.2: two codewords start dead, and 16 more
+    # are cut at iteration 64
+    letters, probs = discretize_mv_gaussian(toeplitz_covariance([1.0, 0.5], 2), 8.0, 11)
+    g = distortion_matrix(letters, letters)
+    t0 = np.full(len(letters), 1.0)
+    t0[[0, 5]] = 0.0
+    t0 /= t0.sum()
+    sols = []
+    for gamma in (g, g.gamma):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="idq.tcdelta"):
+            sols.append(solve_tc_point(probs, gamma, 0.2, t0=t0, exponent_shift=False))
+        text = caplog.text
+        assert "pruning 2 dead codewords before slope 0.2" in text
+        assert "at or below PRUNE_EPS" in text
+    factored, dense = sols
+    _assert_same_solve(factored, dense)
+    cut = factored.channel.q.sum(axis=1) == 0.0
+    assert cut[[0, 5]].all() and cut.sum() == 18
+    assert np.array_equal(cut, dense.channel.q.sum(axis=1) == 0.0)
