@@ -26,6 +26,7 @@ from .idrate import (
     lc_delta_rate,
     similarity_limit,
     water_filling_allocation,
+    water_filling_point,
 )
 from .linalg import EigenPair, SymMatrix, jacobi_eigh, klt_forward, klt_inverse, toeplitz_covariance
 from .simulator import (

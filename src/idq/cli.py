@@ -28,15 +28,15 @@ from .idrate import (
     default_tau_grid,
     id_curve_multivariate,
     id_curve_spectral,
-    id_point_multivariate,
     id_rate_iid,
     lc_delta_rate,
-    water_filling_allocation,
+    water_filling_point,
 )
 from .linalg import jacobi_eigh, toeplitz_covariance
 from .sources import (
     GaussMarkov,
     IidGaussian,
+    MultivariateGaussian,
     bernoulli_pmf,
     discretize_gaussian,
     discretize_mv_gaussian,
@@ -158,8 +158,7 @@ def _cmd_idrate_mv(args) -> int:
     taus = default_tau_grid(float(xi.max()), args.tau_points, args.tau_min)
     rows = []
     for tau in taus[::-1]:
-        point = id_point_multivariate(xi, tau)
-        alloc = water_filling_allocation(xi, tau)
+        point, alloc = water_filling_point(xi, tau)
         rows.append((point.d_id, point.rate, *alloc))
     rows.sort(key=lambda r: r[0])
     cols = ["d_id", "rate"] + [f"d_id_{m + 1}" for m in range(args.order)]
@@ -194,19 +193,18 @@ def _cmd_tcdelta(args) -> int:
     return _emit(args, meta, ["d_id", "rate"], rows)
 
 
-def _components_for(variance, rho, order, grid_sigmas, grid_points):
-    xi = _ar1_eigenvalues(variance, rho, order)
+def _components_for(xi, grid_sigmas, grid_points):
+    """One discretized source and distortion table per KLT component variance."""
     comps = []
     for v in xi:
         pmf = discretize_gaussian(float(v), grid_sigmas, grid_points)
         comps.append((pmf, distortion_matrix(pmf.support, pmf.support, "quadratic")))
-    return xi, comps
+    return comps
 
 
 def _cmd_tcdelta_components(args) -> int:
-    xi, comps = _components_for(
-        args.variance, args.rho, args.order, args.grid_sigmas, args.grid_points
-    )
+    xi = _ar1_eigenvalues(args.variance, args.rho, args.order)
+    comps = _components_for(xi, args.grid_sigmas, args.grid_points)
     s_grid = _slope_grid(args, variance=args.variance)
     curve = component_tc_curve(comps, s_grid, tol=args.tol, max_iter=args.max_iter)
     meta = _meta(args, "tcdelta-components", eigenvalues=",".join(_fmt(v) for v in xi),
@@ -240,21 +238,22 @@ def _cmd_compare(args) -> int:
 
     # multivariate comparison: water-filling optimum, component model,
     # joint solver, and the plain rate-distortion (lossy-compression) baseline
-    xi, comps = _components_for(
-        args.variance, args.rho, args.order, args.grid_sigmas, args.grid_points
-    )
+    # the one decomposition of the covariance: component variances and the
+    # joint discretization's quadratic form
+    source = MultivariateGaussian(_ar1_covariance(args.variance, args.rho, args.order))
+    xi = source.klt.eigenvalues
+    comps = _components_for(xi, args.grid_sigmas, args.grid_points)
     star = id_curve_multivariate(xi, default_tau_grid(float(xi.max()), args.tau_points))
     s_grid = _slope_grid(args, variance=args.variance)
 
     # With more than one worker the joint sweeps (lane 1) and the component
     # model (lane 2) run side by side.  The two joint sweeps share a lane, so
-    # their dense joint-letter matrices are never alive at once.
+    # their joint-letter matrices are never alive at once.
     def components():
         return component_tc_curve(comps, s_grid, tol=args.tol, max_iter=args.max_iter)
 
     def joint():
-        cov = _ar1_covariance(args.variance, args.rho, args.order)
-        letters, probs = discretize_mv_gaussian(cov, args.joint_grid_sigmas,
+        letters, probs = discretize_mv_gaussian(source, args.joint_grid_sigmas,
                                                 args.joint_grid_points)
         gamma_j = distortion_matrix(letters, letters, "quadratic")
         return [sweep_points(probs, gamma_j, s_grid, tol=args.tol, max_iter=args.max_iter,

@@ -106,6 +106,12 @@ def id_rate_iid(variance: float, d_id: float) -> float:
 
 def water_filling_allocation(eigenvalues, tau) -> np.ndarray:
     """Per-component similarity shares max(0, 2(xi - tau)) for a water level."""
+    return water_filling_point(eigenvalues, tau)[1]
+
+
+def water_filling_point(eigenvalues, tau):
+    """(`id_point_multivariate`, `water_filling_allocation`) at one water
+    level, from one water-filling."""
     xi = np.asarray(eigenvalues, dtype=float)
     t = float(tau)
     if not t > 0:  # also rejects NaN
@@ -118,7 +124,7 @@ def water_filling_allocation(eigenvalues, tau) -> np.ndarray:
                          else "eigenvalues must be finite")
     if t > xi.max() * (1.0 + 1e-12):
         raise TauOutOfRange(f"tau {t} above the largest component variance {xi.max()}")
-    return np.maximum(0.0, 2.0 * (xi - t))
+    return _water_point(xi, t)
 
 
 def id_point_multivariate(eigenvalues, tau) -> RateSimilarityPoint:
@@ -126,17 +132,15 @@ def id_point_multivariate(eigenvalues, tau) -> RateSimilarityPoint:
 
     rate = (1/M) sum max(0, log2(xi/tau)), d_id = (1/M) sum max(0, 2(xi - tau)).
     """
-    xi = np.asarray(eigenvalues, dtype=float)
-    water_filling_allocation(xi, tau)  # validates tau and eigenvalues
-    return _water_point(xi, float(tau))
+    return water_filling_point(eigenvalues, tau)[0]
 
 
-def _water_point(xi, t: float) -> RateSimilarityPoint:
-    """`id_point_multivariate` for inputs already validated."""
-    active = xi > t
-    rate = float(np.log2(xi[active] / t).sum()) / xi.size
-    d_id = float(np.maximum(0.0, 2.0 * (xi - t)).sum()) / xi.size
-    return RateSimilarityPoint(max(d_id, 0.0), max(rate, 0.0))
+def _water_point(xi, t: float):
+    """`water_filling_point` for inputs already validated."""
+    shares = np.maximum(0.0, 2.0 * (xi - t))
+    rate = float(np.log2(xi[xi > t] / t).sum()) / xi.size
+    d_id = float(shares.sum()) / xi.size
+    return RateSimilarityPoint(max(d_id, 0.0), max(rate, 0.0)), shares
 
 
 def default_tau_grid(xi_max: float, n_points: int = 200, tau_min: float = None) -> np.ndarray:
@@ -163,7 +167,7 @@ def id_curve_multivariate(eigenvalues, tau_grid, label="mv-gaussian") -> Curve:
     for t in taus[-2::-1]:
         if not t > 0:  # also rejects NaN
             raise TauOutOfRange("water level must be positive")
-        pts.append(_water_point(xi, float(t)))
+        pts.append(_water_point(xi, float(t))[0])
     return curve_from_arrays([p.d_id for p in pts], [p.rate for p in pts], label)
 
 

@@ -181,13 +181,15 @@ def bernoulli_pmf(p: float) -> Pmf:
 
 
 def discretize_mv_gaussian(
-    covariance: SymMatrix,
+    source,
     half_width_sigmas: float = 6.0,
     n_points_per_axis: int = 33,
 ):
     """Product-grid discretization of a zero-mean multivariate Gaussian block.
 
-    Each axis gets a symmetric uniform grid of `n_points_per_axis` points over
+    `source` is the covariance (a SymMatrix) or a MultivariateGaussian, whose
+    `klt` is then used in place of a second decomposition.  Each axis gets a
+    symmetric uniform grid of `n_points_per_axis` points over
     +-`half_width_sigmas` marginal standard deviations; masses are proportional
     to the joint density.  Returns (letters, probs) where letters is an
     (n_axis_points^M, M) array of block values in lexicographic order.
@@ -201,9 +203,12 @@ def discretize_mv_gaussian(
         raise ValueError("half width must be positive and finite")
     if n_points_per_axis < 3 or n_points_per_axis % 2 == 0:
         raise ValueError("points per axis must be an odd integer >= 3 so that 0 is a grid point")
+    if isinstance(source, MultivariateGaussian):
+        covariance, basis = source.covariance, source.klt
+    else:
+        covariance, basis = source, jacobi_eigh(source)
     cov = covariance.a
     m = covariance.dim
-    basis = jacobi_eigh(covariance)
     if basis.eigenvalues.min() <= 0:
         raise ValueError("covariance must be strictly positive definite")
     half = (n_points_per_axis - 1) // 2

@@ -18,13 +18,23 @@ subtracted from the exponent a, log Q = a - amax + log t - log col gives
     J = t_new . (log t - log t_new) - P . (log col + amax),
     I = J - s * (E_joint - shift term).
 
-An iteration is thus three passes over the live rows of e and e * Gamma
-(two when `exponent_shift=False` drops the shift row) and makes no n x n
-temporary (`_step`; `ba_step` wraps the same step).  Rows whose marginal falls
-to PRUNE_EPS are cut from both matrices during the solve, and entries of e
-that would be sub-normal are exact zeros.  The channel is built once, after
-the loop, and the reported rate, E_prod and E_joint are the loop's values for
-it.
+An iteration is thus three matrix-vector passes (two when
+`exponent_shift=False` drops the shift row) and makes no n x n temporary
+(`_step`; `ba_step` wraps the same step).  Rows whose marginal falls to
+PRUNE_EPS are cut during the solve, and entries of e that would be sub-normal
+are exact zeros.  The code marginal is the loop's last t * (e w), which is
+Q p, and the reported rate, E_prod and E_joint are the loop's values for that
+Q; the channel itself is built only when it is asked for.
+
+The passes run on one of three kernels, and the loop is the same on each.
+Every source the CLI discretizes is zero-mean on a grid of integer offsets,
+so x -> -x maps the letter list onto itself reversed, and p and Gamma are
+symmetric under j -> n-1-j to the last bit (`DistortionMatrix.mirror`).  J
+is convex and invariant under that mirror, so from a symmetric start every
+iterate stays symmetric, and the folded kernel iterates on the ceil(n/2)
+codeword orbits x ceil(n/2) letter orbits: A = e[R] + e[sigma R] and the same
+sum of e * Gamma, with the orbit sizes (1 or 2) weighting the columns and the
+sums over codewords.  The dense kernel is the case of one-letter orbits.
 
 Without the shift, quadratic distortion between one lexicographic product
 grid on both sides is a sum over axes, Gamma = sum_k Gamma_k, and nothing is
@@ -32,8 +42,8 @@ subtracted from a column (its own codeword has distortion 0), so
 e = E_1 (x) ... (x) E_M with E_k = exp(-s Gamma_k).  `distortion_matrix` keeps
 the per-axis grids for such tables, and the plain rate-distortion solve then
 runs its passes as per-axis mode products (`_Kron`): 33 x 33 factors in place
-of a 1089 x 1089 matrix at M = 2.  The shifted TC update stays dense, since
-c p^T does not factor.
+of a 1089 x 1089 matrix at M = 2.  The shifted TC update does not factor,
+since c p^T does not, and runs folded.
 
 The two steps are exact alternating minimization (Blahut 1972) of
 
@@ -57,14 +67,16 @@ the channel moments: E_prod - E_joint for Hamming distance, and
 (sqrt(E_prod) - sqrt(E_joint))^2 for quadratic distance.
 """
 
+import functools
 import itertools
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalUnderflow
+from .errors import DimensionMismatch, NonConvergence, NumericalUnderflow
 from .idrate import Curve, curve_from_arrays
 from .sources import Pmf
 
@@ -116,11 +128,14 @@ class DistortionMatrix:
     `axes` is set by `distortion_matrix` when the table is quadratic between
     one lexicographic product grid on both sides: the per-axis grids, so that
     Gamma = sum_k Gamma_k with Gamma_k the squared differences along axis k.
+    `mirror` is set when both sides are one letter list x with
+    x[::-1] == -x, so that Gamma[::-1, ::-1] == Gamma bit for bit.
     """
 
     gamma: np.ndarray
     metric: str = QUADRATIC
     axes: tuple = field(default=None, init=False, repr=False, compare=False)
+    mirror: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.gamma, dtype=float)
@@ -147,10 +162,12 @@ class TcSolution:
     correct update.  J and I - s * d_s differ by a constant only when c is
     constant over the live codewords, so lagrangian_rise is at rounding level
     then too, and may be large otherwise.
+
+    The code marginal is the loop's last Q p.  The channel Q, an m x n
+    matrix, is built from the solve's last state on first access only.
     """
 
     slope_s: float
-    channel: Channel
     code_marginal: Pmf
     d_s: float
     rate: float
@@ -160,6 +177,11 @@ class TcSolution:
     e_joint: float
     lagrangian_rise: float
     surrogate_rise: float
+    build_channel: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def channel(self) -> Channel:
+        return Channel(self.build_channel())
 
 
 def distortion_matrix(x_grid, xhat_grid, metric: str = QUADRATIC) -> DistortionMatrix:
@@ -168,7 +190,9 @@ def distortion_matrix(x_grid, xhat_grid, metric: str = QUADRATIC) -> DistortionM
     Grids may be 1-D scalars or (n, d) blocks; quadratic means squared
     Euclidean distance, summed one coordinate at a time, hamming the 0/1
     inequality indicator.  A quadratic table between one lexicographic
-    product grid on both sides keeps its per-axis grids (`axes`).
+    product grid on both sides keeps its per-axis grids (`axes`), and a table
+    between one letter list x on both sides with x[::-1] == -x records that
+    mirror symmetry (`mirror`).
     """
     x = np.asarray(x_grid, dtype=float)
     xh = np.asarray(xhat_grid, dtype=float)
@@ -187,11 +211,13 @@ def distortion_matrix(x_grid, xhat_grid, metric: str = QUADRATIC) -> DistortionM
         dm = DistortionMatrix(g, QUADRATIC)
         if np.array_equal(x, xh):
             object.__setattr__(dm, "axes", _product_axes(x))
-        return dm
-    if metric == HAMMING:
+    elif metric == HAMMING:
         same = np.all(xh[:, None, :] == x[None, :, :], axis=2)
-        return DistortionMatrix(1.0 - same.astype(float), HAMMING)
-    raise ValueError(f"unknown metric {metric!r}")
+        dm = DistortionMatrix(1.0 - same.astype(float), HAMMING)
+    else:
+        raise ValueError(f"unknown metric {metric!r}")
+    object.__setattr__(dm, "mirror", np.array_equal(x, xh) and np.array_equal(x[::-1], -x))
+    return dm
 
 
 def _sq_diff(a, b) -> np.ndarray:
@@ -260,11 +286,14 @@ def _exp(a) -> np.ndarray:
     return a
 
 
-def _tilt(g, p, s: float, exponent_shift: bool = True):
+def _tilt(g, p, s: float, exponent_shift: bool = True, c=None, amax=None):
     """Per-slope terms of the update: (c, amax, e) with c = Gamma p, amax the
     column maxima of a = -s * (Gamma - c p^T) (or -s * Gamma without the
-    shift), and e = exp(a - amax) (`_exp`)."""
-    c = g @ p
+    shift), and e = exp(a - amax) (`_exp`).  p is the mass of each column of
+    g; a given c (the rows' Gamma p over every letter) or amax is used as it
+    is."""
+    if c is None:
+        c = g @ p
     if exponent_shift:
         # shift entry (j, i) = p_i * sum_k p_k rho(x_k, xhat_j); in place,
         # s * (c p^T - Gamma) is -s * (Gamma - c p^T) bit for bit
@@ -273,9 +302,36 @@ def _tilt(g, p, s: float, exponent_shift: bool = True):
         a *= s
     else:
         a = -s * g
-    amax = a.max(axis=0)
+    if amax is None:
+        amax = a.max(axis=0)
     a -= amax
     return c, amax, _exp(a)
+
+
+def _folded_tilt(g_full, p, s: float, exponent_shift: bool, rows, mu):
+    """`_tilt` of a mirror-symmetric table on the live codeword orbits `rows`
+    (sizes mu) and the letters R = 0 .. ceil(n/2)-1, one per letter orbit:
+    (c, amax, A, AG) with the orbit sums A = e[R] + e[sigma R] and
+    AG = (e * Gamma)[R] + (e * Gamma)[sigma R], sigma(j) = n-1-j.  The
+    exponent is formed on the columns R only, with c mirrored from the rows
+    R."""
+    n = g_full.shape[1]
+    h = (n + 1) // 2
+    c = (g_full[:h] @ p)[rows]
+    pair = mu == 2.0
+    members = np.concatenate((rows, n - 1 - rows[pair]))
+    g = g_full[members, :h]
+    _, amax, e = _tilt(g, p[:h], s, exponent_shift, c=np.concatenate((c, c[pair])))
+    eg = e * g
+    del g
+    return c, amax, _fold_rows(e, pair), _fold_rows(eg, pair)
+
+
+def _fold_rows(x, pair) -> np.ndarray:
+    """Rows x[:k] plus, where `pair`, their mirror rows x[k:] (k = pair.size)."""
+    out = x[: pair.size].copy()
+    out[pair] += x[pair.size:]
+    return out
 
 
 def _mode_products(mats, v) -> np.ndarray:
@@ -323,12 +379,18 @@ class _Kron:
         return out
 
 
-def _step(e, t, p, c=None):
+def _step(e, t, p, c=None, mu=(1.0, 1.0)):
     """One update from codeword marginal t: returns (col, w, t_new, shift)
     with the column normalizers col = t e, w = p / col, the new marginal
     t_new = t * (e w) and J's shift term sum_ij p_i Q(j|i) c_j p_i =
     ((c t) e) . (p w), which is 0 when `c` is None.  One 2-row product gives
     col and (c t) e.  The channel is e t / col (see `_channel`).
+
+    On a folded kernel (`_folded_tilt`) the rows of e are codeword orbits and
+    its columns one letter per orbit, t, p and col are per codeword or letter,
+    and mu = (row orbit sizes, column orbit sizes).  Then w = mu p / col
+    carries each column orbit's mass and t_new = t * (e w) / mu; the dense
+    step is mu = 1, exact to the last bit.
 
     A normalizer so far below the normal range that p / col overflows is an
     underflow too: the column's mass sits on codewords the grid has lost."""
@@ -339,8 +401,10 @@ def _step(e, t, p, c=None):
     if np.all(col > 0.0):
         with np.errstate(over="ignore", invalid="ignore"):
             w = p / col
+            w *= mu[1]
             ew = e @ w
         if np.isfinite(ew).all():
+            ew /= mu[0]
             shift = 0.0 if c is None else float(cte @ (p * w))
             return col, w, t * ew, shift
     raise NumericalUnderflow(
@@ -390,55 +454,65 @@ def solve_tc_point(
     entries of `t0` at or below PRUNE_EPS are removed from the codeword grid
     for the duration of the solve (they are absorbing anyway) and reported as
     exact zeros in the result.  During the solve, once the codewords whose
-    mass has fallen to PRUNE_EPS make up 1/8 of the live rows, they are cut
+    mass has fallen to PRUNE_EPS make up 1/8 of the live ones, they are cut
     from the iteration's matrices in the same way (one DEBUG line each time);
     the 1/8 keeps the row copies rare while no iteration streams many dead
     rows.  `exponent_shift=False` drops the Gamma P P^T term, which turns the
     update into the plain rate-distortion iteration (used for the
     lossy-compression baseline of correlated sources).  A solve that stops at
-    `max_iter` logs one WARNING with its last steps in I and D_s.
+    `max_iter` logs one WARNING with its last steps in I and D_s, and every
+    solve logs one DEBUG line naming its kernel (dense, folded or factored).
 
     Each iteration is three matrix passes over the live rows of matrices
     built once per slope: [t; c t] e, e w and (e * Gamma) w (without the
     shift, t e in place of the 2-row product).  I comes from J and the
-    moments (module docstring), so no e * a matrix is kept.  The channel is
-    formed once, after the loop, from the marginal that produced the last
-    column normalizers, and the rate is the loop's I for that channel
-    (max(I, 0) / ln 2), so no second mutual-information pass is made.
+    moments (module docstring), so no e * a matrix is kept.  The code
+    marginal is the loop's last t * (e w), the Q p of the last iteration's
+    channel Q = e t / col, and the rate is the loop's I for that channel
+    (max(I, 0) / ln 2).  Q itself is built only when `TcSolution.channel` is
+    first read, from the rows of e rebuilt with the loop's c and amax.
 
-    Memory: a dense solve holds e and e * Gamma, and a mid-solve cut copies
-    one of them at a time.  e * Gamma is dropped before the channel is
-    formed, and the channel is e itself, overwritten, unless rows were cut
-    (then an m x n array of zeros takes the live rows).  A factored solve
-    builds only the live rows of e, for the channel.
-
-    Without the shift, a `DistortionMatrix` with `axes` (quadratic, one
-    product grid on both sides) has e = E_1 (x) ... (x) E_M with
-    E_k = exp(-s Gamma_k), since Gamma = sum_k Gamma_k and no column shift is
-    needed (amax = 0).  The passes then run as per-axis mode products; for
-    M = 2, t e = E_1^T T E_2, e w = E_1 W E_2^T and
-    (e * Gamma) w = (E_1 * Gamma_1) W E_2^T + E_1 W (E_2 * Gamma_2)^T.  Cut
-    rows are held as exact zeros.  Every other input, and a factored solve
-    whose column normalizer underflows (the dense kernel's column shift keeps
-    that column finite), runs on the dense matrices.
+    Kernels (module docstring).  A `DistortionMatrix` with `mirror`, with p
+    and the warm start exactly mirror-symmetric, runs folded, and its code
+    marginal is exactly symmetric too, so a warm-started sweep stays folded.
+    Without the shift, one with `axes` runs factored; for M = 2 the passes are
+    t e = E_1^T T E_2, e w = E_1 W E_2^T and
+    (e * Gamma) w = (E_1 * Gamma_1) W E_2^T + E_1 W (E_2 * Gamma_2)^T.  Every
+    other input runs dense, and a factored solve whose column normalizer
+    underflows (the column shift of the other kernels keeps that column
+    finite) runs again folded or dense.  A dense solve holds e and
+    e * Gamma, a folded one their orbit sums, a quarter of the size, and a
+    factored one only per-axis factors; a mid-solve cut copies one matrix at
+    a time.
     """
     try:
-        return _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift)
+        return _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, True)
     except NumericalUnderflow:
         if _kernel_axes(gamma, exponent_shift) is None:
             raise
     logger.debug("slope %g: a column normalizer underflowed on the per-axis "
-                 "kernel; solving again on the dense one", s)
-    return _solve(p_x, _gamma(gamma), s, tol, max_iter, t0, exponent_shift)
+                 "kernel; solving again without it", s)
+    return _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, False)
 
 
 def _kernel_axes(gamma, exponent_shift):
-    """The per-axis grids the solve factors its kernel over, or None (dense)."""
+    """The per-axis grids the solve factors its kernel over, or None."""
     return None if exponent_shift else getattr(gamma, "axes", None)
 
 
-def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift) -> TcSolution:
-    """`solve_tc_point` on the kernel that gamma's structure selects."""
+def _kernel(gamma, p, t, exponent_shift, factor) -> str:
+    """The kernel a solve runs on: factored, folded or dense."""
+    if factor and _kernel_axes(gamma, exponent_shift) is not None:
+        return "factored"
+    if getattr(gamma, "mirror", False) and np.array_equal(p, p[::-1]) \
+            and np.array_equal(t, t[::-1]):
+        return "folded"
+    return "dense"
+
+
+def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, factor) -> TcSolution:
+    """`solve_tc_point` on the kernel that gamma's structure and the inputs
+    select; `factor=False` rules out the per-axis kernel."""
     p = _probs(p_x)
     g_full = _gamma(gamma)
     m, n = g_full.shape
@@ -457,24 +531,43 @@ def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift) -> TcSolution:
         if t.shape != (m,):
             raise DimensionMismatch("warm start length must match the codeword grid")
 
-    rows = np.flatnonzero(t > PRUNE_EPS)  # codeword index of each live row
+    kernel = _kernel(gamma, p, t, exponent_shift, factor)
+    # the orbit of each codeword (and letter): under the mirror, j and n-1-j
+    # share orbit min(j, n-1-j); otherwise each is its own.  mu_all holds the
+    # orbit sizes.
+    orbit = np.arange(m)
+    if kernel == "folded":
+        orbit = np.minimum(orbit, orbit[::-1])
+    mu_all = np.bincount(orbit).astype(float)
+    t = t[: mu_all.size]  # the mass of one codeword of each orbit
+    rows = np.flatnonzero(t > PRUNE_EPS)  # orbit of each live row
     if rows.size == 0:
         raise NumericalUnderflow("no codewords above the pruning threshold")
-    if rows.size < m:
-        logger.debug("pruning %d dead codewords before slope %g", m - rows.size, s)
-    axes = _kernel_axes(gamma, exponent_shift)
-    if axes is None:
-        g = g_full if rows.size == m else g_full[rows]
-        c, amax, e = _tilt(g, p, s, exponent_shift)
-        eg = e * g
-        del g  # the loop reads only e and e * Gamma
-        p_amax = float(p @ amax)
+    mu = mu_all[rows]
+    n_live = int(mu.sum())
+    if n_live < m:
+        logger.debug("pruning %d dead codewords before slope %g", m - n_live, s)
+    factors = None
+    if kernel == "folded":
+        p_cols, mu_cols = p[: mu_all.size], mu_all
+        c, amax, e, eg = _folded_tilt(g_full, p, s, exponent_shift, rows, mu)
     else:
-        gk = [_sq_diff(a, a) for a in axes]
-        ek = [_exp(-s * table) for table in gk]
-        e = _Kron([ek], rows)
-        eg = _Kron([ek[:k] + [ek[k] * gk[k]] + ek[k + 1:] for k in range(len(ek))], rows)
-        c, p_amax = (g_full @ p)[rows], 0.0
+        p_cols, mu_cols = p, np.ones(n)
+        if kernel == "factored":
+            gk = [_sq_diff(a, a) for a in gamma.axes]
+            factors = [_exp(-s * table) for table in gk]
+            e = _Kron([factors], rows)
+            eg = _Kron([factors[:k] + [factors[k] * gk[k]] + factors[k + 1:]
+                        for k in range(len(factors))], rows)
+            c, amax = (g_full @ p)[rows], np.zeros(n)
+        else:
+            g = g_full if rows.size == m else g_full[rows]
+            c, amax, e = _tilt(g, p, s, exponent_shift)
+            eg = e * g
+            del g  # the loop reads only e and e * Gamma
+    logger.debug("slope %g: %s kernel, %d rows x %d columns", s, kernel, rows.size, p_cols.size)
+    p_mu = mu_cols * p_cols  # the mass of each column's letter orbit
+    p_amax = float(p_mu @ amax)
 
     i_prev = math.inf
     d_prev = math.inf
@@ -484,32 +577,35 @@ def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift) -> TcSolution:
     max_surr_rise = 0.0
     converged = False
     step_i = step_d = math.inf
-    t_new = t[rows] / t[rows].sum()
+    t_new = t[rows] / (mu * t[rows]).sum()
     for iterations in range(1, max_iter + 1):
         tv = t_new  # the marginal behind this iteration's channel e tv / col
         assert (tv >= 0.0).all()  # e >= 0, so the channel is non-negative too
         dead = tv <= PRUNE_EPS
-        n_dead = int(np.count_nonzero(dead))
-        if 8 * n_dead >= tv.size:
+        n_dead = int(mu[dead].sum())
+        if 8 * n_dead >= n_live:
             logger.debug(
                 "slope %g, iteration %d: dropping %d of %d codewords at or below "
-                "PRUNE_EPS", s, iterations, n_dead, tv.size,
+                "PRUNE_EPS", s, iterations, n_dead, n_live,
             )
             live = ~dead
-            rows, c, tv = rows[live], c[live], tv[live]
+            rows, c, tv, mu = rows[live], c[live], tv[live], mu[live]
+            n_live -= n_dead
             # one matrix at a time, so no old and new copies of both are alive
             e = e[live]
             eg = eg[live]
-        col, w, t_new, shift_term = _step(e, tv, p, c if exponent_shift else None)
+        col, w, t_new, shift_term = _step(e, tv, p_cols, c if exponent_shift else None,
+                                          (mu, mu_cols))
         lt = np.where(tv > 0, np.log(np.maximum(tv, 5e-324)), 0.0)
         ltn = np.where(t_new > 0, np.log(np.maximum(t_new, 5e-324)), 0.0)
+        mt_new = mu * t_new  # the mass of each codeword orbit
         # J and I(X;Xhat) in nats from log Q = a - amax + log t - log col.
         # p . amax and s * shift_term nearly cancel, so I subtracts them together.
-        j_amax = float(t_new @ (lt - ltn)) - float(np.log(col) @ p)  # J + p . amax
+        j_amax = float(mt_new @ (lt - ltn)) - float(np.log(col) @ p_mu)  # J + p . amax
         e_joint = float(tv @ (eg @ w))
         surr = j_amax - p_amax
         i_nats = j_amax - s * e_joint - (p_amax - s * shift_term)
-        e_prod = float(t_new @ c)
+        e_prod = float(mt_new @ c)
         d_s = e_prod - e_joint
         lagr = i_nats - s * d_s
         if math.isfinite(lagr_prev):
@@ -540,22 +636,27 @@ def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift) -> TcSolution:
             max_rise,
             s,
         )
+    del e, eg
 
-    del eg  # the channel needs only e
-    q = _channel(e.dense() if isinstance(e, _Kron) else e, tv, col)
-    if rows.size < m:  # cut rows are exact zeros of the channel
-        q_full = np.zeros((m, n))
-        q_full[rows] = q
-        q = q_full
-    t_full = q @ p
+    def per_codeword(v):
+        """A vector over the live orbits, spread over all m codewords."""
+        full = np.zeros(mu_all.size)
+        full[rows] = v
+        return full[orbit]
+
+    codewords = np.flatnonzero(per_codeword(1.0))  # both members of each live orbit
     if isinstance(p_x, Pmf) and p_x.n == m:
         support = p_x.support
     else:
         support = np.arange(m, dtype=float)
+    letters = orbit if kernel == "folded" else slice(None)
+    build_channel = functools.partial(
+        _build_channel, g_full, p, s, exponent_shift, factors, codewords,
+        per_codeword(c)[codewords], per_codeword(tv)[codewords], col[letters], amax[letters],
+    )
     return TcSolution(
         slope_s=float(s),
-        channel=Channel(q),
-        code_marginal=Pmf(support, t_full),
+        code_marginal=Pmf(support, per_codeword(t_new)),
         d_s=d_s,
         rate=max(i_nats, 0.0) / LN2,
         iterations=iterations,
@@ -564,7 +665,24 @@ def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift) -> TcSolution:
         e_joint=e_joint,
         lagrangian_rise=max_rise,
         surrogate_rise=max_surr_rise,
+        build_channel=build_channel,
     )
+
+
+def _build_channel(g_full, p, s, exponent_shift, factors, codewords, c, t, col, amax):
+    """The m x n channel e t / col of a solve's last iteration, with rows of e
+    rebuilt for its live `codewords` (per-axis `factors`, or the tilt of those
+    rows of Gamma with the solve's c and amax) and zeros elsewhere."""
+    if factors is None:
+        _, _, e = _tilt(g_full[codewords], p, s, exponent_shift, c=c, amax=amax)
+    else:
+        e = _Kron([factors], codewords).dense()
+    q = _channel(e, t, col)
+    if codewords.size == g_full.shape[0]:
+        return q
+    q_full = np.zeros(g_full.shape)
+    q_full[codewords] = q
+    return q_full
 
 
 def _sweep(p_x, gamma, s_grid, tol, max_iter, exponent_shift):
@@ -621,8 +739,8 @@ def sweep_points(
     exponent_shift: bool = True,
 ):
     """Sweep `s_grid` like `tc_sweep`, but map each solution to its point under
-    gamma's metric as it is solved and drop it (a solution holds a dense
-    channel).  Returns (d_ids, rates, nonconverged) in ascending slope order,
+    gamma's metric as it is solved and drop it; no solution's channel is
+    built.  Returns (d_ids, rates, nonconverged) in ascending slope order,
     with nonconverged the number of solves that stopped at `max_iter`."""
     metric = _metric_of(gamma)
     d, r, stopped = [], [], 0
@@ -631,7 +749,7 @@ def sweep_points(
         d.append(d_id)
         r.append(rate)
         stopped += not sol.converged
-        del sol  # its dense channel would otherwise sit beside the next solve
+        del sol  # the next solve runs without it
     return np.array(d[::-1]), np.array(r[::-1]), stopped
 
 
@@ -645,7 +763,7 @@ def tc_curve(
 ) -> Curve:
     """Rate-similarity curve traced by sweeping the slope grid."""
     d, r, stopped = sweep_points(p_x, gamma, s_grid, tol=tol, max_iter=max_iter)
-    return curve_from_arrays(d, r, label, nonconverged=stopped)
+    return _solver_curve(d, r, label, stopped)
 
 
 def component_tc_curve(
@@ -665,7 +783,19 @@ def component_tc_curve(
     ]
     d = [float(np.mean(d_at_s)) for d_at_s in zip(*(pc[0] for pc in per_comp))]
     r = [float(np.mean(r_at_s)) for r_at_s in zip(*(pc[1] for pc in per_comp))]
-    return curve_from_arrays(d, r, label, nonconverged=sum(pc[2] for pc in per_comp))
+    return _solver_curve(d, r, label, sum(pc[2] for pc in per_comp))
+
+
+def _solver_curve(d, r, label, stopped) -> Curve:
+    """`curve_from_arrays` for swept points; when `stopped` solves hit their
+    iteration cap, a curve the points cannot form (a rate that falls, say) is
+    a NonConvergence, not bad input."""
+    try:
+        return curve_from_arrays(d, r, label, nonconverged=stopped)
+    except ValueError as exc:
+        if not stopped:
+            raise
+        raise NonConvergence(f"{exc} ({stopped} solves stopped at max_iter)") from exc
 
 
 def _column_lattice(m: int, steps: int) -> np.ndarray:

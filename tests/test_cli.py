@@ -5,10 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
+import idq.idrate
+import idq.sources
+import idq.tcdelta
 from idq import cli
 from idq.cli import parse_curve_file, run
 from idq.errors import NumericalUnderflow
 from idq.idrate import id_rate_iid, lc_delta_rate
+from idq.linalg import jacobi_eigh
 from idq.simulator import estimate_pr_maybe
 from idq.sources import IidGaussian
 
@@ -341,3 +345,67 @@ def test_log_level_debug_reports_pruning(tmp_path, capsys):
     assert "DEBUG idq.tcdelta: " in err
     assert "dead codewords before slope" in err or "at or below PRUNE_EPS" in err
     assert loud.read_bytes() == quiet.read_bytes()  # the level is not a parameter
+
+
+def _falling_sweep(stopped):
+    """A stand-in for `sweep_points` whose rates fall along the curve."""
+    def sweep(*args, **kwargs):
+        return np.array([0.1, 0.2, 0.3]), np.array([0.5, 0.4, 0.6]), stopped
+    return sweep
+
+
+@pytest.mark.parametrize("command", [["tcdelta"], ["tcdelta-components"],
+                                     ["compare", "--source", "mv-gaussian"]])
+@pytest.mark.parametrize("stopped,code", [(1, 3), (0, 2)])
+def test_falling_curve_after_a_capped_solve_is_a_numerical_failure(
+        tmp_path, capsys, monkeypatch, command, stopped, code):
+    # no real run with --max-iter 1-100 gives a falling curve, so the sweep is
+    # replaced; with a solve stopped at its cap the fault is numerical
+    monkeypatch.setenv("IDQ_THREADS", "1")
+    monkeypatch.setattr(idq.tcdelta, "sweep_points", _falling_sweep(stopped))
+    assert run(command + ["--tau-points", "20"] * (command[0] == "compare")
+               + ["--out", str(tmp_path / "o.csv")]) == code
+    err = capsys.readouterr().err
+    assert "rate decreased along increasing d_id" in err
+    assert ("numerical failure" in err) == (code == 3)
+    assert ("solves stopped at max_iter" in err) == (code == 3)
+
+
+def test_tiny_max_iter_is_counted_in_the_header(tmp_path, caplog):
+    args = ["compare", "--source", "mv-gaussian", "--grid-points", "65",
+            "--joint-grid-points", "9", "--slopes", "3", "--tau-points", "20",
+            "--max-iter", "1"]
+    meta, _, rows = run_csv(tmp_path, args)
+    # no solve can meet the stop test in its first iteration: every one of
+    # the 12 stops at the cap, and each says so once
+    assert meta["nonconverged"] == "12" == _stop_warnings(caplog)
+    assert rows
+
+
+def test_compare_mv_decomposes_the_covariance_once(tmp_path, monkeypatch):
+    # one eigendecomposition of the 2x2 covariance serves the component
+    # variances and the joint discretization; each 1x1 component grid adds one
+    dims = []
+
+    def counting(c):
+        dims.append(c.dim)
+        return jacobi_eigh(c)
+
+    for module in (cli, idq.sources):
+        monkeypatch.setattr(module, "jacobi_eigh", counting)
+    run_csv(tmp_path, ["compare", "--source", "mv-gaussian", "--grid-points", "65",
+                       "--joint-grid-points", "9", "--slopes", "2", "--tau-points", "20"])
+    assert sorted(dims) == [1, 1, 2]
+
+
+def test_idrate_mv_water_fills_once_per_level(tmp_path, monkeypatch):
+    levels = []
+
+    def counting(xi, t):
+        levels.append(t)
+        return water_point(xi, t)
+
+    water_point = idq.idrate._water_point
+    monkeypatch.setattr(idq.idrate, "_water_point", counting)
+    _, _, rows = run_csv(tmp_path, ["idrate-mv", "-M", "4", "--tau-points", "25"])
+    assert len(rows) == len(levels) == len(set(levels)) == 25

@@ -21,6 +21,7 @@ from idq.idrate import (
     lc_delta_rate,
     similarity_limit,
     water_filling_allocation,
+    water_filling_point,
 )
 from idq.linalg import SymMatrix, toeplitz_covariance
 from idq.sources import (
@@ -79,6 +80,16 @@ def test_water_filling_allocation_activation():
     assert alloc_lo[1] > 0.0
     pt = id_point_multivariate([1.7, 0.3], 0.25)
     assert pt.d_id == pytest.approx(water_filling_allocation([1.7, 0.3], 0.25).mean(), abs=0.0)
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.3, 0.9, 1.7])
+def test_water_filling_point_is_the_point_and_its_shares(tau):
+    xi = [1.7, 0.9, 0.3, 0.1]
+    point, shares = water_filling_point(xi, tau)
+    assert point == id_point_multivariate(xi, tau)
+    assert shares.tobytes() == water_filling_allocation(xi, tau).tobytes()
+    with pytest.raises(TauOutOfRange):
+        water_filling_point(xi, 2.0)
 
 
 def test_tau_out_of_range():

@@ -168,3 +168,15 @@ def test_discretize_mv_gaussian_moments():
     cross = (probs * letters[:, 0] * letters[:, 1]).sum()
     assert np.allclose(second, [1.0, 1.0], atol=2e-3)
     assert abs(cross - 0.7) <= 2e-3
+
+
+def test_discretize_mv_gaussian_reuses_a_models_decomposition():
+    cov = toeplitz_covariance([1.0, 0.7, 0.2], 3)
+    model = MultivariateGaussian(cov)
+    from_model = discretize_mv_gaussian(model, 6.0, 9)
+    from_matrix = discretize_mv_gaussian(cov, 6.0, 9)
+    for a, b in zip(from_model, from_matrix):
+        assert a.tobytes() == b.tobytes()
+    singular = MultivariateGaussian(SymMatrix(np.ones((2, 2))))  # PSD, not PD
+    with pytest.raises(ValueError, match="strictly positive definite"):
+        discretize_mv_gaussian(singular)

@@ -1,6 +1,8 @@
 import functools
 import logging
 import math
+import tracemalloc
+import unittest.mock
 import weakref
 
 import numpy as np
@@ -527,11 +529,12 @@ def _solve_or_error(*args, **kwargs):
         return type(exc)
 
 
-def _assert_same_solve(a, b):
+def _assert_same_solve(a, b, same_stop=True):
     if not isinstance(a, TcSolution) or not isinstance(b, TcSolution):
         assert a == b
         return
-    assert (a.iterations, a.converged) == (b.iterations, b.converged)
+    assert a.iterations == b.iterations
+    assert a.converged == b.converged or not same_stop
     for name in ("rate", "d_s", "e_prod", "e_joint", "lagrangian_rise", "surrogate_rise"):
         assert abs(getattr(a, name) - getattr(b, name)) <= 1e-12, name
     assert np.max(np.abs(a.channel.q - b.channel.q)) <= 1e-12
@@ -653,3 +656,209 @@ def test_rows_cut_before_and_during_a_factored_solve_give_the_dense_channel(capl
     cut = factored.channel.q.sum(axis=1) == 0.0
     assert cut[[0, 5]].all() and cut.sum() == 18
     assert np.array_equal(cut, dense.channel.q.sum(axis=1) == 0.0)
+
+
+def test_distortion_matrix_records_mirror_symmetry():
+    pmf = discretize_gaussian(1.0, 6.0, 65)
+    letters, _ = discretize_mv_gaussian(toeplitz_covariance([1.0, 0.7], 2), 6.0, 9)
+    for x in (pmf.support, letters, np.array([-2.0, -0.5, 0.5, 2.0])):
+        for metric in ("quadratic", "hamming"):
+            g = distortion_matrix(x, x, metric)
+            assert g.mirror
+            assert np.array_equal(g.gamma[::-1, ::-1], g.gamma)
+    for x, xh in ((pmf.support, pmf.support[::-1]), (pmf.support + 0.5, pmf.support + 0.5),
+                  (letters, letters[::-1])):
+        assert not distortion_matrix(x, xh).mirror
+    assert not bern_setup()[1].mirror  # {0, 1} is no mirror of itself
+
+
+def _mirror_letters(half, middle):
+    """A letter list x with x[::-1] == -x: the points `half`, then 0 when
+    `middle`, then -half in reverse order."""
+    mid = [np.zeros((1, half.shape[1]))] if middle else []
+    return np.concatenate([half] + mid + [-half[::-1]])
+
+
+def _mirror_vector(half, middle_value=None):
+    mid = [] if middle_value is None else [middle_value]
+    return np.concatenate([half, mid, half[::-1]])
+
+
+@st.composite
+def _mirror_cases(draw):
+    """A mirror-symmetric source: letters of 1-3 coordinates, odd or even
+    count, either a product grid of symmetric axes or a free point list;
+    exactly symmetric p and warm start, whose entries may be 0, sub-normal,
+    at PRUNE_EPS, or just above it (rows the solve then cuts)."""
+    dim = draw(st.integers(1, 3))
+    middle = draw(st.booleans())
+    if draw(st.booleans()):
+        pos = arrays(float, st.integers(1, 3), elements=st.floats(0.1, 3.0), unique=True)
+        axes = []
+        for _ in range(dim):
+            b = np.sort(draw(pos))
+            axes.append(np.concatenate([-b[::-1], [0.0] if middle else [], b]))
+        letters = _product_letters(axes)
+    else:
+        k = draw(st.integers(1, 7))
+        half = draw(arrays(float, (k, dim), elements=st.floats(-3.0, 3.0)))
+        letters = _mirror_letters(half, middle)
+    n = len(letters)
+    h, odd = n // 2, n % 2 == 1
+    ph = draw(arrays(float, h, elements=st.floats(0.0, 1.0)))
+    pm = draw(st.floats(0.0, 1.0)) if odd else None
+    p = _mirror_vector(ph, pm)
+    assume(p.sum() > 1e-3)
+    t0 = None
+    if draw(st.booleans()):
+        th = draw(arrays(float, h, elements=st.floats(1e-3, 1.0)))
+        small = draw(arrays(bool, h))
+        th[small] = draw(st.sampled_from([0.0, 1e-310, PRUNE_EPS, 2 * PRUNE_EPS, 1e-290]))
+        t0 = _mirror_vector(th, draw(st.floats(1e-3, 1.0)) if odd else None)
+        assume((t0 > PRUNE_EPS).any())
+        t0 = t0 / t0.sum()
+    s = draw(st.floats(0.0, 20.0))
+    return letters, p / p.sum(), s, t0, draw(st.booleans()), draw(st.integers(1, 40))
+
+
+class _LastStep:
+    """Records the dense loop's last (e, t, col), for the channel it describes."""
+
+    def __init__(self):
+        self.step, self.last = idq.tcdelta._step, None
+
+    def __call__(self, e, t, *args):
+        out = self.step(e, t, *args)
+        self.last = e, t, out[0]
+        return out
+
+    def eager_channel(self):
+        e, t, col = self.last
+        return e * t[:, None] / col
+
+
+def _nonzero_rows(q):
+    return q[q.any(axis=1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mirror_cases())
+def test_folded_kernel_matches_dense(case):
+    # The same solve on the folded kernel (a DistortionMatrix with `mirror`;
+    # its axes are dropped so that the plain rate-distortion solve does not
+    # factor) and on the dense one (the raw table), for a fixed number of
+    # iterations.  The dense loop's own last channel e t / col ("eager")
+    # checks the channel built on demand.
+    letters, p, s, t0, exponent_shift, k = case
+    g = distortion_matrix(letters, letters)
+    assert g.mirror
+    object.__setattr__(g, "axes", None)
+    t = np.full(len(p), 1.0 / len(p)) if t0 is None else t0
+    assert idq.tcdelta._kernel(g, p, t, exponent_shift, True) == "folded"
+    folded = _solve_or_error(p, g, s, 0.0, k, t0, exponent_shift)
+    dense = _solve_or_error(p, g.gamma, s, 0.0, k, t0, exponent_shift)
+    if isinstance(folded, TcSolution) and isinstance(dense, TcSolution) \
+            and folded.iterations != dense.iterations:
+        # At tol=0 a solve stops early only where I and D_s stand still to the
+        # last bit while the marginal may still move (see the factored test);
+        # rounding decides in which iteration either kernel sees that.  Both
+        # are then compared after the same number of iterations.
+        k = min(folded.iterations, dense.iterations)
+        folded = _solve_or_error(p, g, s, 0.0, k, t0, exponent_shift)
+    spy = _LastStep()
+    with unittest.mock.patch.object(idq.tcdelta, "_step", spy):
+        dense = _solve_or_error(p, g.gamma, s, 0.0, k, t0, exponent_shift)
+    _assert_same_solve(folded, dense, same_stop=False)
+    if isinstance(dense, TcSolution):
+        q = dense.channel.q
+        assert np.array_equal(_nonzero_rows(spy.eager_channel()), _nonzero_rows(q))
+        # the folded solve's channel and code marginal are mirror-symmetric
+        assert np.array_equal(folded.channel.q[::-1, ::-1], folded.channel.q)
+        assert np.array_equal(folded.code_marginal.probs[::-1], folded.code_marginal.probs)
+
+
+@pytest.mark.parametrize("exponent_shift", [True, False])
+def test_rows_cut_during_a_folded_solve_give_the_dense_solve(caplog, exponent_shift):
+    p, g, s = _compaction_case()
+    object.__setattr__(g, "axes", None)
+    sols = []
+    for gamma, kernel in ((g, "folded"), (g.gamma, "dense")):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="idq.tcdelta"):
+            sols.append(solve_tc_point(p, gamma, s, exponent_shift=exponent_shift))
+        assert f"slope 0.2: {kernel} kernel" in caplog.text
+        assert "at or below PRUNE_EPS" in caplog.text
+    folded, dense = sols
+    _assert_same_solve(folded, dense)
+    cut = folded.code_marginal.probs == 0.0
+    assert cut.sum() >= 33 // 8 and np.array_equal(cut, dense.code_marginal.probs == 0.0)
+    assert np.all(folded.channel.q[cut] == 0.0)
+
+
+def test_asymmetric_source_or_warm_start_runs_dense():
+    pmf = discretize_gaussian(1.0, 6.0, 65)
+    g = distortion_matrix(pmf.support, pmf.support)
+    p = pmf.probs
+    tilted = p * np.linspace(1.0, 1.5, p.size)
+    t0 = np.full(p.size, 1.0 / p.size)
+    t0[0] = 0.0
+    assert idq.tcdelta._kernel(g, p, t0 / t0.sum(), True, True) == "dense"
+    assert idq.tcdelta._kernel(g, tilted / tilted.sum(), t0[::-1], True, True) == "dense"
+    assert idq.tcdelta._kernel(g.gamma, p, p, True, True) == "dense"
+    assert idq.tcdelta._kernel(g, p, p, True, True) == "folded"
+    assert idq.tcdelta._kernel(g, p, p, False, True) == "factored"
+    assert idq.tcdelta._kernel(g, p, p, False, False) == "folded"
+
+
+def test_every_compare_mv_solve_is_folded_or_factored(caplog, monkeypatch):
+    # a warm start that lost its exact symmetry would silently send the rest
+    # of a sweep to the dense kernel; every solve logs the kernel it ran on
+    monkeypatch.setenv("IDQ_THREADS", "1")
+    args = ["compare", "--source", "mv-gaussian", "--grid-points", "65",
+            "--joint-grid-points", "9", "--slopes", "5", "--tau-points", "20", "--out", "-"]
+    with caplog.at_level(logging.DEBUG, logger="idq.tcdelta"):
+        assert run(args) == 0
+    kernels = [r.getMessage().split(": ")[1].split(" kernel")[0] for r in caplog.records
+               if " kernel, " in r.getMessage()]
+    # two component sweeps and two joint sweeps of 5 slopes each
+    assert len(kernels) == 20
+    assert set(kernels) == {"folded", "factored"}
+    assert kernels.count("factored") == 5  # the joint plain rate-distortion sweep
+
+
+def test_sweep_points_builds_no_channel(monkeypatch):
+    # a solution's channel is an n x n array; a sweep never asks for one, on
+    # either kernel
+    def no_channel(*args, **kwargs):
+        raise AssertionError("a sweep built a channel")
+
+    monkeypatch.setattr(idq.tcdelta, "Channel", no_channel)
+    monkeypatch.setattr(idq.tcdelta, "_build_channel", no_channel)
+    monkeypatch.setattr(idq.tcdelta._Kron, "dense", no_channel)
+    letters, probs = discretize_mv_gaussian(toeplitz_covariance([1.0, 0.7], 2), 6.0, 33)
+    g = distortion_matrix(letters, letters)
+    s_grid = np.geomspace(0.5, 20.0, 3)
+    tracemalloc.start()
+    try:
+        d, r, _ = sweep_points(probs, g, s_grid, max_iter=30, exponent_shift=False)
+        _, factored_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the factored kernel holds per-axis factors and vectors only: far less
+    # than one 1089 x 1089 array
+    assert factored_peak < g.gamma.nbytes / 8
+    assert np.all(np.isfinite(r))
+    d, r, _ = sweep_points(probs, g, s_grid, max_iter=30)
+    assert np.all(np.isfinite(r))
+
+
+def test_factored_kernel_falls_back_to_the_folded_one(caplog):
+    # as above, on a mirror-symmetric grid: the one live codeword, 0, sits at
+    # squared distance 100 from letters -10 and 10
+    g = distortion_matrix([-10.0, 0.0, 10.0], [-10.0, 0.0, 10.0])
+    p, t0 = np.full(3, 1.0 / 3), np.array([0.0, 1.0, 0.0])
+    with caplog.at_level(logging.DEBUG, logger="idq.tcdelta"):
+        sol = solve_tc_point(p, g, 20.0, t0=t0, exponent_shift=False)
+    assert "factored kernel" in caplog.text and "folded kernel" in caplog.text
+    assert sol.channel.q.tolist() == [[0.0] * 3, [1.0] * 3, [0.0] * 3]
+    _assert_same_solve(sol, solve_tc_point(p, g.gamma, 20.0, t0=t0, exponent_shift=False))
