@@ -5,10 +5,12 @@ command, all parameter values, the rate unit (always bits), and the seed, so
 any file can be regenerated from its own header.  Infinite rates are written
 as the literal string `inf`.  The environment variable IDQ_THREADS caps
 worker parallelism (unset = 1, 0 = one worker per CPU): the simulator's
-nearest-codeword search, and `compare --source mv-gaussian`, which with more
-than one worker runs its joint sweeps and its component model side by side.
-Output files do not depend on it; WARNING lines of the two sides may
-interleave in any order, and the `nonconverged=` header is the stable count.
+nearest-codeword search, and `compare --source mv-gaussian`, which submits its
+joint sweeps and its component model to one pool of up to two workers (one
+after the other on one worker, side by side on two).  When both fail, the
+joint sweeps' error is the one reported, at any worker count.  Output files
+do not depend on it; WARNING lines of the two sides may interleave in any
+order, and the `nonconverged=` header is the stable count.
 `--log-level` sets the level of the `idq` loggers for the run, whose records
 go to stderr; it changes no output file.
 """
@@ -246,8 +248,8 @@ def _cmd_compare(args) -> int:
     star = id_curve_multivariate(xi, default_tau_grid(float(xi.max()), args.tau_points))
     s_grid = _slope_grid(args, variance=args.variance)
 
-    # With more than one worker the joint sweeps (lane 1) and the component
-    # model (lane 2) run side by side.  The two joint sweeps share a lane, so
+    # The joint sweeps (lane 1) and the component model (lane 2) run side by
+    # side when there are two workers.  The two joint sweeps share a lane, so
     # their joint-letter matrices are never alive at once.
     def components():
         return component_tc_curve(comps, s_grid, tol=args.tol, max_iter=args.max_iter)
@@ -260,14 +262,11 @@ def _cmd_compare(args) -> int:
                              exponent_shift=exponent_shift)
                 for exponent_shift in (True, False)]
 
-    if _workers() > 1:  # an invalid IDQ_THREADS stops the run before any solve
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            lanes = [pool.submit(joint), pool.submit(components)]
-        sweeps = lanes[0].result()  # lane 1's error comes first if both failed
-        comp_curve = lanes[1].result()
-    else:
-        comp_curve = components()
-        sweeps = joint()
+    # an invalid IDQ_THREADS stops the run before any solve
+    with ThreadPoolExecutor(max_workers=min(2, _workers())) as pool:
+        lanes = [pool.submit(joint), pool.submit(components)]
+    sweeps = lanes[0].result()  # lane 1's error comes first if both failed
+    comp_curve = lanes[1].result()
 
     stopped = comp_curve.nonconverged
     curves = []  # per-letter (d_id, rate) of the TC solver, then of plain rate-distortion

@@ -82,10 +82,7 @@ def jacobi_eigh(c: SymMatrix) -> EigenPair:
         w, v = np.linalg.eigh(c.a)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"LAPACK eigensolver failed: {exc}") from exc
-    return _finalize(w, v, c.a, np.max(np.abs(c.a)))
-
-
-def _finalize(w, v, original, scale):
+    scale = np.max(np.abs(c.a))
     w[(w < 0.0) & (w >= -_EIG_CLAMP * scale)] = 0.0
     order = np.argsort(-w, kind="stable")
     w = w[order]
@@ -98,7 +95,7 @@ def _finalize(w, v, original, scale):
             v[:, k] = -col
     pair = EigenPair(w, v)
     if scale > 0.0:
-        resid = np.max(np.abs((v * w) @ v.T - original))
+        resid = np.max(np.abs((v * w) @ v.T - c.a))
         if resid > 1e-9 * scale:
             raise NonConvergence("reconstruction residual above tolerance")
     return pair

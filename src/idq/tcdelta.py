@@ -24,7 +24,8 @@ An iteration is thus three matrix-vector passes (two when
 PRUNE_EPS are cut during the solve, and entries of e that would be sub-normal
 are exact zeros.  The code marginal is the loop's last t * (e w), which is
 Q p, and the reported rate, E_prod and E_joint are the loop's values for that
-Q; the channel itself is built only when it is asked for.
+Q; the channel itself is built only when it is asked for, on every kernel
+from the live rows of Gamma and the loop's last c, amax, t and col.
 
 The passes run on one of three kernels, and the loop is the same on each.
 Every source the CLI discretizes is zero-mean on a grid of integer offsets,
@@ -34,7 +35,8 @@ is convex and invariant under that mirror, so from a symmetric start every
 iterate stays symmetric, and the folded kernel iterates on the ceil(n/2)
 codeword orbits x ceil(n/2) letter orbits: A = e[R] + e[sigma R] and the same
 sum of e * Gamma, with the orbit sizes (1 or 2) weighting the columns and the
-sums over codewords.  The dense kernel is the case of one-letter orbits.
+sums over codewords.  The dense kernel is the case of one-letter orbits: one
+set-up builds both, and the loop sees only orbit maps and orbit sizes.
 
 Without the shift, quadratic distortion between one lexicographic product
 grid on both sides is a sum over axes, Gamma = sum_k Gamma_k, and nothing is
@@ -308,27 +310,31 @@ def _tilt(g, p, s: float, exponent_shift: bool = True, c=None, amax=None):
     return c, amax, _exp(a)
 
 
-def _folded_tilt(g_full, p, s: float, exponent_shift: bool, rows, mu):
-    """`_tilt` of a mirror-symmetric table on the live codeword orbits `rows`
-    (sizes mu) and the letters R = 0 .. ceil(n/2)-1, one per letter orbit:
-    (c, amax, A, AG) with the orbit sums A = e[R] + e[sigma R] and
-    AG = (e * Gamma)[R] + (e * Gamma)[sigma R], sigma(j) = n-1-j.  The
-    exponent is formed on the columns R only, with c mirrored from the rows
-    R."""
+def _folded_tilt(g_full, p, s: float, exponent_shift: bool, rows, mu, c, h):
+    """`_tilt` on the live codeword orbits `rows` (sizes mu, Gamma p values c)
+    and the letters 0 .. h-1, one per letter orbit: (amax, A, AG) with the
+    orbit sums A = e[R] + e[sigma R] and AG = (e * Gamma)[R] + (e * Gamma)[sigma R]
+    over the codeword orbits R, sigma(j) = n-1-j.  Under the mirror
+    h = ceil(n/2), and c is mirrored from the rows R.  The dense kernel is
+    the case h = n, mu = 1: A and AG are the rows `rows` of e and e * Gamma,
+    and a table whose rows are all live is tilted with no copy of Gamma."""
     n = g_full.shape[1]
-    h = (n + 1) // 2
-    c = (g_full[:h] @ p)[rows]
     pair = mu == 2.0
-    members = np.concatenate((rows, n - 1 - rows[pair]))
-    g = g_full[members, :h]
+    if rows.size == g_full.shape[0]:
+        g = g_full[:, :h]  # every codeword its own live orbit, h = n: a view
+    else:
+        g = g_full[np.concatenate((rows, n - 1 - rows[pair])), :h]
     _, amax, e = _tilt(g, p[:h], s, exponent_shift, c=np.concatenate((c, c[pair])))
     eg = e * g
     del g
-    return c, amax, _fold_rows(e, pair), _fold_rows(eg, pair)
+    return amax, _fold_rows(e, pair), _fold_rows(eg, pair)
 
 
 def _fold_rows(x, pair) -> np.ndarray:
-    """Rows x[:k] plus, where `pair`, their mirror rows x[k:] (k = pair.size)."""
+    """Rows x[:k] plus, where `pair`, their mirror rows x[k:] (k = pair.size);
+    x itself when it has no mirror rows."""
+    if x.shape[0] == pair.size:
+        return x
     out = x[: pair.size].copy()
     out[pair] += x[pair.size:]
     return out
@@ -364,19 +370,6 @@ class _Kron:
         full = np.zeros(math.prod(a.shape[0] for a in self.terms[0]))
         full[self.rows] = t
         return sum(_mode_products([a.T for a in term], full) for term in self.terms)
-
-    def dense(self) -> np.ndarray:
-        """The rows `rows` of the matrix, and no others: each row is the outer
-        product of one row per axis, multiplied left to right as np.kron
-        does, so every entry is the same product, bit for bit."""
-        idx = np.unravel_index(self.rows, [a.shape[0] for a in self.terms[0]])
-        out = None
-        for term in self.terms:
-            block = term[0][idx[0]]
-            for a, i in zip(term[1:], idx[1:]):
-                block = (block[:, :, None] * a[i][:, None, :]).reshape(self.rows.size, -1)
-            out = block if out is None else np.add(out, block, out=out)
-        return out
 
 
 def _step(e, t, p, c=None, mu=(1.0, 1.0)):
@@ -430,8 +423,8 @@ def ba_step(p_x, t, gamma, s: float):
     tv = t.probs if isinstance(t, Pmf) else np.asarray(t, dtype=float)
     if g.shape != (tv.size, p.size):
         raise DimensionMismatch("gamma shape must be (len(t), len(p_x))")
-    if s < 0:
-        raise ValueError("slope must be non-negative")
+    if not 0.0 <= s < math.inf:  # also rejects NaN
+        raise ValueError("slope must be finite and non-negative")
     _, _, e = _tilt(g, p, s)
     col, _, t_new, _ = _step(e, tv, p)
     support = t.support if isinstance(t, Pmf) else np.arange(tv.size, dtype=float)
@@ -470,7 +463,8 @@ def solve_tc_point(
     marginal is the loop's last t * (e w), the Q p of the last iteration's
     channel Q = e t / col, and the rate is the loop's I for that channel
     (max(I, 0) / ln 2).  Q itself is built only when `TcSolution.channel` is
-    first read, from the rows of e rebuilt with the loop's c and amax.
+    first read, on every kernel from the live rows of Gamma tilted again with
+    the loop's c and amax (`_build_channel`).
 
     Kernels (module docstring).  A `DistortionMatrix` with `mirror`, with p
     and the warm start exactly mirror-symmetric, runs folded, and its code
@@ -480,10 +474,11 @@ def solve_tc_point(
     (e * Gamma) w = (E_1 * Gamma_1) W E_2^T + E_1 W (E_2 * Gamma_2)^T.  Every
     other input runs dense, and a factored solve whose column normalizer
     underflows (the column shift of the other kernels keeps that column
-    finite) runs again folded or dense.  A dense solve holds e and
-    e * Gamma, a folded one their orbit sums, a quarter of the size, and a
-    factored one only per-axis factors; a mid-solve cut copies one matrix at
-    a time.
+    finite) runs again folded or dense.  Dense and folded matrices come from
+    one set-up (`_folded_tilt`), dense being the case of one-letter orbits.
+    A dense solve holds e and e * Gamma, a folded one their orbit sums, a
+    quarter of the size, and a factored one only per-axis factors; a
+    mid-solve cut copies one matrix at a time.
     """
     try:
         return _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, True)
@@ -518,8 +513,8 @@ def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, factor) -> TcSoluti
     m, n = g_full.shape
     if n != p.size:
         raise DimensionMismatch("gamma columns must match the source alphabet")
-    if s < 0:
-        raise ValueError("slope must be non-negative")
+    if not 0.0 <= s < math.inf:  # also rejects NaN
+        raise ValueError("slope must be finite and non-negative")
     if not tol >= 0:  # also rejects NaN, which no step would ever meet
         raise ValueError("tol must be non-negative")
     if max_iter < 1:
@@ -532,13 +527,15 @@ def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, factor) -> TcSoluti
             raise DimensionMismatch("warm start length must match the codeword grid")
 
     kernel = _kernel(gamma, p, t, exponent_shift, factor)
-    # the orbit of each codeword (and letter): under the mirror, j and n-1-j
-    # share orbit min(j, n-1-j); otherwise each is its own.  mu_all holds the
-    # orbit sizes.
-    orbit = np.arange(m)
+    # the orbit of each codeword and of each letter: under the mirror (m = n),
+    # j and n-1-j share orbit min(j, n-1-j); otherwise each is its own.
+    # mu_all and mu_cols hold the orbit sizes.
+    orbit, letter_orbit = np.arange(m), np.arange(n)
     if kernel == "folded":
-        orbit = np.minimum(orbit, orbit[::-1])
+        orbit = letter_orbit = np.minimum(letter_orbit, letter_orbit[::-1])
     mu_all = np.bincount(orbit).astype(float)
+    mu_cols = np.bincount(letter_orbit).astype(float)
+    p_cols = p[: mu_cols.size]  # the mass of one letter of each orbit
     t = t[: mu_all.size]  # the mass of one codeword of each orbit
     rows = np.flatnonzero(t > PRUNE_EPS)  # orbit of each live row
     if rows.size == 0:
@@ -547,24 +544,16 @@ def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, factor) -> TcSoluti
     n_live = int(mu.sum())
     if n_live < m:
         logger.debug("pruning %d dead codewords before slope %g", m - n_live, s)
-    factors = None
-    if kernel == "folded":
-        p_cols, mu_cols = p[: mu_all.size], mu_all
-        c, amax, e, eg = _folded_tilt(g_full, p, s, exponent_shift, rows, mu)
+    c = (g_full[: mu_all.size] @ p)[rows]  # Gamma p on each live orbit
+    if kernel == "factored":
+        gk = [_sq_diff(a, a) for a in gamma.axes]
+        factors = [_exp(-s * table) for table in gk]
+        e = _Kron([factors], rows)
+        eg = _Kron([factors[:k] + [factors[k] * gk[k]] + factors[k + 1:]
+                    for k in range(len(factors))], rows)
+        amax = np.zeros(n)
     else:
-        p_cols, mu_cols = p, np.ones(n)
-        if kernel == "factored":
-            gk = [_sq_diff(a, a) for a in gamma.axes]
-            factors = [_exp(-s * table) for table in gk]
-            e = _Kron([factors], rows)
-            eg = _Kron([factors[:k] + [factors[k] * gk[k]] + factors[k + 1:]
-                        for k in range(len(factors))], rows)
-            c, amax = (g_full @ p)[rows], np.zeros(n)
-        else:
-            g = g_full if rows.size == m else g_full[rows]
-            c, amax, e = _tilt(g, p, s, exponent_shift)
-            eg = e * g
-            del g  # the loop reads only e and e * Gamma
+        amax, e, eg = _folded_tilt(g_full, p, s, exponent_shift, rows, mu, c, mu_cols.size)
     logger.debug("slope %g: %s kernel, %d rows x %d columns", s, kernel, rows.size, p_cols.size)
     p_mu = mu_cols * p_cols  # the mass of each column's letter orbit
     p_amax = float(p_mu @ amax)
@@ -649,10 +638,9 @@ def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, factor) -> TcSoluti
         support = p_x.support
     else:
         support = np.arange(m, dtype=float)
-    letters = orbit if kernel == "folded" else slice(None)
     build_channel = functools.partial(
-        _build_channel, g_full, p, s, exponent_shift, factors, codewords,
-        per_codeword(c)[codewords], per_codeword(tv)[codewords], col[letters], amax[letters],
+        _build_channel, g_full, p, s, exponent_shift, codewords, per_codeword(c)[codewords],
+        per_codeword(tv)[codewords], col[letter_orbit], amax[letter_orbit],
     )
     return TcSolution(
         slope_s=float(s),
@@ -669,14 +657,13 @@ def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, factor) -> TcSoluti
     )
 
 
-def _build_channel(g_full, p, s, exponent_shift, factors, codewords, c, t, col, amax):
-    """The m x n channel e t / col of a solve's last iteration, with rows of e
-    rebuilt for its live `codewords` (per-axis `factors`, or the tilt of those
-    rows of Gamma with the solve's c and amax) and zeros elsewhere."""
-    if factors is None:
-        _, _, e = _tilt(g_full[codewords], p, s, exponent_shift, c=c, amax=amax)
-    else:
-        e = _Kron([factors], codewords).dense()
+def _build_channel(g_full, p, s, exponent_shift, codewords, c, t, col, amax):
+    """The m x n channel e t / col of a solve's last iteration, with zeros
+    outside its live `codewords`: the rows of e are the tilt of those rows of
+    Gamma with the solve's own c and amax, on every kernel.  A factored solve
+    subtracts amax = 0, and its rows agree with the per-axis product
+    E_1 (x) ... (x) E_M up to rounding."""
+    _, _, e = _tilt(g_full[codewords], p, s, exponent_shift, c=c, amax=amax)
     q = _channel(e, t, col)
     if codewords.size == g_full.shape[0]:
         return q
@@ -698,8 +685,10 @@ def _sweep(p_x, gamma, s_grid, tol, max_iter, exponent_shift):
     svals = np.asarray(s_grid, dtype=float)
     if svals.ndim != 1 or svals.size == 0:
         raise ValueError("slope grid must be a non-empty 1-D array")
-    if np.any(svals < 0) or np.any(np.diff(svals) < 0):
-        raise ValueError("slope grid must be sorted ascending and non-negative")
+    if not np.all((0.0 <= svals) & (svals < math.inf)):  # also rejects NaN
+        raise ValueError("slope must be finite and non-negative")
+    if np.any(np.diff(svals) < 0):
+        raise ValueError("slope grid must be sorted ascending")
     t_prev = None
     for s in svals[::-1]:
         sol = solve_tc_point(p_x, gamma, float(s), tol=tol, max_iter=max_iter,

@@ -232,12 +232,11 @@ def test_numerical_failure_in_either_compare_lane_exits_3(tmp_path, capsys, monk
     assert not out.exists()
 
 
-@pytest.mark.parametrize("threads,first", [("1", "component_tc_curve"),
+@pytest.mark.parametrize("threads,first", [("1", "sweep_points"),
                                            ("2", "sweep_points")])
 def test_compare_mv_reports_one_error_when_both_lanes_fail(tmp_path, capsys, monkeypatch,
                                                            threads, first):
-    # one worker stops at the component model, which it runs first; side by
-    # side, the joint lane's error is raised first
+    # at any worker count the joint lane's error is raised first
     monkeypatch.setenv("IDQ_THREADS", threads)
     for lane in ("sweep_points", "component_tc_curve"):
         monkeypatch.setattr(cli, lane, _underflow(f"{lane} failed"))
@@ -360,10 +359,12 @@ def _falling_sweep(stopped):
 def test_falling_curve_after_a_capped_solve_is_a_numerical_failure(
         tmp_path, capsys, monkeypatch, command, stopped, code):
     # no real run with --max-iter 1-100 gives a falling curve, so the sweep is
-    # replaced; with a solve stopped at its cap the fault is numerical
+    # replaced; with a solve stopped at its cap the fault is numerical.  The
+    # joint lane of `compare` still runs for real, on a small grid.
     monkeypatch.setenv("IDQ_THREADS", "1")
     monkeypatch.setattr(idq.tcdelta, "sweep_points", _falling_sweep(stopped))
-    assert run(command + ["--tau-points", "20"] * (command[0] == "compare")
+    small = ["--tau-points", "20", "--joint-grid-points", "9"]
+    assert run(command + small * (command[0] == "compare")
                + ["--out", str(tmp_path / "o.csv")]) == code
     err = capsys.readouterr().err
     assert "rate decreased along increasing d_id" in err
