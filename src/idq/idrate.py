@@ -189,9 +189,7 @@ def similarity_limit(model: SourceModel) -> float:
     2 sigma^2 for scalar Gaussians, twice the average covariance trace for
     multivariate blocks.
     """
-    if isinstance(model, IidGaussian):
-        return 2.0 * model.variance
-    if isinstance(model, GaussMarkov):
+    if isinstance(model, (IidGaussian, GaussMarkov)):
         return 2.0 * model.variance
     if isinstance(model, MultivariateGaussian):
         return 2.0 * float(np.trace(model.covariance.a)) / model.dim

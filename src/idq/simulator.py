@@ -180,7 +180,13 @@ def _maybe(d_hat, stored, d_id):
     <= sqrt(stored) + sqrt(d_id), so a similar pair can never be rejected.
     Elementwise over arrays of per-sample distances.
     """
-    return np.sqrt(d_hat) <= np.sqrt(stored) + np.sqrt(d_id)
+    # d_hat, stored and d(x, y) are each a mean of L rounded squares of
+    # rounded differences, within (L + 3) u of exact (u = 2^-53, first
+    # order); through three square roots, a sum and the product below, the
+    # two sides stray by at most (L + 7) u.  1e-13, about 900 u, covers blocks
+    # of up to 890 samples even under sequential sums.  Without it, rounding
+    # can reject a pair at triangle equality (collinear points).
+    return np.sqrt(d_hat) <= (np.sqrt(stored) + np.sqrt(d_id)) * (1.0 + 1e-13)
 
 
 def query_decide(sig: Signature, cb: Codebook, y, d_id: float, x=None) -> QueryOutcome:
@@ -209,6 +215,27 @@ def _sub_block_len(rate_bits: float, block_len: int) -> int:
         if block_len % cand == 0 and rate_bits * cand <= MAX_SUB_BLOCK_BITS:
             return cand
     return 1
+
+
+def _encode(cb: Codebook, x, y):
+    """Per-sample stored and query distances (stored, d_hat) of the blocks x
+    (rows, each quantized as consecutive sub-blocks of cb.block_len samples
+    by their nearest codewords) and the query blocks y."""
+    stored, d_hat = np.zeros(x.shape[0]), np.zeros(x.shape[0])
+    for lo in range(0, x.shape[1], cb.block_len):
+        sub = slice(lo, lo + cb.block_len)
+        idx, dist = _nearest(cb.codewords, x[:, sub])
+        stored += dist
+        d_hat += ((cb.codewords[idx] - y[:, sub]) ** 2).sum(axis=1)
+    return stored / x.shape[1], d_hat / x.shape[1]
+
+
+def _tally(maybe, d_xy, d_id):
+    """(Pr{maybe} estimate, binomial standard error, false negatives) of the
+    decisions `maybe` on pairs at per-sample distances d_xy, threshold d_id."""
+    false_neg = int(((d_xy <= d_id) & ~maybe).sum())
+    est = float(maybe.mean())
+    return est, math.sqrt(est * (1.0 - est) / maybe.size), false_neg
 
 
 def _sample_streams(model, block_len: int, n_train: int, n_generators: int, trials: int, seed):
@@ -271,27 +298,13 @@ def estimate_pr_maybe(
     )
     cb = train_codebook(train_blocks.reshape(-1, sub_len), rate_bits, sub_len, km_rng)
 
-    stored = np.zeros(trials)
-    d_hat = np.zeros(trials)
-    for cidx in range(n_sub):
-        sl = slice(cidx * sub_len, (cidx + 1) * sub_len)
-        idx, dist = _nearest(cb.codewords, x[:, sl])
-        stored += dist
-        d_hat += ((cb.codewords[idx] - y[:, sl]) ** 2).sum(axis=1)
-    stored /= block_len
-    d_hat /= block_len
+    stored, d_hat = _encode(cb, x, y)
     d_xy = ((x - y) ** 2).mean(axis=1)
-
-    ests, stderrs, false_neg = [], [], 0
-    for d in d_ids.ravel():
-        maybe = _maybe(d_hat, stored, d)
-        false_neg += int(((d_xy <= d) & ~maybe).sum())
-        est = float(maybe.mean())
-        ests.append(est)
-        stderrs.append(math.sqrt(est * (1.0 - est) / trials))
+    ests, stderrs, false_negs = zip(*(_tally(_maybe(d_hat, stored, d), d_xy, d)
+                                      for d in d_ids.ravel()))
     if d_ids.ndim == 0:
-        return ests[0], stderrs[0], false_neg
-    return ests, stderrs, false_neg
+        return ests[0], stderrs[0], false_negs[0]
+    return list(ests), list(stderrs), sum(false_negs)
 
 
 def component_scheme_pr_maybe(
@@ -348,16 +361,9 @@ def component_scheme_pr_maybe(
 
     maybe = np.ones(trials, dtype=bool)
     for m in range(m_dim):
-        idx, dist = _nearest(books[m].codewords, xc[:, m][:, None])
-        xhat = books[m].codewords[idx, 0]
-        d_hat = (xhat - yc[:, m]) ** 2
-        comp_maybe = _maybe(d_hat, dist, d_ids.sum())
+        stored, d_hat = _encode(books[m], xc[:, m:m + 1], yc[:, m:m + 1])
+        comp_maybe = _maybe(d_hat, stored, d_ids.sum())
         if decision_log is not None:
             decision_log.append(comp_maybe.copy())
         maybe &= comp_maybe
-
-    truly = ((x - y) ** 2).mean(axis=1) <= d_id
-    false_neg = int((truly & ~maybe).sum())
-    est = float(maybe.mean())
-    stderr = math.sqrt(est * (1.0 - est) / trials)
-    return est, stderr, false_neg
+    return _tally(maybe, ((x - y) ** 2).mean(axis=1), d_id)

@@ -32,11 +32,11 @@ Every source the CLI discretizes is zero-mean on a grid of integer offsets,
 so x -> -x maps the letter list onto itself reversed, and p and Gamma are
 symmetric under j -> n-1-j to the last bit (`DistortionMatrix.mirror`).  J
 is convex and invariant under that mirror, so from a symmetric start every
-iterate stays symmetric, and the folded kernel iterates on the ceil(n/2)
-codeword orbits x ceil(n/2) letter orbits: A = e[R] + e[sigma R] and the same
-sum of e * Gamma, with the orbit sizes (1 or 2) weighting the columns and the
-sums over codewords.  The dense kernel is the case of one-letter orbits: one
-set-up builds both, and the loop sees only orbit maps and orbit sizes.
+iterate stays symmetric.  The folded kernel runs the same loop on the
+quotient problem over ceil(n/2) codeword and letter orbits: the orbit averages
+K = (e[R] + e[sigma R]) / mu of the rows of e and of e * Gamma (orbit sizes
+mu in {1, 2}, so every rescaling is exact), the letter-orbit masses p' and the
+codeword-orbit masses t' = mu * t.  Dense is the case of one-letter orbits.
 
 Without the shift, quadratic distortion between one lexicographic product
 grid on both sides is a sum over axes, Gamma = sum_k Gamma_k, and nothing is
@@ -312,11 +312,11 @@ def _tilt(g, p, s: float, exponent_shift: bool = True, c=None, amax=None):
 
 def _folded_tilt(g_full, p, s: float, exponent_shift: bool, rows, mu, c, h):
     """`_tilt` on the live codeword orbits `rows` (sizes mu, Gamma p values c)
-    and the letters 0 .. h-1, one per letter orbit: (amax, A, AG) with the
-    orbit sums A = e[R] + e[sigma R] and AG = (e * Gamma)[R] + (e * Gamma)[sigma R]
+    and the letters 0 .. h-1, one per letter orbit: (amax, K, KG) with the
+    orbit averages K = (e[R] + e[sigma R]) / mu and KG the same of e * Gamma
     over the codeword orbits R, sigma(j) = n-1-j.  Under the mirror
     h = ceil(n/2), and c is mirrored from the rows R.  The dense kernel is
-    the case h = n, mu = 1: A and AG are the rows `rows` of e and e * Gamma,
+    the case h = n, mu = 1: K and KG are the rows `rows` of e and e * Gamma,
     and a table whose rows are all live is tilted with no copy of Gamma."""
     n = g_full.shape[1]
     pair = mu == 2.0
@@ -327,16 +327,17 @@ def _folded_tilt(g_full, p, s: float, exponent_shift: bool, rows, mu, c, h):
     _, amax, e = _tilt(g, p[:h], s, exponent_shift, c=np.concatenate((c, c[pair])))
     eg = e * g
     del g
-    return amax, _fold_rows(e, pair), _fold_rows(eg, pair)
+    return amax, _fold_rows(e, mu), _fold_rows(eg, mu)
 
 
-def _fold_rows(x, pair) -> np.ndarray:
-    """Rows x[:k] plus, where `pair`, their mirror rows x[k:] (k = pair.size);
-    x itself when it has no mirror rows."""
-    if x.shape[0] == pair.size:
+def _fold_rows(x, mu) -> np.ndarray:
+    """Orbit averages of the rows x[:k] (k = mu.size) and, where mu = 2, their
+    mirror rows x[k:]; x itself when it has no mirror rows."""
+    if x.shape[0] == mu.size:
         return x
-    out = x[: pair.size].copy()
-    out[pair] += x[pair.size:]
+    out = x[: mu.size].copy()
+    out[mu == 2.0] += x[mu.size:]
+    out /= mu[:, None]
     return out
 
 
@@ -372,34 +373,27 @@ class _Kron:
         return sum(_mode_products([a.T for a in term], full) for term in self.terms)
 
 
-def _step(e, t, p, c=None, mu=(1.0, 1.0)):
-    """One update from codeword marginal t: returns (col, w, t_new, shift)
-    with the column normalizers col = t e, w = p / col, the new marginal
-    t_new = t * (e w) and J's shift term sum_ij p_i Q(j|i) c_j p_i =
-    ((c t) e) . (p w), which is 0 when `c` is None.  One 2-row product gives
-    col and (c t) e.  The channel is e t / col (see `_channel`).
-
-    On a folded kernel (`_folded_tilt`) the rows of e are codeword orbits and
-    its columns one letter per orbit, t, p and col are per codeword or letter,
-    and mu = (row orbit sizes, column orbit sizes).  Then w = mu p / col
-    carries each column orbit's mass and t_new = t * (e w) / mu; the dense
-    step is mu = 1, exact to the last bit.
+def _step(e, t, p, c=None):
+    """One update from codeword marginal t: returns (col, w, t_new, cte) with
+    the column normalizers col = t e, w = p / col, the new marginal
+    t_new = t * (e w) and cte = (c t) e (None without `c`), from one 2-row
+    product.  J's shift term sum_ij p_i Q(j|i) c_j p_i is cte . (p w); it is
+    quadratic in p, so on the folded kernel, whose p is the letter-orbit mass
+    (`_folded_tilt`), the caller forms it with one letter's mass.  The
+    channel is e t / col (see `_channel`).
 
     A normalizer so far below the normal range that p / col overflows is an
     underflow too: the column's mass sits on codewords the grid has lost."""
     if c is None:
-        col = t @ e
+        col, cte = t @ e, None
     else:
         col, cte = np.vstack((t, c * t)) @ e
     if np.all(col > 0.0):
         with np.errstate(over="ignore", invalid="ignore"):
             w = p / col
-            w *= mu[1]
             ew = e @ w
         if np.isfinite(ew).all():
-            ew /= mu[0]
-            shift = 0.0 if c is None else float(cte @ (p * w))
-            return col, w, t * ew, shift
+            return col, w, t * ew, cte
     raise NumericalUnderflow(
         "a channel column normalized to zero; slope too large for the grid"
     )
@@ -476,7 +470,7 @@ def solve_tc_point(
     underflows (the column shift of the other kernels keeps that column
     finite) runs again folded or dense.  Dense and folded matrices come from
     one set-up (`_folded_tilt`), dense being the case of one-letter orbits.
-    A dense solve holds e and e * Gamma, a folded one their orbit sums, a
+    A dense solve holds e and e * Gamma, a folded one their orbit averages, a
     quarter of the size, and a factored one only per-axis factors; a
     mid-solve cut copies one matrix at a time.
     """
@@ -529,13 +523,12 @@ def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, factor) -> TcSoluti
     kernel = _kernel(gamma, p, t, exponent_shift, factor)
     # the orbit of each codeword and of each letter: under the mirror (m = n),
     # j and n-1-j share orbit min(j, n-1-j); otherwise each is its own.
-    # mu_all and mu_cols hold the orbit sizes.
     orbit, letter_orbit = np.arange(m), np.arange(n)
     if kernel == "folded":
         orbit = letter_orbit = np.minimum(letter_orbit, letter_orbit[::-1])
-    mu_all = np.bincount(orbit).astype(float)
-    mu_cols = np.bincount(letter_orbit).astype(float)
-    p_cols = p[: mu_cols.size]  # the mass of one letter of each orbit
+    mu_all = np.bincount(orbit).astype(float)  # codeword orbit sizes
+    p_orb = np.bincount(letter_orbit, p)  # the mass of each letter orbit
+    p_letter = p[: p_orb.size]  # the mass of one letter of each orbit
     t = t[: mu_all.size]  # the mass of one codeword of each orbit
     rows = np.flatnonzero(t > PRUNE_EPS)  # orbit of each live row
     if rows.size == 0:
@@ -553,10 +546,9 @@ def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, factor) -> TcSoluti
                     for k in range(len(factors))], rows)
         amax = np.zeros(n)
     else:
-        amax, e, eg = _folded_tilt(g_full, p, s, exponent_shift, rows, mu, c, mu_cols.size)
-    logger.debug("slope %g: %s kernel, %d rows x %d columns", s, kernel, rows.size, p_cols.size)
-    p_mu = mu_cols * p_cols  # the mass of each column's letter orbit
-    p_amax = float(p_mu @ amax)
+        amax, e, eg = _folded_tilt(g_full, p, s, exponent_shift, rows, mu, c, p_orb.size)
+    logger.debug("slope %g: %s kernel, %d rows x %d columns", s, kernel, rows.size, p_orb.size)
+    p_amax = float(p_orb @ amax)
 
     i_prev = math.inf
     d_prev = math.inf
@@ -566,11 +558,12 @@ def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, factor) -> TcSoluti
     max_surr_rise = 0.0
     converged = False
     step_i = step_d = math.inf
-    t_new = t[rows] / (mu * t[rows]).sum()
+    t_new = mu * t[rows]
+    t_new /= t_new.sum()
     for iterations in range(1, max_iter + 1):
         tv = t_new  # the marginal behind this iteration's channel e tv / col
         assert (tv >= 0.0).all()  # e >= 0, so the channel is non-negative too
-        dead = tv <= PRUNE_EPS
+        dead = tv <= mu * PRUNE_EPS  # each codeword of the orbit at PRUNE_EPS
         n_dead = int(mu[dead].sum())
         if 8 * n_dead >= n_live:
             logger.debug(
@@ -583,18 +576,17 @@ def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, factor) -> TcSoluti
             # one matrix at a time, so no old and new copies of both are alive
             e = e[live]
             eg = eg[live]
-        col, w, t_new, shift_term = _step(e, tv, p_cols, c if exponent_shift else None,
-                                          (mu, mu_cols))
+        col, w, t_new, cte = _step(e, tv, p_orb, c if exponent_shift else None)
+        shift_term = 0.0 if cte is None else float(cte @ (p_letter * w))
         lt = np.where(tv > 0, np.log(np.maximum(tv, 5e-324)), 0.0)
         ltn = np.where(t_new > 0, np.log(np.maximum(t_new, 5e-324)), 0.0)
-        mt_new = mu * t_new  # the mass of each codeword orbit
         # J and I(X;Xhat) in nats from log Q = a - amax + log t - log col.
         # p . amax and s * shift_term nearly cancel, so I subtracts them together.
-        j_amax = float(mt_new @ (lt - ltn)) - float(np.log(col) @ p_mu)  # J + p . amax
+        j_amax = float(t_new @ (lt - ltn)) - float(np.log(col) @ p_orb)  # J + p . amax
         e_joint = float(tv @ (eg @ w))
         surr = j_amax - p_amax
         i_nats = j_amax - s * e_joint - (p_amax - s * shift_term)
-        e_prod = float(mt_new @ c)
+        e_prod = float(t_new @ c)
         d_s = e_prod - e_joint
         lagr = i_nats - s * d_s
         if math.isfinite(lagr_prev):
@@ -640,11 +632,11 @@ def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, factor) -> TcSoluti
         support = np.arange(m, dtype=float)
     build_channel = functools.partial(
         _build_channel, g_full, p, s, exponent_shift, codewords, per_codeword(c)[codewords],
-        per_codeword(tv)[codewords], col[letter_orbit], amax[letter_orbit],
+        per_codeword(tv / mu)[codewords], col[letter_orbit], amax[letter_orbit],
     )
     return TcSolution(
         slope_s=float(s),
-        code_marginal=Pmf(support, per_codeword(t_new)),
+        code_marginal=Pmf(support, per_codeword(t_new / mu)),
         d_s=d_s,
         rate=max(i_nats, 0.0) / LN2,
         iterations=iterations,

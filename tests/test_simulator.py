@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -11,6 +11,7 @@ from idq.errors import AdmissibilityViolation, DimensionMismatch, TooManyCodewor
 from idq.linalg import klt_forward, jacobi_eigh, toeplitz_covariance
 from idq.simulator import (
     Codebook,
+    QueryOutcome,
     Signature,
     assign_signature,
     component_scheme_pr_maybe,
@@ -174,6 +175,59 @@ def test_query_decide_examples():
     # sqrt(4) = 2 > sqrt(0.64) + sqrt(1) = 1.8
     sig2 = Signature(1, 0.64)
     assert query_decide(sig2, cb, np.array([3.0]), 1.0).decision == "no"
+
+
+def test_query_decide_accepts_a_collinear_pair_at_triangle_equality():
+    # codeword 0, then x, then y on one line, and d_id = d(x, y): the two
+    # sides of the rule are equal, and without a slack for rounding the
+    # computed sides reject this similar pair
+    cb = Codebook(2, np.zeros((1, 2)))
+    x, y = np.array([2.0, 0.0]), np.array([175.0, 0.0])
+    d_id = 14964.5
+    assert ((x - y) ** 2).mean() == d_id
+    assert query_decide(assign_signature(cb, x), cb, y, d_id, x=x) == QueryOutcome("maybe", True)
+
+
+_FLOAT_COORD = st.one_of(st.just(0.0), st.floats(1e-100, 1e3), st.floats(-1e3, -1e-100))
+
+
+@st.composite
+def _collinear_cases(draw):
+    """A codeword c, a block x and a query y = x + k (x - c) on the ray from c
+    through x, so that d(c, y) sits at triangle equality (to rounding, for
+    float points); 1 to 16 samples, integer coordinates or floats of
+    magnitude in [1e-100, 1e3] or exactly 0."""
+    n = draw(st.integers(1, 16))
+    if draw(st.booleans()):
+        coord, k = st.integers(-1000, 1000).map(float), st.integers(0, 4).map(float)
+    else:
+        coord, k = _FLOAT_COORD, st.one_of(st.just(0.0), st.floats(1e-3, 4.0))
+    c = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    x = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    y = x + draw(k) * (x - c)
+    squares = np.concatenate([(c - x) ** 2, (c - y) ** 2, (x - y) ** 2])
+    assume(not np.any((squares > 0) & (squares < np.finfo(float).tiny)))
+    return c, x, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(_collinear_cases())
+def test_query_decide_has_no_false_negatives(case):
+    c, x, y = case
+    cb = Codebook(c.size, c[None, :])
+    d_id = float(((x - y) ** 2).mean())  # d(x, y) exactly: a similar pair
+    assert query_decide(assign_signature(cb, x), cb, y, d_id, x=x) == QueryOutcome("maybe", True)
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rates=st.lists(st.floats(0.0, 2.0), min_size=2, max_size=2),
+       d_ids=st.lists(st.floats(0.0, 3.0), min_size=2, max_size=2), frac=st.floats(0.0, 1.0))
+def test_schemes_report_no_false_negatives(seed, rates, d_ids, frac):
+    _, _, fn = estimate_pr_maybe(IidGaussian(1.0), rates[0], 4, d_ids, 1000, seed)
+    assert fn == 0
+    model = MultivariateGaussian(toeplitz_covariance([1.0, 0.7], 2))
+    _, _, fn = component_scheme_pr_maybe(model, rates, d_ids, frac * np.mean(d_ids), 1000, seed)
+    assert fn == 0
 
 
 def test_estimate_requires_trials():
