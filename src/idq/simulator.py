@@ -7,6 +7,7 @@ negatives are impossible by construction; the harness certifies that and
 estimates Pr{maybe}.
 """
 
+import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -28,6 +29,8 @@ MAX_SUB_BLOCK_BITS = 12.0
 _KMEANS_ITERS = 20
 _KMEANS_RTOL = 1e-6
 _ASSIGN_ENTRIES = 1 << 20
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -88,45 +91,58 @@ def _workers() -> int:
 
 
 def _nearest(codewords: np.ndarray, blocks: np.ndarray):
-    """Chunked nearest-codeword search; ties resolve to the lowest index.
+    """Chunked nearest-codeword search: (indices, exact squared distances).
 
-    Each chunk's distance block holds about _ASSIGN_ENTRIES entries (8 MB) and
-    is built in place, so the chunk size depends only on the codebook, never
-    on the worker count.
+    ||x - c||^2 - ||x||^2 = [x, 1] . [-2c, ||c||^2], and ||x||^2 is the same
+    for every codeword, so each chunk of rows costs one matrix product
+    [x, 1] @ A with A = [-2C, ||c||^2]^T, written into a distance block, and
+    one argmin.  Leaving ||x||^2 out moves only ties at rounding level.  A
+    chunk holds about _ASSIGN_ENTRIES distances (8 MB), so the chunk
+    boundaries depend only on the codebook, never on the worker count.
+    Worker k takes every k-th chunk into one distance block and one [x, 1]
+    staging block, both allocated here by the caller (blocks freed in a
+    worker thread stay in that thread's malloc arena).
+
+    Ties resolve to the lowest index: argmin returns the first minimum, and
+    a copy of a codeword maps to its first copy.  Stored distances are
+    recomputed from the differences, never taken from the product.
     """
-    n = blocks.shape[0]
+    n, dim = blocks.shape
+    count = codewords.shape[0]
     idx = np.empty(n, dtype=np.int64)
     dist = np.empty(n)
-    cw_sq = (codewords**2).sum(axis=1)
     # BLAS may round the product differently for two copies of one codeword,
     # so each index maps to the first copy of its codeword (bytewise equal rows)
     cw = np.ascontiguousarray(codewords)
     keys = cw.view(np.dtype((np.void, cw.itemsize * cw.shape[1]))).ravel()
     _, first, copy_of = np.unique(keys, return_index=True, return_inverse=True)
     lowest = first[copy_of]
-    rows = max(1, _ASSIGN_ENTRIES // codewords.shape[0])
-    workers = _workers()
-
-    def one(lo):
-        hi = min(lo + rows, n)
-        x = blocks[lo:hi]
-        # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2, argmin over c
-        d2 = x @ codewords.T
-        d2 *= -2.0
-        d2 += (x**2).sum(axis=1)[:, None]
-        d2 += cw_sq
-        ii = lowest[d2.argmin(axis=1)]
-        idx[lo:hi] = ii
-        # recompute exactly to avoid cancellation noise in stored distances
-        dist[lo:hi] = ((x - codewords[ii]) ** 2).sum(axis=1)
-
+    a = np.empty((dim + 1, count))
+    a[:dim] = -2.0 * cw.T
+    a[dim] = (cw**2).sum(axis=1)
+    rows = max(1, _ASSIGN_ENTRIES // count)
     starts = range(0, n, rows)
-    if workers > 1 and n > rows:
+    workers = max(1, min(_workers(), len(starts)))
+    size = min(rows, n)
+    d2s = [np.empty((size, count)) for _ in range(workers)]
+    x1s = [np.ones((size, dim + 1)) for _ in range(workers)]
+
+    def work(k):
+        d2, x1 = d2s[k], x1s[k]
+        for lo in starts[k::workers]:
+            hi = min(lo + rows, n)
+            x, m = blocks[lo:hi], hi - lo
+            x1[:m, :dim] = x
+            np.matmul(x1[:m], a, out=d2[:m])
+            ii = lowest[d2[:m].argmin(axis=1)]
+            idx[lo:hi] = ii
+            dist[lo:hi] = ((x - codewords[ii]) ** 2).sum(axis=1)
+
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(one, starts))
+            list(pool.map(work, range(workers)))
     else:
-        for lo in starts:
-            one(lo)
+        work(0)
     return idx, dist
 
 
@@ -136,6 +152,8 @@ def train_codebook(samples, rate_bits: float, block_len: int, seed) -> Codebook:
     Deterministic for a fixed seed: initial centroids are distinct sample rows
     drawn by the seeded generator; 20 update rounds or a relative distortion
     change below 1e-6, whichever first; empty cells keep their centroid.
+    Logs the assignment rounds run, the rule that stopped them and the last
+    assignment's per-sample distortion at DEBUG.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2 or x.shape[1] != block_len:
@@ -150,10 +168,12 @@ def train_codebook(samples, rate_bits: float, block_len: int, seed) -> Codebook:
     rng = np.random.default_rng(seed)
     centroids = x[rng.choice(x.shape[0], size=count, replace=False)].copy()
     prev = math.inf
-    for _ in range(_KMEANS_ITERS):
+    stop = f"{_KMEANS_ITERS}-round cap"
+    for rounds in range(1, _KMEANS_ITERS + 1):
         lab, d2 = _nearest(centroids, x)
         distortion = float(d2.mean()) / block_len
         if prev - distortion < _KMEANS_RTOL * max(prev, 1e-300):
+            stop = f"{_KMEANS_RTOL:g} rule"
             break
         prev = distortion
         sizes = np.bincount(lab, minlength=count)
@@ -161,6 +181,8 @@ def train_codebook(samples, rate_bits: float, block_len: int, seed) -> Codebook:
         for j in range(block_len):
             sums = np.bincount(lab, weights=x[:, j], minlength=count)
             centroids[live, j] = sums[live] / sizes[live]
+    logger.debug("k-means, %d codewords: %d rounds, stopped by the %s, distortion %.9g "
+                 "per sample at the last assignment", count, rounds, stop, distortion)
     return Codebook(block_len, centroids)
 
 

@@ -21,11 +21,12 @@ subtracted from the exponent a, log Q = a - amax + log t - log col gives
 An iteration is thus three matrix-vector passes (two when
 `exponent_shift=False` drops the shift row) and makes no n x n temporary
 (`_step`; `ba_step` wraps the same step).  Rows whose marginal falls to
-PRUNE_EPS are cut during the solve, and entries of e that would be sub-normal
-are exact zeros.  The code marginal is the loop's last t * (e w), which is
-Q p, and the reported rate, E_prod and E_joint are the loop's values for that
-Q; the channel itself is built only when it is asked for, on every kernel
-from the live rows of Gamma and the loop's last c, amax, t and col.
+PRUNE_EPS are cut during the solve, and entries of e (and of its folded
+averages) that would be sub-normal are exact zeros.  The code marginal is the
+loop's last t * (e w), which is Q p, and the reported rate, E_prod and E_joint
+are the loop's values for that Q; the channel itself is built only when it is
+asked for, on every kernel from the live rows of Gamma and the loop's last c,
+amax, t and col.
 
 The passes run on one of three kernels, and the loop is the same on each.
 Every source the CLI discretizes is zero-mean on a grid of integer offsets,
@@ -42,10 +43,10 @@ Without the shift, quadratic distortion between one lexicographic product
 grid on both sides is a sum over axes, Gamma = sum_k Gamma_k, and nothing is
 subtracted from a column (its own codeword has distortion 0), so
 e = E_1 (x) ... (x) E_M with E_k = exp(-s Gamma_k).  `distortion_matrix` keeps
-the per-axis grids for such tables, and the plain rate-distortion solve then
-runs its passes as per-axis mode products (`_Kron`): 33 x 33 factors in place
-of a 1089 x 1089 matrix at M = 2.  The shifted TC update does not factor,
-since c p^T does not, and runs folded.
+the per-axis grids for such tables, and the plain rate-distortion solve on
+two or more axes then runs its passes as per-axis mode products (`_Kron`):
+33 x 33 factors in place of a 1089 x 1089 matrix at M = 2.  The shifted TC
+update does not factor, since c p^T does not, and runs folded.
 
 The two steps are exact alternating minimization (Blahut 1972) of
 
@@ -274,8 +275,9 @@ def mutual_information(p_x, q) -> float:
     return max(float(np.nansum(contrib)), 0.0)
 
 
+_TINY = np.finfo(float).tiny
 #: exp(a) is sub-normal below this exponent
-_LOG_TINY = math.log(np.finfo(float).tiny)
+_LOG_TINY = math.log(_TINY)
 
 
 def _exp(a) -> np.ndarray:
@@ -332,12 +334,15 @@ def _folded_tilt(g_full, p, s: float, exponent_shift: bool, rows, mu, c, h):
 
 def _fold_rows(x, mu) -> np.ndarray:
     """Orbit averages of the rows x[:k] (k = mu.size) and, where mu = 2, their
-    mirror rows x[k:]; x itself when it has no mirror rows."""
+    mirror rows x[k:]; x itself when it has no mirror rows.  x is
+    non-negative; an average that would be sub-normal (a pair summing below
+    twice the smallest normal number) is an exact zero, as in `_exp`."""
     if x.shape[0] == mu.size:
         return x
     out = x[: mu.size].copy()
     out[mu == 2.0] += x[mu.size:]
     out /= mu[:, None]
+    out[out < _TINY] = 0.0
     return out
 
 
@@ -485,8 +490,11 @@ def solve_tc_point(
 
 
 def _kernel_axes(gamma, exponent_shift):
-    """The per-axis grids the solve factors its kernel over, or None."""
-    return None if exponent_shift else getattr(gamma, "axes", None)
+    """The per-axis grids the solve factors its kernel over, or None.  One
+    axis does not factor: its factors would be Gamma, exp(-s Gamma) and their
+    product, three n x n arrays against two on the dense kernel."""
+    axes = None if exponent_shift else getattr(gamma, "axes", None)
+    return axes if axes is not None and len(axes) > 1 else None
 
 
 def _kernel(gamma, p, t, exponent_shift, factor) -> str:

@@ -207,6 +207,23 @@ def test_compare_mv_is_byte_identical_for_any_idq_threads(tmp_path, caplog, monk
     assert set(stopped.values()) == {"6"}
 
 
+def test_simulate_is_byte_identical_for_any_idq_threads(tmp_path, monkeypatch):
+    # 1024 codewords: the 10240 training rows and 5000 query rows are searched
+    # in chunks of 1024 rows
+    args = ["simulate", "--block-len", "4", "--rate", "2.5", "--trials", "5000",
+            "--points", "2", "--seed", "3"]
+    files = {}
+    for threads in (None, "1", "2", "0"):
+        if threads is None:
+            monkeypatch.delenv("IDQ_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("IDQ_THREADS", threads)
+        out = tmp_path / f"threads-{threads}.csv"
+        assert run(args + ["--out", str(out)]) == 0
+        files[threads] = out.read_bytes()
+    assert len(set(files.values())) == 1
+
+
 @pytest.mark.parametrize("value", ["abc", "-1"])
 def test_invalid_idq_threads_stops_compare_mv(tmp_path, capsys, monkeypatch, value):
     monkeypatch.setenv("IDQ_THREADS", value)

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -101,16 +102,21 @@ def test_train_empty_cells_keep_their_centroid():
 
 @st.composite
 def _nearest_cases(draw):
-    count = draw(st.integers(1, 300))
-    dim = draw(st.integers(1, 8))
+    if draw(st.booleans()):  # a component scheme's scalar codebook
+        count, dim = draw(st.integers(1, 4)), 1
+    else:
+        count, dim = draw(st.integers(1, 300)), draw(st.integers(1, 8))
     rows = draw(st.integers(1, 64))  # rows per chunk
-    n = draw(st.integers(rows + 1, 5 * rows))  # several chunks, maybe a remainder
+    # one row, one chunk (fewer chunks than workers) or several, maybe with a
+    # remainder
+    n = draw(st.one_of(st.just(1), st.integers(1, rows), st.integers(rows + 1, 5 * rows)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.integers(-3, 3))
-    cw = rng.standard_normal((count, dim)) * scale
+    offset = draw(st.sampled_from([0.0, 1e3]))
+    cw = rng.standard_normal((count, dim)) * scale + offset
     dup = rng.random(count) < draw(st.floats(0.0, 0.5))
     cw[dup] = cw[rng.integers(0, count, size=count)[dup]]
-    x = rng.standard_normal((n, dim)) * scale
+    x = rng.standard_normal((n, dim)) * scale + offset
     on_codeword = rng.random(n) < 0.2
     x[on_codeword] = cw[rng.integers(0, count, size=n)[on_codeword]]
     return cw, x, rows
@@ -147,6 +153,23 @@ def test_nearest_copy_of_a_codeword_loses_to_the_first(dim):
     x = cw[0] + 1e-3 * rng.standard_normal((500, dim))
     idx, _ = simulator._nearest(cw, x)
     assert not np.any(idx == 299)
+
+
+def test_train_logs_rounds_stop_rule_and_distortion(caplog, monkeypatch):
+    x = np.random.default_rng(0).standard_normal((500, 3))
+    with caplog.at_level(logging.DEBUG, logger="idq.simulator"):
+        # one codeword: a sample row in round 1, the mean in round 2, and the
+        # same mean in round 3
+        train_codebook(x, 0.0, 3, 1)
+        monkeypatch.setattr(simulator, "_KMEANS_ITERS", 3)
+        train_codebook(x, 1.0, 3, 1)
+    lines = [r.getMessage() for r in caplog.records if r.name == "idq.simulator"]
+    assert len(lines) == 2
+    mean_dist = ((x - x.mean(axis=0)) ** 2).sum(axis=1).mean() / 3
+    assert lines[0].startswith("k-means, 1 codewords: 3 rounds, stopped by the 1e-06 rule, ")
+    assert lines[0].endswith(" per sample at the last assignment")
+    assert float(lines[0].split("distortion ")[1].split()[0]) == pytest.approx(mean_dist)
+    assert lines[1].startswith("k-means, 8 codewords: 3 rounds, stopped by the 3-round cap")
 
 
 def test_assign_signature_examples():

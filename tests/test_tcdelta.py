@@ -587,14 +587,17 @@ def test_factored_kernel_matches_dense(case):
             _assert_same_solve(a, b)
 
 
-def test_factored_kernel_falls_back_when_a_column_underflows():
-    # the only live codeword sits at squared distance 100 from letter 10:
-    # exp(-20 * 100) underflows, while the dense kernel's column shift keeps
-    # that column at 1
-    g = distortion_matrix([0.0, 10.0], [0.0, 10.0])
-    p, t0 = np.array([0.5, 0.5]), np.array([1.0, 0.0])
-    sol = solve_tc_point(p, g, 20.0, t0=t0, exponent_shift=False)
-    assert sol.channel.q.tolist() == [[1.0, 1.0], [0.0, 0.0]]
+def test_factored_kernel_falls_back_when_a_column_underflows(caplog):
+    # the only live codeword, (0, 0), sits at squared distance 100 from the
+    # letters (0, 10) and (10, 0): exp(-20 * 100) underflows, while the dense
+    # kernel's column shift keeps those columns at 1
+    letters = _product_letters([np.array([0.0, 10.0])] * 2)
+    g = distortion_matrix(letters, letters)
+    p, t0 = np.full(4, 0.25), np.array([1.0, 0.0, 0.0, 0.0])
+    with caplog.at_level(logging.DEBUG, logger="idq.tcdelta"):
+        sol = solve_tc_point(p, g, 20.0, t0=t0, exponent_shift=False)
+    assert "factored kernel" in caplog.text and "dense kernel" in caplog.text
+    assert sol.channel.q.tolist() == [[1.0] * 4] + [[0.0] * 4] * 3
     _assert_same_solve(sol, solve_tc_point(p, g.gamma, 20.0, t0=t0, exponent_shift=False))
 
 
@@ -612,6 +615,16 @@ def test_exponent_table_has_exact_zeros_for_subnormal_entries():
         assert np.any((exact > 0) & (exact < tiny))
         assert not np.any((e > 0) & (e < tiny))
         assert np.max(np.abs(e - exact)) < tiny
+
+
+def test_folded_rows_have_exact_zeros_for_subnormal_averages():
+    # orbit 0 pairs row 0 with its mirror row 2, orbit 1 is row 1 alone: a
+    # pair summing below twice the smallest normal number averages to 0, one
+    # summing to exactly twice it averages to it
+    tiny = np.finfo(float).tiny
+    x = np.array([[tiny, 2.0 * tiny, 1.0], [1.5 * tiny, 0.0, 2.0], [0.0, 0.0, 3.0]])
+    out = idq.tcdelta._fold_rows(x, np.array([2.0, 1.0]))
+    assert out.tolist() == [[0.0, tiny, 2.0], [1.5 * tiny, 0.0, 2.0]]
 
 
 def test_rows_cut_before_and_during_a_factored_solve_give_the_dense_channel(caplog):
@@ -785,8 +798,22 @@ def test_asymmetric_source_or_warm_start_runs_dense():
     assert idq.tcdelta._kernel(g, tilted / tilted.sum(), t0[::-1], True, True) == "dense"
     assert idq.tcdelta._kernel(g.gamma, p, p, True, True) == "dense"
     assert idq.tcdelta._kernel(g, p, p, True, True) == "folded"
-    assert idq.tcdelta._kernel(g, p, p, False, True) == "factored"
+    # one axis does not factor
+    assert idq.tcdelta._kernel(g, p, p, False, True) == "folded"
     assert idq.tcdelta._kernel(g, p, p, False, False) == "folded"
+
+
+def test_one_axis_plain_rate_distortion_solve_runs_folded(caplog):
+    # a one-axis table's per-axis factors are Gamma itself, its exp and
+    # their product: three n x n arrays against two on the dense kernel
+    pmf = discretize_gaussian(1.0, 6.0, 65)
+    g = distortion_matrix(pmf.support, pmf.support)
+    assert len(g.axes) == 1 and g.mirror
+    with caplog.at_level(logging.DEBUG, logger="idq.tcdelta"):
+        sol = solve_tc_point(pmf.probs, g, 2.0, exponent_shift=False)
+    assert "slope 2: folded kernel" in caplog.text
+    assert "factored" not in caplog.text
+    _assert_same_solve(sol, solve_tc_point(pmf.probs, g.gamma, 2.0, exponent_shift=False))
 
 
 def test_every_compare_mv_solve_is_folded_or_factored(caplog, monkeypatch):
@@ -831,12 +858,13 @@ def test_sweep_points_builds_no_channel(monkeypatch):
 
 
 def test_factored_kernel_falls_back_to_the_folded_one(caplog):
-    # as above, on a mirror-symmetric grid: the one live codeword, 0, sits at
-    # squared distance 100 from letters -10 and 10
-    g = distortion_matrix([-10.0, 0.0, 10.0], [-10.0, 0.0, 10.0])
-    p, t0 = np.full(3, 1.0 / 3), np.array([0.0, 1.0, 0.0])
+    # as above, on a mirror-symmetric grid: the one live codeword, (0, 0),
+    # sits at squared distance 100 from four of the 3 x 3 letters
+    letters = _product_letters([np.array([-10.0, 0.0, 10.0])] * 2)
+    g = distortion_matrix(letters, letters)
+    p, t0 = np.full(9, 1.0 / 9), np.eye(9)[4]
     with caplog.at_level(logging.DEBUG, logger="idq.tcdelta"):
         sol = solve_tc_point(p, g, 20.0, t0=t0, exponent_shift=False)
     assert "factored kernel" in caplog.text and "folded kernel" in caplog.text
-    assert sol.channel.q.tolist() == [[0.0] * 3, [1.0] * 3, [0.0] * 3]
+    assert sol.channel.q.tolist() == [[0.0] * 9] * 4 + [[1.0] * 9] + [[0.0] * 9] * 4
     _assert_same_solve(sol, solve_tc_point(p, g.gamma, 20.0, t0=t0, exponent_shift=False))
