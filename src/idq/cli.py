@@ -1,21 +1,23 @@
 """Command-line front end: curves, solver sweeps, and simulator runs as CSV/JSON.
 
-Every output file starts with `# key=value` header lines recording the exact
-command, all parameter values, the rate unit (always bits), and the seed, so
-any file can be regenerated from its own header.  Infinite rates are written
-as the literal string `inf`.  The environment variable IDQ_THREADS caps
-worker parallelism (unset = 1, 0 = one worker per CPU): the simulator's
-nearest-codeword search, and `compare --source mv-gaussian`, which submits its
-joint sweeps and its component model to one pool of up to two workers (one
-after the other on one worker, side by side on two).  When both fail, the
-joint sweeps' error is the one reported, at any worker count.  Output files
-do not depend on it; WARNING lines of the two sides may interleave in any
-order, and the `nonconverged=` header is the stable count.
+Every output file starts with `# key=value` header lines recording the
+command as `idq <subcommand>`, every parameter value (the seed among them),
+and the rate unit (always bits), so any file can be regenerated from its own
+header.  Infinite rates are written as the literal string `inf`.  The
+environment variable IDQ_THREADS caps worker parallelism (unset = 1, 0 = one
+worker per CPU): the simulator's nearest-codeword search, and `compare
+--source mv-gaussian`, which runs its joint sweeps and its component model
+one after the other on one worker and side by side on two.  When the joint
+sweeps fail, theirs is the error reported, at any worker count; on one worker
+the component model is then never run.  Output files do not depend on it;
+WARNING lines of the two sides may interleave in any order, and the
+`nonconverged=` header is the stable count.
 `--log-level` sets the level of the `idq` loggers for the run, whose records
 go to stderr; it changes no output file.
 """
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -27,6 +29,7 @@ import numpy as np
 from . import __version__
 from .errors import IdqError, NonConvergence, NumericalUnderflow
 from .idrate import (
+    curve_from_arrays,
     default_tau_grid,
     id_curve_multivariate,
     id_curve_spectral,
@@ -94,9 +97,9 @@ def parse_curve_file(text: str):
     return meta, columns, rows
 
 
-def _meta(args, command: str, **extra) -> dict:
+def _meta(args, **extra) -> dict:
     meta = {
-        "command": "idq " + " ".join(command.split()),
+        "command": "idq " + args.subcommand,
         "version": __version__,
         "rate_unit": "bits",
         "log_base": "2",
@@ -109,13 +112,13 @@ def _meta(args, command: str, **extra) -> dict:
     return meta
 
 
-def _emit(args, meta, columns, rows) -> int:
+def _emit(args, columns, rows, extra) -> None:
+    meta = _meta(args, **extra)
     if args.out == "-":
         write_curve_file(sys.stdout, meta, columns, rows, args.format)
     else:
         with open(args.out, "w") as fh:
             write_curve_file(fh, meta, columns, rows, args.format)
-    return 0
 
 
 def _slope_grid(args, variance: float = 1.0, bernoulli: bool = False) -> np.ndarray:
@@ -135,16 +138,10 @@ def _d_grid(args) -> np.ndarray:
     return np.linspace(0.0, args.dmax, args.points)
 
 
-def _cmd_idrate_iid(args) -> int:
-    d = _d_grid(args)
-    rows = [(di, id_rate_iid(args.variance, di)) for di in d]
-    return _emit(args, _meta(args, "idrate-iid"), ["d_id", "rate"], rows)
-
-
-def _cmd_lcdelta(args) -> int:
-    d = _d_grid(args)
-    rows = [(di, lc_delta_rate(args.variance, di)) for di in d]
-    return _emit(args, _meta(args, "lcdelta"), ["d_id", "rate"], rows)
+def _cmd_closed_form(rate, args):
+    """`idrate-iid` or `lcdelta`: the closed-form `rate(variance, d_id)` on
+    the `--points` grid."""
+    return ["d_id", "rate"], [(di, rate(args.variance, di)) for di in _d_grid(args)], {}
 
 
 def _ar1_covariance(variance, rho, order):
@@ -155,7 +152,17 @@ def _ar1_eigenvalues(variance, rho, order):
     return jacobi_eigh(_ar1_covariance(variance, rho, order)).eigenvalues
 
 
-def _cmd_idrate_mv(args) -> int:
+def _eigenvalues(xi) -> str:
+    """The `eigenvalues=` header value: the component variances."""
+    return ",".join(_fmt(v) for v in xi)
+
+
+def _curve_table(curve, **extra):
+    """A command's (columns, rows, extra header) for one (d_id, rate) curve."""
+    return ["d_id", "rate"], list(zip(curve.d_ids, curve.rates)), extra
+
+
+def _cmd_idrate_mv(args):
     xi = _ar1_eigenvalues(args.variance, args.rho, args.order)
     taus = default_tau_grid(float(xi.max()), args.tau_points, args.tau_min)
     rows = []
@@ -164,79 +171,70 @@ def _cmd_idrate_mv(args) -> int:
         rows.append((point.d_id, point.rate, *alloc))
     rows.sort(key=lambda r: r[0])
     cols = ["d_id", "rate"] + [f"d_id_{m + 1}" for m in range(args.order)]
-    meta = _meta(args, "idrate-mv", eigenvalues=",".join(_fmt(v) for v in xi))
-    return _emit(args, meta, cols, rows)
+    return cols, rows, {"eigenvalues": _eigenvalues(xi)}
 
 
-def _cmd_idrate_spectral(args) -> int:
+def _cmd_idrate_spectral(args):
     if args.model == "gauss-markov":
         model = GaussMarkov(args.variance, args.rho)
     else:
         model = IidGaussian(args.variance)
     psd = spectral_grid(model, args.grid_points)
     taus = default_tau_grid(float(psd.values.max()), args.tau_points, args.tau_min)
-    curve = id_curve_spectral(psd, taus, label=args.model)
-    rows = list(zip(curve.d_ids, curve.rates))
-    return _emit(args, _meta(args, "idrate-spectral"), ["d_id", "rate"], rows)
+    return _curve_table(id_curve_spectral(psd, taus, label=args.model))
 
 
-def _cmd_tcdelta(args) -> int:
+def _gaussian_table(variance, sigmas, points):
+    """A discretized Gaussian source and its quadratic distortion table."""
+    pmf = discretize_gaussian(variance, sigmas, points)
+    return pmf, distortion_matrix(pmf.support, pmf.support, "quadratic")
+
+
+def _cmd_tcdelta(args):
     if args.source == "bernoulli":
         pmf = bernoulli_pmf(0.5)
-        gamma = distortion_matrix(pmf.support, pmf.support, "hamming")
+        table = pmf, distortion_matrix(pmf.support, pmf.support, "hamming")
         s_grid = _slope_grid(args, bernoulli=True)
     else:
-        pmf = discretize_gaussian(args.variance, args.grid_sigmas, args.grid_points)
-        gamma = distortion_matrix(pmf.support, pmf.support, "quadratic")
+        table = _gaussian_table(args.variance, args.grid_sigmas, args.grid_points)
         s_grid = _slope_grid(args, variance=args.variance)
-    curve = tc_curve(pmf, gamma, s_grid, tol=args.tol, max_iter=args.max_iter)
-    rows = list(zip(curve.d_ids, curve.rates))
-    meta = _meta(args, "tcdelta", nonconverged=curve.nonconverged)
-    return _emit(args, meta, ["d_id", "rate"], rows)
+    curve = tc_curve(*table, s_grid, tol=args.tol, max_iter=args.max_iter)
+    return _curve_table(curve, nonconverged=curve.nonconverged)
 
 
 def _components_for(xi, grid_sigmas, grid_points):
     """One discretized source and distortion table per KLT component variance."""
-    comps = []
-    for v in xi:
-        pmf = discretize_gaussian(float(v), grid_sigmas, grid_points)
-        comps.append((pmf, distortion_matrix(pmf.support, pmf.support, "quadratic")))
-    return comps
+    return [_gaussian_table(float(v), grid_sigmas, grid_points) for v in xi]
 
 
-def _cmd_tcdelta_components(args) -> int:
+def _cmd_tcdelta_components(args):
     xi = _ar1_eigenvalues(args.variance, args.rho, args.order)
     comps = _components_for(xi, args.grid_sigmas, args.grid_points)
     s_grid = _slope_grid(args, variance=args.variance)
     curve = component_tc_curve(comps, s_grid, tol=args.tol, max_iter=args.max_iter)
-    meta = _meta(args, "tcdelta-components", eigenvalues=",".join(_fmt(v) for v in xi),
-                 nonconverged=curve.nonconverged)
-    return _emit(args, meta, ["d_id", "rate"], list(zip(curve.d_ids, curve.rates)))
+    return _curve_table(curve, eigenvalues=_eigenvalues(xi), nonconverged=curve.nonconverged)
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     model = IidGaussian(args.variance)
     d_grid = _d_grid(args)
     ests, stderrs, total_fn = estimate_pr_maybe(
         model, args.rate, args.block_len, d_grid, args.trials, args.seed
     )
     rows = [(float(d), est, stderr) for d, est, stderr in zip(d_grid, ests, stderrs)]
-    meta = _meta(args, "simulate", false_negatives=total_fn)
-    return _emit(args, meta, ["d_id", "pr_maybe", "stderr"], rows)
+    return ["d_id", "pr_maybe", "stderr"], rows, {"false_negatives": total_fn}
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args):
     if args.source == "iid-gaussian":
-        pmf = discretize_gaussian(args.variance, args.grid_sigmas, args.grid_points)
-        gamma = distortion_matrix(pmf.support, pmf.support, "quadratic")
+        pmf, gamma = _gaussian_table(args.variance, args.grid_sigmas, args.grid_points)
         curve = tc_curve(pmf, gamma, _slope_grid(args, variance=args.variance),
                          tol=args.tol, max_iter=args.max_iter)
         rows = [
             (d, id_rate_iid(args.variance, d), r, lc_delta_rate(args.variance, d))
             for d, r in zip(curve.d_ids, curve.rates)
         ]
-        cols = ["d_id", "r_star", "r_tc", "r_lc"]
-        return _emit(args, _meta(args, "compare", nonconverged=curve.nonconverged), cols, rows)
+        return ["d_id", "r_star", "r_tc", "r_lc"], rows, {"nonconverged": curve.nonconverged}
 
     # multivariate comparison: water-filling optimum, component model,
     # joint solver, and the plain rate-distortion (lossy-compression) baseline
@@ -248,54 +246,46 @@ def _cmd_compare(args) -> int:
     star = id_curve_multivariate(xi, default_tau_grid(float(xi.max()), args.tau_points))
     s_grid = _slope_grid(args, variance=args.variance)
 
-    # The joint sweeps (lane 1) and the component model (lane 2) run side by
-    # side when there are two workers.  The two joint sweeps share a lane, so
-    # their joint-letter matrices are never alive at once.
     def components():
         return component_tc_curve(comps, s_grid, tol=args.tol, max_iter=args.max_iter)
 
     def joint():
+        """Per-letter curves of the TC solver, then of plain rate-distortion.
+        The two sweeps run in turn, so their joint-letter matrices are never
+        alive at once."""
         letters, probs = discretize_mv_gaussian(source, args.joint_grid_sigmas,
                                                 args.joint_grid_points)
         gamma_j = distortion_matrix(letters, letters, "quadratic")
-        return [sweep_points(probs, gamma_j, s_grid, tol=args.tol, max_iter=args.max_iter,
-                             exponent_shift=exponent_shift)
-                for exponent_shift in (True, False)]
+        curves = []
+        for exponent_shift, label in ((True, "joint-tc-delta"), (False, "joint-rate-distortion")):
+            d, r, n_stopped = sweep_points(probs, gamma_j, s_grid, tol=args.tol,
+                                           max_iter=args.max_iter, exponent_shift=exponent_shift)
+            curves.append(curve_from_arrays(d / args.order, r / args.order, label, n_stopped))
+        return curves
 
-    # an invalid IDQ_THREADS stops the run before any solve
-    with ThreadPoolExecutor(max_workers=min(2, _workers())) as pool:
-        lanes = [pool.submit(joint), pool.submit(components)]
-    sweeps = lanes[0].result()  # lane 1's error comes first if both failed
-    comp_curve = lanes[1].result()
+    # The joint sweeps run in this thread.  On two workers the component
+    # model runs beside them; on one it runs after them, and only if they
+    # succeed: a queued future cannot be cancelled reliably, because the
+    # worker may start it before this thread sees the joint error.  An
+    # invalid IDQ_THREADS stops the run before any solve.
+    side_by_side = _workers() > 1
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        comp_lane = pool.submit(components) if side_by_side else None
+        tc, lc = joint()  # its error comes first if both fail
+        comp_curve = comp_lane.result() if side_by_side else components()
 
-    stopped = comp_curve.nonconverged
-    curves = []  # per-letter (d_id, rate) of the TC solver, then of plain rate-distortion
-    for d, r, n_stopped in sweeps:
-        d, r = d / args.order, r / args.order
-        o = np.argsort(d)
-        curves.append((d[o], r[o]))
-        stopped += n_stopped
-    (d_tc, r_tc), (d_lc, r_lc) = curves
-
-    lo = max(comp_curve.d_ids.min(), d_tc.min(), d_lc.min(), star.d_ids.min())
-    hi = min(comp_curve.d_ids.max(), d_tc.max(), d_lc.max(), star.d_ids.max())
-    rows = []
-    for d, r_ic in zip(comp_curve.d_ids, comp_curve.rates):
-        if not lo <= d <= hi:
-            continue
-        rows.append(
-            (
-                d,
-                float(np.interp(d, star.d_ids, star.rates)),
-                r_ic,
-                float(np.interp(d, d_tc, r_tc)),
-                float(np.interp(d, d_lc, r_lc)),
-            )
-        )
-    cols = ["d_id", "r_mstar", "r_ic", "r_i", "r_lc"]
-    meta = _meta(args, "compare", eigenvalues=",".join(_fmt(v) for v in xi),
-                 nonconverged=stopped)
-    return _emit(args, meta, cols, rows)
+    # rows at the component model's thresholds inside every curve's range
+    curves = star, comp_curve, tc, lc
+    lo = max(c.d_ids.min() for c in curves)
+    hi = min(c.d_ids.max() for c in curves)
+    d = comp_curve.d_ids
+    keep = (lo <= d) & (d <= hi)
+    d = d[keep]
+    rows = list(zip(d, np.interp(d, star.d_ids, star.rates), comp_curve.rates[keep],
+                    np.interp(d, tc.d_ids, tc.rates), np.interp(d, lc.d_ids, lc.rates)))
+    stopped = comp_curve.nonconverged + tc.nonconverged + lc.nonconverged
+    return (["d_id", "r_mstar", "r_ic", "r_i", "r_lc"], rows,
+            {"eigenvalues": _eigenvalues(xi), "nonconverged": stopped})
 
 
 def _add_common(sp, seed=False):
@@ -323,19 +313,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("idrate-iid", help="closed-form i.i.d. Gaussian curve")
-    p.add_argument("--variance", type=float, default=1.0)
-    p.add_argument("--dmax", type=float, default=1.9)
-    p.add_argument("--points", type=int, default=100)
-    _add_common(p)
-    p.set_defaults(func=_cmd_idrate_iid)
-
-    p = sub.add_parser("lcdelta", help="lossy-compression triangle-scheme curve")
-    p.add_argument("--variance", type=float, default=1.0)
-    p.add_argument("--dmax", type=float, default=1.9)
-    p.add_argument("--points", type=int, default=100)
-    _add_common(p)
-    p.set_defaults(func=_cmd_lcdelta)
+    for name, rate, text in (("idrate-iid", id_rate_iid, "closed-form i.i.d. Gaussian curve"),
+                             ("lcdelta", lc_delta_rate,
+                              "lossy-compression triangle-scheme curve")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--variance", type=float, default=1.0)
+        p.add_argument("--dmax", type=float, default=1.9)
+        p.add_argument("--points", type=int, default=100)
+        _add_common(p)
+        p.set_defaults(func=functools.partial(_cmd_closed_form, rate))
 
     p = sub.add_parser("idrate-mv", help="reverse water-filling curve with per-component shares")
     p.add_argument("--variance", type=float, default=1.0)
@@ -411,7 +397,8 @@ def run(argv) -> int:
     log.setLevel(args.log_level.upper())
     log.addHandler(handler)
     try:
-        return args.func(args)
+        _emit(args, *args.func(args))
+        return 0
     except (NonConvergence, NumericalUnderflow) as exc:
         print(f"idq: numerical failure: {exc}", file=sys.stderr)
         return 3

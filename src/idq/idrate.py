@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TauOutOfRange, UnsupportedModel
+from .errors import DomainError, NonConvergence, TauOutOfRange, UnsupportedModel
 from .sources import (
     GaussMarkov,
     IidGaussian,
@@ -73,14 +73,24 @@ class Curve:
 
 
 def curve_from_arrays(d, r, label, nonconverged=0) -> Curve:
-    """Sort by d_id, drop duplicate thresholds, and build a validated Curve."""
+    """Sort by d_id, drop duplicate thresholds, and build a validated Curve.
+
+    Points the curve cannot be built from (a rate that falls, say) raise
+    ValueError, as bad input does; but when `nonconverged` of the solves
+    behind them stopped at their iteration cap, they raise NonConvergence.
+    """
     d = np.asarray(d, dtype=float)
     r = np.asarray(r, dtype=float)
     order = np.argsort(d, kind="stable")
     d, r = d[order], r[order]
     keep = np.concatenate([[True], np.diff(d) > 0])
-    pts = [RateSimilarityPoint(float(a), float(b)) for a, b in zip(d[keep], r[keep])]
-    return Curve(tuple(pts), label, nonconverged)
+    try:
+        pts = [RateSimilarityPoint(float(a), float(b)) for a, b in zip(d[keep], r[keep])]
+        return Curve(tuple(pts), label, nonconverged)
+    except ValueError as exc:
+        if not nonconverged:
+            raise
+        raise NonConvergence(f"{exc} ({nonconverged} solves stopped at max_iter)") from exc
 
 
 def _check_iid_args(variance: float, d_id: float) -> None:

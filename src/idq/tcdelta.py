@@ -79,7 +79,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonConvergence, NumericalUnderflow
+from .errors import DimensionMismatch, NumericalUnderflow
 from .idrate import Curve, curve_from_arrays
 from .sources import Pmf
 
@@ -752,7 +752,7 @@ def tc_curve(
 ) -> Curve:
     """Rate-similarity curve traced by sweeping the slope grid."""
     d, r, stopped = sweep_points(p_x, gamma, s_grid, tol=tol, max_iter=max_iter)
-    return _solver_curve(d, r, label, stopped)
+    return curve_from_arrays(d, r, label, stopped)
 
 
 def component_tc_curve(
@@ -772,19 +772,7 @@ def component_tc_curve(
     ]
     d = [float(np.mean(d_at_s)) for d_at_s in zip(*(pc[0] for pc in per_comp))]
     r = [float(np.mean(r_at_s)) for r_at_s in zip(*(pc[1] for pc in per_comp))]
-    return _solver_curve(d, r, label, sum(pc[2] for pc in per_comp))
-
-
-def _solver_curve(d, r, label, stopped) -> Curve:
-    """`curve_from_arrays` for swept points; when `stopped` solves hit their
-    iteration cap, a curve the points cannot form (a rate that falls, say) is
-    a NonConvergence, not bad input."""
-    try:
-        return curve_from_arrays(d, r, label, nonconverged=stopped)
-    except ValueError as exc:
-        if not stopped:
-            raise
-        raise NonConvergence(f"{exc} ({stopped} solves stopped at max_iter)") from exc
+    return curve_from_arrays(d, r, label, sum(pc[2] for pc in per_comp))
 
 
 def _column_lattice(m: int, steps: int) -> np.ndarray:

@@ -263,6 +263,21 @@ def test_compare_mv_reports_one_error_when_both_lanes_fail(tmp_path, capsys, mon
     assert f"idq: numerical failure: {first} failed" in err
 
 
+def test_compare_mv_skips_the_component_model_after_a_joint_failure_on_one_worker(
+        tmp_path, monkeypatch):
+    monkeypatch.setenv("IDQ_THREADS", "1")
+    monkeypatch.setattr(cli, "sweep_points", _underflow("sweep_points failed"))
+    calls, component_tc_curve = [], cli.component_tc_curve
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return component_tc_curve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "component_tc_curve", counting)
+    assert run(_MV_SMALL + ["--out", str(tmp_path / "o.csv")]) == 3
+    assert calls == []
+
+
 @pytest.mark.parametrize("flag,value", [("--rho", "nan"), ("--variance", "inf")])
 def test_non_finite_covariance_is_a_usage_error(tmp_path, capsys, flag, value):
     assert run(["idrate-mv", flag, value, "--out", str(tmp_path / "o.csv")]) == 2
@@ -370,16 +385,22 @@ def _falling_sweep(stopped):
     return sweep
 
 
-@pytest.mark.parametrize("command", [["tcdelta"], ["tcdelta-components"],
-                                     ["compare", "--source", "mv-gaussian"]])
+# (the module whose `sweep_points` falls, the command): in `compare`,
+# `idq.tcdelta`'s serves the component model and `cli`'s the joint sweeps
+@pytest.mark.parametrize("command", [(idq.tcdelta, ["tcdelta"]),
+                                     (idq.tcdelta, ["tcdelta-components"]),
+                                     (idq.tcdelta, ["compare", "--source", "mv-gaussian"]),
+                                     (cli, ["compare", "--source", "mv-gaussian"])])
 @pytest.mark.parametrize("stopped,code", [(1, 3), (0, 2)])
 def test_falling_curve_after_a_capped_solve_is_a_numerical_failure(
         tmp_path, capsys, monkeypatch, command, stopped, code):
     # no real run with --max-iter 1-100 gives a falling curve, so the sweep is
-    # replaced; with a solve stopped at its cap the fault is numerical.  The
-    # joint lane of `compare` still runs for real, on a small grid.
+    # replaced; with a solve stopped at its cap the fault is numerical.  When
+    # the component model's sweep falls, the joint lane of `compare` still
+    # runs for real, on a small grid.
+    module, command = command
     monkeypatch.setenv("IDQ_THREADS", "1")
-    monkeypatch.setattr(idq.tcdelta, "sweep_points", _falling_sweep(stopped))
+    monkeypatch.setattr(module, "sweep_points", _falling_sweep(stopped))
     small = ["--tau-points", "20", "--joint-grid-points", "9"]
     assert run(command + small * (command[0] == "compare")
                + ["--out", str(tmp_path / "o.csv")]) == code
@@ -427,3 +448,41 @@ def test_idrate_mv_water_fills_once_per_level(tmp_path, monkeypatch):
     monkeypatch.setattr(idq.idrate, "_water_point", counting)
     _, _, rows = run_csv(tmp_path, ["idrate-mv", "-M", "4", "--tau-points", "25"])
     assert len(rows) == len(levels) == len(set(levels)) == 25
+
+
+@pytest.mark.parametrize(
+    "args,params,extra",
+    [(["idrate-iid", "--points", "2"], ["dmax", "points", "subcommand", "variance"], []),
+     (["lcdelta", "--points", "2"], ["dmax", "points", "subcommand", "variance"], []),
+     (["idrate-mv", "--tau-points", "3"],
+      ["order", "rho", "subcommand", "tau-min", "tau-points", "variance"], ["eigenvalues"]),
+     (["idrate-spectral", "--grid-points", "16", "--tau-points", "3"],
+      ["grid-points", "model", "rho", "subcommand", "tau-min", "tau-points", "variance"], []),
+     (["tcdelta", "--source", "bernoulli", "--slopes", "2"],
+      ["grid-points", "grid-sigmas", "max-iter", "slopes", "source", "subcommand", "tol",
+       "variance"], ["nonconverged"]),
+     (["tcdelta-components", "--grid-points", "17", "--slopes", "2"],
+      ["grid-points", "grid-sigmas", "max-iter", "order", "rho", "slopes", "subcommand", "tol",
+       "variance"], ["eigenvalues", "nonconverged"]),
+     (["simulate", "--trials", "1000", "--points", "2", "--block-len", "2"],
+      ["block-len", "dmax", "points", "rate", "seed", "subcommand", "trials", "variance"],
+      ["false_negatives"]),
+     (["compare", "--grid-points", "17", "--slopes", "2"],
+      ["grid-points", "grid-sigmas", "joint-grid-points", "joint-grid-sigmas", "max-iter",
+       "order", "rho", "slopes", "source", "subcommand", "tau-points", "tol", "variance"],
+      ["nonconverged"]),
+     (["compare", "--source", "mv-gaussian", "--grid-points", "17", "--joint-grid-points", "5",
+       "--slopes", "2", "--tau-points", "10"],
+      ["grid-points", "grid-sigmas", "joint-grid-points", "joint-grid-sigmas", "max-iter",
+       "order", "rho", "slopes", "source", "subcommand", "tau-points", "tol", "variance"],
+      ["eigenvalues", "nonconverged"])],
+    ids=["idrate-iid", "lcdelta", "idrate-mv", "idrate-spectral", "tcdelta",
+         "tcdelta-components", "simulate", "compare-iid", "compare-mv"],
+)
+def test_every_subcommand_header_records_its_command_and_parameters(tmp_path, args, params,
+                                                                   extra):
+    # the fixed keys, every parameter in sorted order, then the command's own
+    meta, _, _ = run_csv(tmp_path, args)
+    assert list(meta) == ["command", "version", "rate_unit", "log_base"] + params + extra
+    assert meta["command"] == f"idq {args[0]}"
+    assert meta["subcommand"] == args[0]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from idq.errors import DomainError, TauOutOfRange, UnsupportedModel
+from idq.errors import DomainError, NonConvergence, TauOutOfRange, UnsupportedModel
 from idq.idrate import (
     Curve,
     RateSimilarityPoint,
@@ -285,3 +285,11 @@ def test_curve_validation():
 def test_curve_from_arrays_dedupes():
     c = curve_from_arrays([0.0, 1.0, 1.0, 2.0], [0.0, 0.5, 0.5, 1.0], "x")
     assert len(c.points) == 3
+
+
+def test_curve_from_arrays_blames_a_falling_curve_on_capped_solves():
+    # bad input without a capped solve; a numerical failure with one
+    with pytest.raises(ValueError, match="rate decreased"):
+        curve_from_arrays([0.1, 0.2], [0.5, 0.4], "x")
+    with pytest.raises(NonConvergence, match=r"rate decreased.*\(1 solves stopped at max_iter\)"):
+        curve_from_arrays([0.1, 0.2], [0.5, 0.4], "x", nonconverged=1)
