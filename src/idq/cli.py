@@ -4,14 +4,11 @@ Every output file starts with `# key=value` header lines recording the
 command as `idq <subcommand>`, every parameter value (the seed among them),
 and the rate unit (always bits), so any file can be regenerated from its own
 header.  Infinite rates are written as the literal string `inf`.  The
-environment variable IDQ_THREADS caps worker parallelism (unset = 1, 0 = one
-worker per CPU): the simulator's nearest-codeword search, and `compare
---source mv-gaussian`, which runs its joint sweeps and its component model
-one after the other on one worker and side by side on two.  When the joint
-sweeps fail, theirs is the error reported, at any worker count; on one worker
-the component model is then never run.  Output files do not depend on it;
-WARNING lines of the two sides may interleave in any order, and the
-`nonconverged=` header is the stable count.
+environment variable IDQ_THREADS caps the workers of the simulator's
+nearest-codeword search (unset = 1, 0 = one worker per CPU); output files do
+not depend on it.  `compare --source mv-gaussian` runs its joint sweeps and
+then the component model, which it skips once the joint sweeps fail, so its
+WARNING lines come in one fixed order.
 `--log-level` sets the level of the `idq` loggers for the run, whose records
 go to stderr; it changes no output file.
 """
@@ -22,7 +19,6 @@ import json
 import logging
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -47,7 +43,7 @@ from .sources import (
     discretize_mv_gaussian,
     spectral_grid,
 )
-from .simulator import _workers, estimate_pr_maybe
+from .simulator import estimate_pr_maybe
 from .tcdelta import component_tc_curve, distortion_matrix, sweep_points, tc_curve
 
 _FMT = "{:.12g}"
@@ -246,33 +242,20 @@ def _cmd_compare(args):
     star = id_curve_multivariate(xi, default_tau_grid(float(xi.max()), args.tau_points))
     s_grid = _slope_grid(args, variance=args.variance)
 
-    def components():
-        return component_tc_curve(comps, s_grid, tol=args.tol, max_iter=args.max_iter)
-
-    def joint():
-        """Per-letter curves of the TC solver, then of plain rate-distortion.
-        The two sweeps run in turn, so their joint-letter matrices are never
-        alive at once."""
-        letters, probs = discretize_mv_gaussian(source, args.joint_grid_sigmas,
-                                                args.joint_grid_points)
-        gamma_j = distortion_matrix(letters, letters, "quadratic")
-        curves = []
-        for exponent_shift, label in ((True, "joint-tc-delta"), (False, "joint-rate-distortion")):
-            d, r, n_stopped = sweep_points(probs, gamma_j, s_grid, tol=args.tol,
-                                           max_iter=args.max_iter, exponent_shift=exponent_shift)
-            curves.append(curve_from_arrays(d / args.order, r / args.order, label, n_stopped))
-        return curves
-
-    # The joint sweeps run in this thread.  On two workers the component
-    # model runs beside them; on one it runs after them, and only if they
-    # succeed: a queued future cannot be cancelled reliably, because the
-    # worker may start it before this thread sees the joint error.  An
-    # invalid IDQ_THREADS stops the run before any solve.
-    side_by_side = _workers() > 1
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        comp_lane = pool.submit(components) if side_by_side else None
-        tc, lc = joint()  # its error comes first if both fail
-        comp_curve = comp_lane.result() if side_by_side else components()
+    # per-letter curves of the TC solver, then of plain rate-distortion, then
+    # the component model: one after the other, so no two joint-letter
+    # matrices are alive at once and a joint error ends the run first
+    letters, probs = discretize_mv_gaussian(source, args.joint_grid_sigmas,
+                                            args.joint_grid_points)
+    gamma_j = distortion_matrix(letters, letters, "quadratic")
+    joint = []
+    for exponent_shift, label in ((True, "joint-tc-delta"), (False, "joint-rate-distortion")):
+        d, r, n_stopped = sweep_points(probs, gamma_j, s_grid, tol=args.tol,
+                                       max_iter=args.max_iter, exponent_shift=exponent_shift)
+        joint.append(curve_from_arrays(d / args.order, r / args.order, label, n_stopped))
+    del gamma_j  # not alive beside the component model's matrices
+    tc, lc = joint
+    comp_curve = component_tc_curve(comps, s_grid, tol=args.tol, max_iter=args.max_iter)
 
     # rows at the component model's thresholds inside every curve's range
     curves = star, comp_curve, tc, lc

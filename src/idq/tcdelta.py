@@ -388,15 +388,15 @@ def _step(e, t, p, c=None):
     channel is e t / col (see `_channel`).
 
     A normalizer so far below the normal range that p / col overflows is an
-    underflow too: the column's mass sits on codewords the grid has lost."""
+    underflow too: the column's mass sits on codewords the grid has lost.
+    Callers ignore numpy's overflow and invalid warnings around it."""
     if c is None:
         col, cte = t @ e, None
     else:
         col, cte = np.vstack((t, c * t)) @ e
-    if np.all(col > 0.0):
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = p / col
-            ew = e @ w
+    if col.min() > 0.0:
+        w = p / col
+        ew = e @ w
         if np.isfinite(ew).all():
             return col, w, t * ew, cte
     raise NumericalUnderflow(
@@ -425,7 +425,8 @@ def ba_step(p_x, t, gamma, s: float):
     if not 0.0 <= s < math.inf:  # also rejects NaN
         raise ValueError("slope must be finite and non-negative")
     _, _, e = _tilt(g, p, s)
-    col, _, t_new, _ = _step(e, tv, p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        col, _, t_new, _ = _step(e, tv, p)
     support = t.support if isinstance(t, Pmf) else np.arange(tv.size, dtype=float)
     return Channel(_channel(e, tv, col)), Pmf(support, t_new)
 
@@ -568,45 +569,47 @@ def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, factor) -> TcSoluti
     step_i = step_d = math.inf
     t_new = mu * t[rows]
     t_new /= t_new.sum()
-    for iterations in range(1, max_iter + 1):
-        tv = t_new  # the marginal behind this iteration's channel e tv / col
-        assert (tv >= 0.0).all()  # e >= 0, so the channel is non-negative too
-        dead = tv <= mu * PRUNE_EPS  # each codeword of the orbit at PRUNE_EPS
-        n_dead = int(mu[dead].sum())
-        if 8 * n_dead >= n_live:
-            logger.debug(
-                "slope %g, iteration %d: dropping %d of %d codewords at or below "
-                "PRUNE_EPS", s, iterations, n_dead, n_live,
-            )
-            live = ~dead
-            rows, c, tv, mu = rows[live], c[live], tv[live], mu[live]
-            n_live -= n_dead
-            # one matrix at a time, so no old and new copies of both are alive
-            e = e[live]
-            eg = eg[live]
-        col, w, t_new, cte = _step(e, tv, p_orb, c if exponent_shift else None)
-        shift_term = 0.0 if cte is None else float(cte @ (p_letter * w))
-        lt = np.where(tv > 0, np.log(np.maximum(tv, 5e-324)), 0.0)
-        ltn = np.where(t_new > 0, np.log(np.maximum(t_new, 5e-324)), 0.0)
-        # J and I(X;Xhat) in nats from log Q = a - amax + log t - log col.
-        # p . amax and s * shift_term nearly cancel, so I subtracts them together.
-        j_amax = float(t_new @ (lt - ltn)) - float(np.log(col) @ p_orb)  # J + p . amax
-        e_joint = float(tv @ (eg @ w))
-        surr = j_amax - p_amax
-        i_nats = j_amax - s * e_joint - (p_amax - s * shift_term)
-        e_prod = float(t_new @ c)
-        d_s = e_prod - e_joint
-        lagr = i_nats - s * d_s
-        if math.isfinite(lagr_prev):
-            max_rise = max(max_rise, lagr - lagr_prev)
-        if math.isfinite(surr_prev):
-            max_surr_rise = max(max_surr_rise, surr - surr_prev)
-        i_bits = i_nats / LN2
-        step_i, step_d = abs(i_bits - i_prev), abs(d_s - d_prev)
-        if step_i <= tol and step_d <= tol:
-            converged = True
-            break
-        i_prev, d_prev, lagr_prev, surr_prev = i_bits, d_s, lagr, surr
+    # _step raises NumericalUnderflow where p / col overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, max_iter + 1):
+            tv = t_new  # the marginal behind this iteration's channel e tv / col
+            assert (tv >= 0.0).all()  # e >= 0, so the channel is non-negative too
+            dead = tv <= mu * PRUNE_EPS  # each codeword of the orbit at PRUNE_EPS
+            n_dead = int(mu[dead].sum())
+            if 8 * n_dead >= n_live:
+                logger.debug(
+                    "slope %g, iteration %d: dropping %d of %d codewords at or below "
+                    "PRUNE_EPS", s, iterations, n_dead, n_live,
+                )
+                live = ~dead
+                rows, c, tv, mu = rows[live], c[live], tv[live], mu[live]
+                n_live -= n_dead
+                # one matrix at a time, so no old and new copies of both are alive
+                e = e[live]
+                eg = eg[live]
+            col, w, t_new, cte = _step(e, tv, p_orb, c if exponent_shift else None)
+            shift_term = 0.0 if cte is None else float(cte @ (p_letter * w))
+            lt = np.log(tv, out=np.zeros_like(tv), where=tv > 0)
+            ltn = np.log(t_new, out=np.zeros_like(t_new), where=t_new > 0)
+            # J and I(X;Xhat) in nats from log Q = a - amax + log t - log col.
+            # p . amax and s * shift_term nearly cancel, so I subtracts them together.
+            j_amax = float(t_new @ (lt - ltn)) - float(np.log(col) @ p_orb)  # J + p . amax
+            e_joint = float(tv @ (eg @ w))
+            surr = j_amax - p_amax
+            i_nats = j_amax - s * e_joint - (p_amax - s * shift_term)
+            e_prod = float(t_new @ c)
+            d_s = e_prod - e_joint
+            lagr = i_nats - s * d_s
+            if math.isfinite(lagr_prev):
+                max_rise = max(max_rise, lagr - lagr_prev)
+            if math.isfinite(surr_prev):
+                max_surr_rise = max(max_surr_rise, surr - surr_prev)
+            i_bits = i_nats / LN2
+            step_i, step_d = abs(i_bits - i_prev), abs(d_s - d_prev)
+            if step_i <= tol and step_d <= tol:
+                converged = True
+                break
+            i_prev, d_prev, lagr_prev, surr_prev = i_bits, d_s, lagr, surr
 
     if not converged:
         logger.warning(

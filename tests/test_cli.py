@@ -142,8 +142,13 @@ def test_simulate_header_reports_false_negatives(tmp_path):
         assert row[1:] == [float(f"{v:.12g}") for v in ref[:2]]
 
 
+def _warnings(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.name == "idq.tcdelta" and r.levelname == "WARNING"]
+
+
 def _stop_warnings(caplog):
-    return str(sum(r.name == "idq.tcdelta" and r.levelname == "WARNING" for r in caplog.records))
+    return str(len(_warnings(caplog)))
 
 
 def test_compare_iid_small(tmp_path, caplog):
@@ -190,7 +195,7 @@ _MV_SMALL = ["compare", "--source", "mv-gaussian", "--rho", "0.7", "-M", "2",
 
 
 def test_compare_mv_is_byte_identical_for_any_idq_threads(tmp_path, caplog, monkeypatch):
-    files, stopped = {}, {}
+    files, messages = {}, {}
     for threads in (None, "1", "2", "0"):
         if threads is None:
             monkeypatch.delenv("IDQ_THREADS", raising=False)
@@ -200,11 +205,11 @@ def test_compare_mv_is_byte_identical_for_any_idq_threads(tmp_path, caplog, monk
         out = tmp_path / f"threads-{threads}.csv"
         assert run(_MV_SMALL + ["--out", str(out)]) == 0
         files[threads] = out.read_bytes()
-        # WARNING lines of the two lanes may interleave; their count may not change
-        stopped[threads] = _stop_warnings(caplog)
-        assert parse_curve_file(out.read_text())[0]["nonconverged"] == stopped[threads]
+        messages[threads] = tuple(_warnings(caplog))
+        assert parse_curve_file(out.read_text())[0]["nonconverged"] == str(len(messages[threads]))
     assert len(set(files.values())) == 1
-    assert set(stopped.values()) == {"6"}
+    assert len(set(messages.values())) == 1
+    assert {len(w) for w in messages.values()} == {6}
 
 
 def test_simulate_is_byte_identical_for_any_idq_threads(tmp_path, monkeypatch):
@@ -222,13 +227,6 @@ def test_simulate_is_byte_identical_for_any_idq_threads(tmp_path, monkeypatch):
         assert run(args + ["--out", str(out)]) == 0
         files[threads] = out.read_bytes()
     assert len(set(files.values())) == 1
-
-
-@pytest.mark.parametrize("value", ["abc", "-1"])
-def test_invalid_idq_threads_stops_compare_mv(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("IDQ_THREADS", value)
-    assert run(_MV_SMALL + ["--out", str(tmp_path / "o.csv")]) == 2
-    assert "IDQ_THREADS" in capsys.readouterr().err
 
 
 def _underflow(message):
@@ -253,7 +251,7 @@ def test_numerical_failure_in_either_compare_lane_exits_3(tmp_path, capsys, monk
                                            ("2", "sweep_points")])
 def test_compare_mv_reports_one_error_when_both_lanes_fail(tmp_path, capsys, monkeypatch,
                                                            threads, first):
-    # at any worker count the joint lane's error is raised first
+    # at any worker count the joint sweeps' error is raised first
     monkeypatch.setenv("IDQ_THREADS", threads)
     for lane in ("sweep_points", "component_tc_curve"):
         monkeypatch.setattr(cli, lane, _underflow(f"{lane} failed"))
@@ -263,9 +261,10 @@ def test_compare_mv_reports_one_error_when_both_lanes_fail(tmp_path, capsys, mon
     assert f"idq: numerical failure: {first} failed" in err
 
 
-def test_compare_mv_skips_the_component_model_after_a_joint_failure_on_one_worker(
-        tmp_path, monkeypatch):
-    monkeypatch.setenv("IDQ_THREADS", "1")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_compare_mv_skips_the_component_model_after_a_joint_failure(tmp_path, monkeypatch,
+                                                                    threads):
+    monkeypatch.setenv("IDQ_THREADS", threads)
     monkeypatch.setattr(cli, "sweep_points", _underflow("sweep_points failed"))
     calls, component_tc_curve = [], cli.component_tc_curve
 
@@ -396,10 +395,9 @@ def test_falling_curve_after_a_capped_solve_is_a_numerical_failure(
         tmp_path, capsys, monkeypatch, command, stopped, code):
     # no real run with --max-iter 1-100 gives a falling curve, so the sweep is
     # replaced; with a solve stopped at its cap the fault is numerical.  When
-    # the component model's sweep falls, the joint lane of `compare` still
-    # runs for real, on a small grid.
+    # the component model's sweep falls, the joint sweeps of `compare` have
+    # run for real before it, on a small grid.
     module, command = command
-    monkeypatch.setenv("IDQ_THREADS", "1")
     monkeypatch.setattr(module, "sweep_points", _falling_sweep(stopped))
     small = ["--tau-points", "20", "--joint-grid-points", "9"]
     assert run(command + small * (command[0] == "compare")

@@ -817,10 +817,9 @@ def test_one_axis_plain_rate_distortion_solve_runs_folded(caplog):
     _assert_same_solve(sol, solve_tc_point(pmf.probs, g.gamma, 2.0, exponent_shift=False))
 
 
-def test_every_compare_mv_solve_is_folded_or_factored(caplog, monkeypatch):
+def test_every_compare_mv_solve_is_folded_or_factored(caplog):
     # a warm start that lost its exact symmetry would silently send the rest
     # of a sweep to the dense kernel; every solve logs the kernel it ran on
-    monkeypatch.setenv("IDQ_THREADS", "1")
     args = ["compare", "--source", "mv-gaussian", "--grid-points", "65",
             "--joint-grid-points", "9", "--slopes", "5", "--tau-points", "20", "--out", "-"]
     with caplog.at_level(logging.DEBUG, logger="idq.tcdelta"):
