@@ -196,8 +196,13 @@ def discretize_mv_gaussian(
 
     The per-axis point count is deliberately small: the letter count is
     n_points_per_axis^M and the solver's channel matrices are quadratic in it.
-    The grid is built from integer offsets so the masses are symmetric to the
-    last bit.
+    The grid is built from integer offsets so the masses are symmetric under
+    x -> -x to the last bit.  A persymmetric covariance
+    (cov == cov[::-1, ::-1], as for every stationary block) gives a density
+    that is also invariant under reversing the coordinate order, which the
+    computed quadratic form misses by rounding; the masses are then averaged
+    with their reversed-order copy, which makes them exactly invariant under
+    both maps.
     """
     if not (np.isfinite(half_width_sigmas) and half_width_sigmas > 0):
         raise ValueError("half width must be positive and finite")
@@ -222,6 +227,10 @@ def discretize_mv_gaussian(
     coeff = letters @ basis.eigenvectors
     quad = (coeff**2 / basis.eigenvalues[None, :]).sum(axis=1)
     w = np.exp(-0.5 * quad)
+    if np.array_equal(cov, cov[::-1, ::-1]):
+        # (a + b) / 2 == (b + a) / 2, and one axis gives (a + a) / 2 == a
+        cube = w.reshape((n_points_per_axis,) * m)
+        w = ((cube + cube.T) / 2).ravel()
     return letters, w / w.sum()
 
 

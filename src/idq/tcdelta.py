@@ -31,13 +31,20 @@ amax, t and col.
 The passes run on one of three kernels, and the loop is the same on each.
 Every source the CLI discretizes is zero-mean on a grid of integer offsets,
 so x -> -x maps the letter list onto itself reversed, and p and Gamma are
-symmetric under j -> n-1-j to the last bit (`DistortionMatrix.mirror`).  J
-is convex and invariant under that mirror, so from a symmetric start every
-iterate stays symmetric.  The folded kernel runs the same loop on the
-quotient problem over ceil(n/2) codeword and letter orbits: the orbit averages
-K = (e[R] + e[sigma R]) / mu of the rows of e and of e * Gamma (orbit sizes
-mu in {1, 2}, so every rescaling is exact), the letter-orbit masses p' and the
-codeword-orbit masses t' = mu * t.  Dense is the case of one-letter orbits.
+symmetric under j -> n-1-j to the last bit.  A stationary block has a
+persymmetric covariance, so on a product grid of identical axes its p and
+Gamma are also symmetric under reversing the coordinate order (M = 2: the
+swap (x_1, x_2) -> (x_2, x_1)).  `DistortionMatrix.symmetries` records these
+maps and their product.  J is convex and invariant under each of them, so
+from a start that they fix every iterate stays fixed by them too.  The
+folded kernel runs the same loop on the quotient problem over the orbits of
+the stabilizer H of p and the start: ceil(n/2) orbits under the mirror alone
+and 289 of the 1089 joint letters at M = 2 under all four maps (Burnside).
+Its matrices are the orbit averages K of the rows of e and of e * Gamma, the
+mean of the |H| row blocks e[h R] (orbit sizes mu in {1, 2, 4}, so every
+rescaling is exact), the letter-orbit masses p' and the codeword-orbit
+masses t' = mu * t.  Dense is the case of the trivial group, and under the
+mirror alone K = (e[R] + e[sigma R]) / mu.
 
 Without the shift, quadratic distortion between one lexicographic product
 grid on both sides is a sum over axes, Gamma = sum_k Gamma_k, and nothing is
@@ -131,14 +138,16 @@ class DistortionMatrix:
     `axes` is set by `distortion_matrix` when the table is quadratic between
     one lexicographic product grid on both sides: the per-axis grids, so that
     Gamma = sum_k Gamma_k with Gamma_k the squared differences along axis k.
-    `mirror` is set when both sides are one letter list x with
-    x[::-1] == -x, so that Gamma[::-1, ::-1] == Gamma bit for bit.
+    `symmetries` is set when both sides are one letter list x: the letter
+    permutations q other than the identity with Gamma[q][:, q] == Gamma bit
+    for bit that `distortion_matrix` finds (`_symmetries`).  With the
+    identity they form a group of order 1, 2 or 4.
     """
 
     gamma: np.ndarray
     metric: str = QUADRATIC
     axes: tuple = field(default=None, init=False, repr=False, compare=False)
-    mirror: bool = field(default=False, init=False, repr=False, compare=False)
+    symmetries: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.gamma, dtype=float)
@@ -194,8 +203,11 @@ def distortion_matrix(x_grid, xhat_grid, metric: str = QUADRATIC) -> DistortionM
     Euclidean distance, summed one coordinate at a time, hamming the 0/1
     inequality indicator.  A quadratic table between one lexicographic
     product grid on both sides keeps its per-axis grids (`axes`), and a table
-    between one letter list x on both sides with x[::-1] == -x records that
-    mirror symmetry (`mirror`).
+    between one letter list on both sides records the permutations that map
+    it onto itself (`symmetries`; a Hamming table only the mirror, as it
+    keeps no axes).  Coordinates k and d-1-k are added as one
+    pair before the next pair, so that reversing the coordinate order leaves
+    every entry unchanged bit for bit.
     """
     x = np.asarray(x_grid, dtype=float)
     xh = np.asarray(xhat_grid, dtype=float)
@@ -208,18 +220,22 @@ def distortion_matrix(x_grid, xhat_grid, metric: str = QUADRATIC) -> DistortionM
     if x.shape[1] != xh.shape[1]:
         raise DimensionMismatch("source and codeword letters have different widths")
     if metric == QUADRATIC:
-        g = _sq_diff(xh[:, 0], x[:, 0])
-        for k in range(1, x.shape[1]):
-            g += _sq_diff(xh[:, k], x[:, k])
+        d = x.shape[1]
+        for k in range((d + 1) // 2):
+            pair = _sq_diff(xh[:, k], x[:, k])
+            if k < d - 1 - k:
+                pair += _sq_diff(xh[:, d - 1 - k], x[:, d - 1 - k])
+            g = pair if k == 0 else g + pair
         dm = DistortionMatrix(g, QUADRATIC)
-        if np.array_equal(x, xh):
-            object.__setattr__(dm, "axes", _product_axes(x))
     elif metric == HAMMING:
         same = np.all(xh[:, None, :] == x[None, :, :], axis=2)
         dm = DistortionMatrix(1.0 - same.astype(float), HAMMING)
     else:
         raise ValueError(f"unknown metric {metric!r}")
-    object.__setattr__(dm, "mirror", np.array_equal(x, xh) and np.array_equal(x[::-1], -x))
+    if np.array_equal(x, xh):
+        if metric == QUADRATIC:
+            object.__setattr__(dm, "axes", _product_axes(x))
+        object.__setattr__(dm, "symmetries", _symmetries(x, dm.axes))
     return dm
 
 
@@ -240,6 +256,26 @@ def _product_axes(x):
     if all(np.array_equal(m.ravel(), col) for m, col in zip(mesh, x.T)):
         return axes
     return None
+
+
+def _symmetries(x, axes) -> tuple:
+    """The permutations other than the identity of the letter list x that map
+    its table onto itself bit for bit: the mirror j -> n-1-j when
+    x[::-1] == -x (every coordinate difference only changes sign); the
+    reversal of the coordinate order when x is the product of `axes` and the
+    axes read the same backwards (`distortion_matrix` adds coordinates k and
+    d-1-k as one pair); and, when there are both, their product."""
+    n = len(x)
+    perms = [np.arange(n)]
+    mirror = np.array_equal(x[::-1], -x)
+    if mirror:
+        perms.append(perms[0][::-1])
+    if axes is not None and len(axes) > 1 \
+            and all(np.array_equal(a, b) for a, b in zip(axes, axes[::-1])):
+        reversal = perms[0].reshape([a.size for a in axes]).T.ravel()
+        perms += [reversal, reversal[::-1]] if mirror else [reversal]
+    # an axis of one point can make a map the identity, or two maps one
+    return tuple({q.tobytes(): q for q in perms}.values())[1:]
 
 
 def triangle_similarity(e_prod: float, e_joint: float, metric: str) -> float:
@@ -312,36 +348,36 @@ def _tilt(g, p, s: float, exponent_shift: bool = True, c=None, amax=None):
     return c, amax, _exp(a)
 
 
-def _folded_tilt(g_full, p, s: float, exponent_shift: bool, rows, mu, c, h):
-    """`_tilt` on the live codeword orbits `rows` (sizes mu, Gamma p values c)
-    and the letters 0 .. h-1, one per letter orbit: (amax, K, KG) with the
-    orbit averages K = (e[R] + e[sigma R]) / mu and KG the same of e * Gamma
-    over the codeword orbits R, sigma(j) = n-1-j.  Under the mirror
-    h = ceil(n/2), and c is mirrored from the rows R.  The dense kernel is
-    the case h = n, mu = 1: K and KG are the rows `rows` of e and e * Gamma,
-    and a table whose rows are all live is tilted with no copy of Gamma."""
-    n = g_full.shape[1]
-    pair = mu == 2.0
-    if rows.size == g_full.shape[0]:
-        g = g_full[:, :h]  # every codeword its own live orbit, h = n: a view
+def _folded_tilt(g_full, p, s: float, exponent_shift: bool, images, cols, c):
+    """`_tilt` on the codewords `images` and the letters `cols`, one letter
+    per letter orbit with masses p: (amax, K, KG).  Row h of `images` holds
+    the image under the h-th group element (the identity first) of one
+    codeword of each live orbit, whose Gamma p values are c.  K is the mean
+    of the group's row blocks of e, the orbit average of each codeword row
+    (`_fold_rows`), and KG the same of e * Gamma.  The dense kernel is the
+    case of the trivial group: K and KG are the rows of e and e * Gamma, and
+    a table whose rows are all live is tilted with no copy of Gamma (`cols`
+    is then a slice)."""
+    order, k = images.shape
+    if (order, k) == (1, g_full.shape[0]):
+        g = g_full[:, cols]
     else:
-        g = g_full[np.concatenate((rows, n - 1 - rows[pair])), :h]
-    _, amax, e = _tilt(g, p[:h], s, exponent_shift, c=np.concatenate((c, c[pair])))
+        g = g_full[np.ix_(images.ravel(), np.arange(g_full.shape[1])[cols])]
+    _, amax, e = _tilt(g, p, s, exponent_shift, c=np.tile(c, order))
     eg = e * g
     del g
-    return amax, _fold_rows(e, mu), _fold_rows(eg, mu)
+    return amax, _fold_rows(e, order), _fold_rows(eg, order)
 
 
-def _fold_rows(x, mu) -> np.ndarray:
-    """Orbit averages of the rows x[:k] (k = mu.size) and, where mu = 2, their
-    mirror rows x[k:]; x itself when it has no mirror rows.  x is
-    non-negative; an average that would be sub-normal (a pair summing below
-    twice the smallest normal number) is an exact zero, as in `_exp`."""
-    if x.shape[0] == mu.size:
+def _fold_rows(x, order) -> np.ndarray:
+    """The mean of the `order` row blocks of x, x itself when order is 1.  x
+    is non-negative; a mean that would be sub-normal is an exact zero, as in
+    `_exp`.  Under the mirror alone this is (e[R] + e[sigma R]) / mu with
+    orbit sizes mu, bit for bit, since (y + y) / 2 == y."""
+    if order == 1:
         return x
-    out = x[: mu.size].copy()
-    out[mu == 2.0] += x[mu.size:]
-    out /= mu[:, None]
+    out = x.reshape(order, -1, x.shape[1]).sum(axis=0)
+    out /= order
     out[out < _TINY] = 0.0
     return out
 
@@ -466,19 +502,21 @@ def solve_tc_point(
     first read, on every kernel from the live rows of Gamma tilted again with
     the loop's c and amax (`_build_channel`).
 
-    Kernels (module docstring).  A `DistortionMatrix` with `mirror`, with p
-    and the warm start exactly mirror-symmetric, runs folded, and its code
-    marginal is exactly symmetric too, so a warm-started sweep stays folded.
+    Kernels (module docstring).  A `DistortionMatrix` with `symmetries`, one
+    of which fixes p and the warm start exactly, runs folded on the orbits of
+    all those that do, and its code marginal is fixed by them exactly too,
+    so a warm-started sweep stays folded.
     Without the shift, one with `axes` runs factored; for M = 2 the passes are
     t e = E_1^T T E_2, e w = E_1 W E_2^T and
     (e * Gamma) w = (E_1 * Gamma_1) W E_2^T + E_1 W (E_2 * Gamma_2)^T.  Every
     other input runs dense, and a factored solve whose column normalizer
     underflows (the column shift of the other kernels keeps that column
     finite) runs again folded or dense.  Dense and folded matrices come from
-    one set-up (`_folded_tilt`), dense being the case of one-letter orbits.
-    A dense solve holds e and e * Gamma, a folded one their orbit averages, a
-    quarter of the size, and a factored one only per-axis factors; a
-    mid-solve cut copies one matrix at a time.
+    one set-up (`_folded_tilt`), dense being the case of the trivial group.
+    A dense solve holds e and e * Gamma, a folded one their orbit averages
+    (a quarter of the size under the mirror, a fourteenth under all four
+    maps), and a factored one only per-axis factors; a mid-solve cut copies
+    one matrix at a time.
     """
     try:
         return _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, True)
@@ -498,14 +536,28 @@ def _kernel_axes(gamma, exponent_shift):
     return axes if axes is not None and len(axes) > 1 else None
 
 
-def _kernel(gamma, p, t, exponent_shift, factor) -> str:
-    """The kernel a solve runs on: factored, folded or dense."""
+def _kernel(gamma, p, t, exponent_shift, factor):
+    """The kernel a solve runs on (factored, folded or dense) and the group of
+    codeword permutations it folds under, one per row with the identity
+    first: the symmetries of gamma that fix p and t exactly (their
+    stabilizer), or the identity alone."""
+    group = [np.arange(_gamma(gamma).shape[0])]
     if factor and _kernel_axes(gamma, exponent_shift) is not None:
-        return "factored"
-    if getattr(gamma, "mirror", False) and np.array_equal(p, p[::-1]) \
-            and np.array_equal(t, t[::-1]):
-        return "folded"
-    return "dense"
+        return "factored", np.array(group)
+    group += [q for q in getattr(gamma, "symmetries", ())
+              if np.array_equal(p[q], p) and np.array_equal(t[q], t)]
+    return "folded" if len(group) > 1 else "dense", np.array(group)
+
+
+def _orbits(group):
+    """(reps, orbit) for the permutation group `group` (one per row): reps
+    holds the least element of each orbit in ascending order, and is a slice,
+    so that indexing by it makes views, when those are 0 .. k-1; orbit[j] is
+    the rank of the least element j maps to."""
+    least = group.min(axis=0)
+    reps = np.flatnonzero(least == group[0])  # group[0] is the identity
+    orbit = np.searchsorted(reps, least)
+    return (slice(reps.size) if reps[-1] == reps.size - 1 else reps), orbit
 
 
 def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, factor) -> TcSolution:
@@ -529,16 +581,15 @@ def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, factor) -> TcSoluti
         if t.shape != (m,):
             raise DimensionMismatch("warm start length must match the codeword grid")
 
-    kernel = _kernel(gamma, p, t, exponent_shift, factor)
-    # the orbit of each codeword and of each letter: under the mirror (m = n),
-    # j and n-1-j share orbit min(j, n-1-j); otherwise each is its own.
-    orbit, letter_orbit = np.arange(m), np.arange(n)
-    if kernel == "folded":
-        orbit = letter_orbit = np.minimum(letter_orbit, letter_orbit[::-1])
+    kernel, group = _kernel(gamma, p, t, exponent_shift, factor)
+    # the orbit of each codeword; under a symmetry (m = n) each letter has
+    # the same orbit, otherwise each letter is its own
+    reps, orbit = _orbits(group)
+    cols, letter_orbit = (reps, orbit) if kernel == "folded" else (slice(None), np.arange(n))
     mu_all = np.bincount(orbit).astype(float)  # codeword orbit sizes
     p_orb = np.bincount(letter_orbit, p)  # the mass of each letter orbit
-    p_letter = p[: p_orb.size]  # the mass of one letter of each orbit
-    t = t[: mu_all.size]  # the mass of one codeword of each orbit
+    p_letter = p[cols]  # the mass of one letter of each orbit
+    t = t[reps]  # the mass of one codeword of each orbit
     rows = np.flatnonzero(t > PRUNE_EPS)  # orbit of each live row
     if rows.size == 0:
         raise NumericalUnderflow("no codewords above the pruning threshold")
@@ -546,7 +597,7 @@ def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, factor) -> TcSoluti
     n_live = int(mu.sum())
     if n_live < m:
         logger.debug("pruning %d dead codewords before slope %g", m - n_live, s)
-    c = (g_full[: mu_all.size] @ p)[rows]  # Gamma p on each live orbit
+    c = (g_full[reps] @ p)[rows]  # Gamma p on each live orbit
     if kernel == "factored":
         gk = [_sq_diff(a, a) for a in gamma.axes]
         factors = [_exp(-s * table) for table in gk]
@@ -555,7 +606,8 @@ def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, factor) -> TcSoluti
                     for k in range(len(factors))], rows)
         amax = np.zeros(n)
     else:
-        amax, e, eg = _folded_tilt(g_full, p, s, exponent_shift, rows, mu, c, p_orb.size)
+        images = group[:, np.arange(m)[reps][rows]]
+        amax, e, eg = _folded_tilt(g_full, p_letter, s, exponent_shift, images, cols, c)
     logger.debug("slope %g: %s kernel, %d rows x %d columns", s, kernel, rows.size, p_orb.size)
     p_amax = float(p_orb @ amax)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from idq.errors import DimensionMismatch, UnsupportedModel
-from idq.linalg import SymMatrix, toeplitz_covariance
+from idq.linalg import SymMatrix, jacobi_eigh, toeplitz_covariance
 from idq.sources import (
     Bernoulli,
     GaussMarkov,
@@ -180,3 +180,39 @@ def test_discretize_mv_gaussian_reuses_a_models_decomposition():
     singular = MultivariateGaussian(SymMatrix(np.ones((2, 2))))  # PSD, not PD
     with pytest.raises(ValueError, match="strictly positive definite"):
         discretize_mv_gaussian(singular)
+
+
+def _unaveraged_masses(cov, letters):
+    """The masses as the normalized density exp(-x^T C^-1 x / 2) alone."""
+    basis = jacobi_eigh(cov)
+    quad = ((letters @ basis.eigenvectors) ** 2 / basis.eigenvalues[None, :]).sum(axis=1)
+    w = np.exp(-0.5 * quad)
+    return w / w.sum()
+
+
+@pytest.mark.parametrize("coeffs,points", [([1.0, 0.7], 33), ([1.0, 0.5, 0.2], 9),
+                                           ([1.0, -0.3, 0.6], 11)])
+def test_persymmetric_covariance_gives_masses_invariant_under_axis_reversal(coeffs, points):
+    m = len(coeffs)
+    cov = toeplitz_covariance(coeffs, m)
+    letters, probs = discretize_mv_gaussian(cov, 6.0, points)
+    cube = probs.reshape((points,) * m)
+    assert np.array_equal(cube.T, cube)  # the reversed coordinate order
+    assert np.array_equal(probs[::-1], probs)  # x -> -x
+    # The density's own masses miss the reversal by rounding: up to a few
+    # hundred ulp in the far tails, where the quadratic form is large, and
+    # about 1e-16 of the largest mass.  The average moves each mass by half
+    # its mismatch, up to rounding.
+    ref = _unaveraged_masses(cov, letters)
+    mismatch = np.abs(ref - ref.reshape(cube.shape).T.ravel())
+    assert np.all(np.abs(probs - ref) <= mismatch / 2 + 2 * np.spacing(ref))
+    assert np.max(np.abs(probs - ref)) <= 2 * np.spacing(ref.max())
+
+
+@pytest.mark.parametrize("cov", [[[1.0, 0.5], [0.5, 2.0]],
+                                 [[1.0, 0.2, 0.1], [0.2, 1.5, 0.3], [0.1, 0.3, 2.0]]])
+def test_other_covariances_give_the_density_masses_bit_for_bit(cov):
+    cov = SymMatrix(np.array(cov))
+    letters, probs = discretize_mv_gaussian(cov, 6.0, 9)
+    assert probs.tobytes() == _unaveraged_masses(cov, letters).tobytes()
+    assert np.array_equal(probs[::-1], probs)

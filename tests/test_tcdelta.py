@@ -572,7 +572,7 @@ def test_factored_kernel_matches_dense(case):
     # (per-axis kernel) against the same Gamma passed as a raw array (dense)
     letters, p, s, t0, k = case
     g = distortion_matrix(letters, letters)
-    assert idq.tcdelta._kernel(g, p, t0, False, True) == "factored"
+    assert idq.tcdelta._kernel(g, p, t0, False, True)[0] == "factored"
     for tol, max_iter in ((0.0, k), (DEFAULT_TOL, 1000)):
         a = _solve_or_error(p, g, s, tol, max_iter, t0, exponent_shift=False)
         b = _solve_or_error(p, g.gamma, s, tol, max_iter, t0, exponent_shift=False)
@@ -589,11 +589,14 @@ def test_factored_kernel_matches_dense(case):
 
 
 def test_factored_kernel_falls_back_when_a_column_underflows(caplog):
-    # the only live codeword, (0, 0), sits at squared distance 100 from the
-    # letters (0, 10) and (10, 0): exp(-20 * 100) underflows, while the dense
-    # kernel's column shift keeps those columns at 1
-    letters = _product_letters([np.array([0.0, 10.0])] * 2)
+    # the only live codeword, (0, 0), sits at squared distance 100 or more
+    # from the letters (0, 11), (10, 0) and (10, 11): exp(-20 * 100)
+    # underflows, while the dense kernel's column shift keeps those columns
+    # at 1.  Unequal axes leave the table no symmetry, so the solve runs
+    # again dense.
+    letters = _product_letters([np.array([0.0, 10.0]), np.array([0.0, 11.0])])
     g = distortion_matrix(letters, letters)
+    assert g.symmetries == ()
     p, t0 = np.full(4, 0.25), np.array([1.0, 0.0, 0.0, 0.0])
     with caplog.at_level(logging.DEBUG, logger="idq.tcdelta"):
         sol = solve_tc_point(p, g, 20.0, t0=t0, exponent_shift=False)
@@ -619,12 +622,14 @@ def test_exponent_table_has_exact_zeros_for_subnormal_entries():
 
 
 def test_folded_rows_have_exact_zeros_for_subnormal_averages():
-    # orbit 0 pairs row 0 with its mirror row 2, orbit 1 is row 1 alone: a
-    # pair summing below twice the smallest normal number averages to 0, one
-    # summing to exactly twice it averages to it
+    # two row blocks, the identity's and the mirror's: orbit 0 pairs row 0
+    # with its mirror row 2, orbit 1 is row 1, its own mirror: a pair summing
+    # below twice the smallest normal number averages to 0, one summing to
+    # exactly twice it averages to it
     tiny = np.finfo(float).tiny
-    x = np.array([[tiny, 2.0 * tiny, 1.0], [1.5 * tiny, 0.0, 2.0], [0.0, 0.0, 3.0]])
-    out = idq.tcdelta._fold_rows(x, np.array([2.0, 1.0]))
+    x = np.array([[tiny, 2.0 * tiny, 1.0], [1.5 * tiny, 0.0, 2.0],
+                  [0.0, 0.0, 3.0], [1.5 * tiny, 0.0, 2.0]])
+    out = idq.tcdelta._fold_rows(x, 2)
     assert out.tolist() == [[0.0, tiny, 2.0], [1.5 * tiny, 0.0, 2.0]]
 
 
@@ -651,18 +656,54 @@ def test_rows_cut_before_and_during_a_factored_solve_give_the_dense_channel(capl
     assert np.array_equal(cut, dense.channel.q.sum(axis=1) == 0.0)
 
 
+def _is_mirror(q):
+    return np.array_equal(q, np.arange(q.size)[::-1])
+
+
 def test_distortion_matrix_records_mirror_symmetry():
     pmf = discretize_gaussian(1.0, 6.0, 65)
     letters, _ = discretize_mv_gaussian(toeplitz_covariance([1.0, 0.7], 2), 6.0, 9)
     for x in (pmf.support, letters, np.array([-2.0, -0.5, 0.5, 2.0])):
         for metric in ("quadratic", "hamming"):
             g = distortion_matrix(x, x, metric)
-            assert g.mirror
+            assert sum(map(_is_mirror, g.symmetries)) == 1
             assert np.array_equal(g.gamma[::-1, ::-1], g.gamma)
     for x, xh in ((pmf.support, pmf.support[::-1]), (pmf.support + 0.5, pmf.support + 0.5),
                   (letters, letters[::-1])):
-        assert not distortion_matrix(x, xh).mirror
-    assert not bern_setup()[1].mirror  # {0, 1} is no mirror of itself
+        assert not any(map(_is_mirror, distortion_matrix(x, xh).symmetries))
+    assert bern_setup()[1].symmetries == ()  # {0, 1} is no mirror of itself
+
+
+def test_distortion_matrix_records_axis_reversal():
+    # on a product grid whose axes read the same backwards, reversing the
+    # coordinate order maps the quadratic table onto itself bit for bit;
+    # with the mirror and their product, that is the whole group.  A Hamming
+    # table keeps no axes and records the mirror only.
+    rng = np.random.default_rng(5)
+    for axes in ([np.array([-1.5, 0.0, 1.5])] * 2, [np.array([-1.0, 0.0, 1.0])] * 3,
+                 [np.array([-0.3, 0.2, 0.7]), np.array([-2.0, 1.0]), np.array([-0.3, 0.2, 0.7])],
+                 [np.sort(rng.normal(size=4)) for _ in range(3)]):
+        axes[-1] = axes[0]
+        letters = _product_letters(axes)
+        g = distortion_matrix(letters, letters)
+        mirror = np.array_equal(letters[::-1], -letters)
+        assert len(g.symmetries) == (3 if mirror else 1)
+        hamming = distortion_matrix(letters, letters, "hamming").symmetries
+        assert list(map(_is_mirror, hamming)) == ([True] if mirror else [])
+        for q in g.symmetries:
+            assert not np.array_equal(q, np.arange(q.size))
+            assert np.array_equal(g.gamma[q][:, q], g.gamma)
+            assert np.array_equal(np.sort(letters[q], axis=0), np.sort(letters, axis=0))
+        reversal = [q for q in g.symmetries if np.array_equal(letters[q], letters[:, ::-1])]
+        assert len(reversal) == 1
+    letters = _product_letters([np.array([-1.0, 0.0, 1.0]), np.array([-2.0, 0.0, 2.0])])
+    (q,) = distortion_matrix(letters, letters).symmetries
+    assert _is_mirror(q)  # unequal axes: no reversal
+    # one-point outer axes make the reversal the identity and the product
+    # the mirror: the group is {identity, mirror}
+    letters = _product_letters([np.zeros(1), np.array([-1.0, 0.0, 1.0]), np.zeros(1)])
+    (q,) = distortion_matrix(letters, letters).symmetries
+    assert _is_mirror(q)
 
 
 def _mirror_letters(half, middle):
@@ -737,17 +778,17 @@ def _nonzero_rows(q):
 @settings(max_examples=150, deadline=None)
 @given(_mirror_cases())
 def test_folded_kernel_matches_dense(case):
-    # The same solve on the folded kernel (a DistortionMatrix with `mirror`;
-    # its axes are dropped so that the plain rate-distortion solve does not
-    # factor) and on the dense one (the raw table), for a fixed number of
-    # iterations.  The dense loop's own last channel e t / col ("eager")
-    # checks the channel built on demand.
+    # The same solve on the folded kernel (a DistortionMatrix with the mirror
+    # among its symmetries; its axes are dropped so that the plain
+    # rate-distortion solve does not factor) and on the dense one (the raw
+    # table), for a fixed number of iterations.  The dense loop's own last
+    # channel e t / col ("eager") checks the channel built on demand.
     letters, p, s, t0, exponent_shift, k = case
     g = distortion_matrix(letters, letters)
-    assert g.mirror
+    assert any(map(_is_mirror, g.symmetries))
     object.__setattr__(g, "axes", None)
     t = np.full(len(p), 1.0 / len(p)) if t0 is None else t0
-    assert idq.tcdelta._kernel(g, p, t, exponent_shift, True) == "folded"
+    assert idq.tcdelta._kernel(g, p, t, exponent_shift, True)[0] == "folded"
     folded = _solve_or_error(p, g, s, 0.0, k, t0, exponent_shift)
     dense = _solve_or_error(p, g.gamma, s, 0.0, k, t0, exponent_shift)
     if isinstance(folded, TcSolution) and isinstance(dense, TcSolution) \
@@ -768,6 +809,82 @@ def test_folded_kernel_matches_dense(case):
         # the folded solve's channel and code marginal are mirror-symmetric
         assert np.array_equal(folded.channel.q[::-1, ::-1], folded.channel.q)
         assert np.array_equal(folded.code_marginal.probs[::-1], folded.code_marginal.probs)
+
+
+def _group_average(v, perms):
+    """v averaged over the group that the commuting involutions `perms`
+    generate, one at a time, so that every one of them fixes it exactly."""
+    for q in perms:
+        v = (v + v[q]) / 2
+    return v
+
+
+@st.composite
+def _group_cases(draw):
+    """A product grid of 2-3 copies of one symmetric axis (an odd or even
+    point count), whose table has the mirror, the coordinate reversal and their
+    product as symmetries.  p is averaged over the mirror and, unless
+    `mirror_only`, over the reversal too; the warm start over both."""
+    pos = np.sort(draw(arrays(float, st.integers(1, 3), elements=st.floats(0.1, 3.0),
+                              unique=True)))
+    axis = np.concatenate([-pos[::-1], [0.0] if draw(st.booleans()) else [], pos])
+    letters = _product_letters([axis] * draw(st.integers(2, 3)))
+    n = len(letters)
+    mirror = np.arange(n)[::-1]
+    reversal = np.arange(n).reshape([axis.size] * letters.shape[1]).T.ravel()
+    mirror_only = draw(st.booleans())
+    p = draw(arrays(float, n, elements=st.floats(0.0, 1.0)))
+    p = _group_average(p, [mirror] if mirror_only else [mirror, reversal])
+    assume(p.sum() > 1e-3)
+    assume(not mirror_only or not np.array_equal(p[reversal], p))
+    t0 = None
+    if draw(st.booleans()):
+        t0 = draw(arrays(float, n, elements=st.floats(1e-3, 1.0)))
+        small = draw(arrays(bool, n))
+        t0[small] = draw(st.sampled_from([0.0, 1e-310, PRUNE_EPS, 1e-290]))
+        t0 = _group_average(t0, [mirror, reversal])
+        assume((t0 > PRUNE_EPS).any())
+        t0 = t0 / t0.sum()
+    s = draw(st.floats(0.0, 20.0))
+    return (letters, p / p.sum(), s, t0, draw(st.booleans()), draw(st.integers(1, 40)),
+            mirror_only)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_group_cases())
+def test_group_folded_kernel_matches_dense(case):
+    # As above, on the orbits of the mirror, the coordinate reversal and
+    # their product: 4-element orbits, 2-element ones where one map fixes
+    # the letter (the diagonal and the antidiagonal at M = 2), and the
+    # centre alone.  A p that only the mirror fixes
+    # folds on the subgroup, into ceil(n/2) orbits.
+    letters, p, s, t0, exponent_shift, k, mirror_only = case
+    n = len(p)
+    g = distortion_matrix(letters, letters)
+    assert len(g.symmetries) == 3
+    object.__setattr__(g, "axes", None)
+    t = np.full(n, 1.0 / n) if t0 is None else t0
+    kernel, group = idq.tcdelta._kernel(g, p, t, exponent_shift, True)
+    assert kernel == "folded" and len(group) == (2 if mirror_only else 4)
+    _, orbit = idq.tcdelta._orbits(group)
+    # Burnside: the orbit count is the mean number of fixed letters
+    fixed = sum(int((perm == np.arange(n)).sum()) for perm in group)
+    assert orbit.max() + 1 == fixed // len(group)
+    if mirror_only:
+        assert orbit.max() + 1 == (n + 1) // 2
+    folded = _solve_or_error(p, g, s, 0.0, k, t0, exponent_shift)
+    dense = _solve_or_error(p, g.gamma, s, 0.0, k, t0, exponent_shift)
+    if isinstance(folded, TcSolution) and isinstance(dense, TcSolution) \
+            and folded.iterations != dense.iterations:
+        k = min(folded.iterations, dense.iterations)
+        folded = _solve_or_error(p, g, s, 0.0, k, t0, exponent_shift)
+        dense = _solve_or_error(p, g.gamma, s, 0.0, k, t0, exponent_shift)
+    _assert_same_solve(folded, dense, same_stop=False)
+    if isinstance(folded, TcSolution):
+        q, code = folded.channel.q, folded.code_marginal.probs
+        for perm in group:
+            assert np.array_equal(q[perm][:, perm], q)
+            assert np.array_equal(code[perm], code)
 
 
 @pytest.mark.parametrize("exponent_shift", [True, False])
@@ -795,13 +912,13 @@ def test_asymmetric_source_or_warm_start_runs_dense():
     tilted = p * np.linspace(1.0, 1.5, p.size)
     t0 = np.full(p.size, 1.0 / p.size)
     t0[0] = 0.0
-    assert idq.tcdelta._kernel(g, p, t0 / t0.sum(), True, True) == "dense"
-    assert idq.tcdelta._kernel(g, tilted / tilted.sum(), t0[::-1], True, True) == "dense"
-    assert idq.tcdelta._kernel(g.gamma, p, p, True, True) == "dense"
-    assert idq.tcdelta._kernel(g, p, p, True, True) == "folded"
+    assert idq.tcdelta._kernel(g, p, t0 / t0.sum(), True, True)[0] == "dense"
+    assert idq.tcdelta._kernel(g, tilted / tilted.sum(), t0[::-1], True, True)[0] == "dense"
+    assert idq.tcdelta._kernel(g.gamma, p, p, True, True)[0] == "dense"
+    assert idq.tcdelta._kernel(g, p, p, True, True)[0] == "folded"
     # one axis does not factor
-    assert idq.tcdelta._kernel(g, p, p, False, True) == "folded"
-    assert idq.tcdelta._kernel(g, p, p, False, False) == "folded"
+    assert idq.tcdelta._kernel(g, p, p, False, True)[0] == "folded"
+    assert idq.tcdelta._kernel(g, p, p, False, False)[0] == "folded"
 
 
 def test_one_axis_plain_rate_distortion_solve_runs_folded(caplog):
@@ -809,7 +926,7 @@ def test_one_axis_plain_rate_distortion_solve_runs_folded(caplog):
     # their product: three n x n arrays against two on the dense kernel
     pmf = discretize_gaussian(1.0, 6.0, 65)
     g = distortion_matrix(pmf.support, pmf.support)
-    assert len(g.axes) == 1 and g.mirror
+    assert len(g.axes) == 1 and list(map(_is_mirror, g.symmetries)) == [True]
     with caplog.at_level(logging.DEBUG, logger="idq.tcdelta"):
         sol = solve_tc_point(pmf.probs, g, 2.0, exponent_shift=False)
     assert "slope 2: folded kernel" in caplog.text
@@ -824,12 +941,16 @@ def test_every_compare_mv_solve_is_folded_or_factored(caplog):
             "--joint-grid-points", "9", "--slopes", "5", "--tau-points", "20", "--out", "-"]
     with caplog.at_level(logging.DEBUG, logger="idq.tcdelta"):
         assert run(args) == 0
-    kernels = [r.getMessage().split(": ")[1].split(" kernel")[0] for r in caplog.records
-               if " kernel, " in r.getMessage()]
+    lines = [r.getMessage() for r in caplog.records if " kernel, " in r.getMessage()]
+    kernels = [line.split(": ")[1].split(" kernel")[0] for line in lines]
     # two component sweeps and two joint sweeps of 5 slopes each
     assert len(kernels) == 20
     assert set(kernels) == {"folded", "factored"}
     assert kernels.count("factored") == 5  # the joint plain rate-distortion sweep
+    # the joint TC sweep runs first, on the orbits of the mirror, the axis
+    # swap and their product: (81 + 1 + 9 + 9) / 4 = 25 of the 81 letters
+    assert all(line.endswith(" x 25 columns") for line in lines[:5])
+    assert all(kernel == "folded" for kernel in kernels[:5])
 
 
 def test_sweep_points_builds_no_channel(monkeypatch):
