@@ -314,6 +314,10 @@ def mutual_information(p_x, q) -> float:
 _TINY = np.finfo(float).tiny
 #: exp(a) is sub-normal below this exponent
 _LOG_TINY = math.log(_TINY)
+#: the least column normalizer of a factored solve: the per-axis product keeps
+#: entries below _TINY that the channel's table writes as zeros (`_exp`), and
+#: below this floor those could move a channel column's sum by more than eps
+_FACTORED_COL_FLOOR = _TINY / np.finfo(float).eps
 
 
 def _exp(a) -> np.ndarray:
@@ -414,7 +418,7 @@ class _Kron:
         return sum(_mode_products([a.T for a in term], full) for term in self.terms)
 
 
-def _step(e, t, p, c=None):
+def _step(e, t, p, c=None, floor=0.0):
     """One update from codeword marginal t: returns (col, w, t_new, cte) with
     the column normalizers col = t e, w = p / col, the new marginal
     t_new = t * (e w) and cte = (c t) e (None without `c`), from one 2-row
@@ -424,13 +428,14 @@ def _step(e, t, p, c=None):
     channel is e t / col (see `_channel`).
 
     A normalizer so far below the normal range that p / col overflows is an
-    underflow too: the column's mass sits on codewords the grid has lost.
-    Callers ignore numpy's overflow and invalid warnings around it."""
+    underflow too: the column's mass sits on codewords the grid has lost.  So
+    is one at or below `floor`.  Callers ignore numpy's overflow and invalid
+    warnings around it."""
     if c is None:
         col, cte = t @ e, None
     else:
         col, cte = np.vstack((t, c * t)) @ e
-    if col.min() > 0.0:
+    if col.min() > floor:
         w = p / col
         ew = e @ w
         if np.isfinite(ew).all():
@@ -510,9 +515,10 @@ def solve_tc_point(
     t e = E_1^T T E_2, e w = E_1 W E_2^T and
     (e * Gamma) w = (E_1 * Gamma_1) W E_2^T + E_1 W (E_2 * Gamma_2)^T.  Every
     other input runs dense, and a factored solve whose column normalizer
-    underflows (the column shift of the other kernels keeps that column
-    finite) runs again folded or dense.  Dense and folded matrices come from
-    one set-up (`_folded_tilt`), dense being the case of the trivial group.
+    underflows, or falls to `_FACTORED_COL_FLOOR` (the column shift of the
+    other kernels keeps that column finite), runs again folded or dense.
+    Dense and folded matrices come from one set-up (`_folded_tilt`), dense
+    being the case of the trivial group.
     A dense solve holds e and e * Gamma, a folded one their orbit averages
     (a quarter of the size under the mirror, a fourteenth under all four
     maps), and a factored one only per-axis factors; a mid-solve cut copies
@@ -621,6 +627,7 @@ def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, factor) -> TcSoluti
     step_i = step_d = math.inf
     t_new = mu * t[rows]
     t_new /= t_new.sum()
+    floor = _FACTORED_COL_FLOOR if kernel == "factored" else 0.0
     # _step raises NumericalUnderflow where p / col overflows
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, max_iter + 1):
@@ -639,7 +646,7 @@ def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, factor) -> TcSoluti
                 # one matrix at a time, so no old and new copies of both are alive
                 e = e[live]
                 eg = eg[live]
-            col, w, t_new, cte = _step(e, tv, p_orb, c if exponent_shift else None)
+            col, w, t_new, cte = _step(e, tv, p_orb, c if exponent_shift else None, floor)
             shift_term = 0.0 if cte is None else float(cte @ (p_letter * w))
             lt = np.log(tv, out=np.zeros_like(tv), where=tv > 0)
             ltn = np.log(t_new, out=np.zeros_like(t_new), where=t_new > 0)

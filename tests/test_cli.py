@@ -235,26 +235,36 @@ def _underflow(message):
     return fail
 
 
-@pytest.mark.parametrize("stage", ["sweep_points", "component_tc_curve"])
-def test_numerical_failure_in_either_compare_stage_exits_3(tmp_path, capsys, monkeypatch, stage):
-    monkeypatch.setattr(cli, stage, _underflow(f"{stage} failed"))
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("lane", ["sweep_points", "component_tc_curve"])
+def test_numerical_failure_in_either_compare_lane_exits_3(tmp_path, capsys, monkeypatch,
+                                                         threads, lane):
+    monkeypatch.setenv("IDQ_THREADS", threads)
+    monkeypatch.setattr(cli, lane, _underflow(f"{lane} failed"))
     out = tmp_path / "o.csv"
     assert run(_MV_SMALL + ["--out", str(out)]) == 3
-    assert f"idq: numerical failure: {stage} failed" in capsys.readouterr().err
+    assert f"idq: numerical failure: {lane} failed" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_compare_mv_reports_one_error_when_both_stages_fail(tmp_path, capsys, monkeypatch):
-    # the joint sweeps run first, and their error is the one reported
-    for stage in ("sweep_points", "component_tc_curve"):
-        monkeypatch.setattr(cli, stage, _underflow(f"{stage} failed"))
+@pytest.mark.parametrize("threads,first", [("1", "sweep_points"),
+                                           ("2", "sweep_points")])
+def test_compare_mv_reports_one_error_when_both_lanes_fail(tmp_path, capsys, monkeypatch,
+                                                           threads, first):
+    # at any worker count the joint sweeps' error is raised first
+    monkeypatch.setenv("IDQ_THREADS", threads)
+    for lane in ("sweep_points", "component_tc_curve"):
+        monkeypatch.setattr(cli, lane, _underflow(f"{lane} failed"))
     assert run(_MV_SMALL + ["--out", str(tmp_path / "o.csv")]) == 3
     err = capsys.readouterr().err
     assert err.count("numerical failure") == 1
-    assert "idq: numerical failure: sweep_points failed" in err
+    assert f"idq: numerical failure: {first} failed" in err
 
 
-def test_compare_mv_skips_the_component_model_after_a_joint_failure(tmp_path, monkeypatch):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_compare_mv_skips_the_component_model_after_a_joint_failure(tmp_path, monkeypatch,
+                                                                    threads):
+    monkeypatch.setenv("IDQ_THREADS", threads)
     monkeypatch.setattr(cli, "sweep_points", _underflow("sweep_points failed"))
     calls, component_tc_curve = [], cli.component_tc_curve
 

@@ -605,6 +605,25 @@ def test_factored_kernel_falls_back_when_a_column_underflows(caplog):
     _assert_same_solve(sol, solve_tc_point(p, g.gamma, 20.0, t0=t0, exponent_shift=False))
 
 
+def test_factored_kernel_falls_back_when_a_column_normalizer_is_sub_normal(caplog):
+    # the letter (2, 2.125, 2.875) is at squared distance 42.3 from the only
+    # live codeword: the product of its three normal per-axis factors is
+    # sub-normal, an entry the channel's table writes as 0, so the factored
+    # solve stops and runs again dense
+    axes = [np.array([-1.0, 2.0]), np.array([0.5, 2.125]),
+            np.array([-2.65625, 0.0, 1.0, 2.0, 2.875])]
+    g = distortion_matrix(*[_product_letters(axes)] * 2)
+    p, t0 = np.full(20, 0.05), np.eye(20)[0]
+    for tol, max_iter in ((0.0, 1), (DEFAULT_TOL, 1000)):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="idq.tcdelta"):
+            a = solve_tc_point(p, g, 16.875, tol, max_iter, t0, exponent_shift=False)
+        assert "factored kernel" in caplog.text and "solving again" in caplog.text
+        b = solve_tc_point(p, g.gamma, 16.875, tol, max_iter, t0, exponent_shift=False)
+        _assert_same_solve(a, b)
+        assert np.all(np.abs(a.channel.q.sum(axis=0) - 1.0) <= 1e-12)
+
+
 def test_exponent_table_has_exact_zeros_for_subnormal_entries():
     # at s=115 the 65-letter table's entries ten letters off the diagonal
     # would be sub-normal; they are written as 0, so none moves by more than
