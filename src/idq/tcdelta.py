@@ -28,7 +28,7 @@ are the loop's values for that Q; the channel itself is built only when it is
 asked for, on every kernel from the live rows of Gamma and the loop's last c,
 amax, t and col.
 
-The passes run on one of three kernels, and the loop is the same on each.
+The passes run on one of two kernels, and the loop is the same on both.
 Every source the CLI discretizes is zero-mean on a grid of integer offsets,
 so x -> -x maps the letter list onto itself reversed, and p and Gamma are
 symmetric under j -> n-1-j to the last bit.  A stationary block has a
@@ -44,16 +44,8 @@ Its matrices are the orbit averages K of the rows of e and of e * Gamma, the
 mean of the |H| row blocks e[h R] (orbit sizes mu in {1, 2, 4}, so every
 rescaling is exact), the letter-orbit masses p' and the codeword-orbit
 masses t' = mu * t.  Dense is the case of the trivial group, and under the
-mirror alone K = (e[R] + e[sigma R]) / mu.
-
-Without the shift, quadratic distortion between one lexicographic product
-grid on both sides is a sum over axes, Gamma = sum_k Gamma_k, and nothing is
-subtracted from a column (its own codeword has distortion 0), so
-e = E_1 (x) ... (x) E_M with E_k = exp(-s Gamma_k).  `distortion_matrix` keeps
-the per-axis grids for such tables, and the plain rate-distortion solve on
-two or more axes then runs its passes as per-axis mode products (`_Kron`):
-33 x 33 factors in place of a 1089 x 1089 matrix at M = 2.  The shifted TC
-update does not factor, since c p^T does not, and runs folded.
+mirror alone K = (e[R] + e[sigma R]) / mu.  The plain rate-distortion update
+(no shift) folds the same way as the TC update.
 
 The two steps are exact alternating minimization (Blahut 1972) of
 
@@ -135,18 +127,14 @@ class Channel:
 class DistortionMatrix:
     """Per-letter distortions; entry (j, i) = rho(x_i, xhat_j) >= 0.
 
-    `axes` is set by `distortion_matrix` when the table is quadratic between
-    one lexicographic product grid on both sides: the per-axis grids, so that
-    Gamma = sum_k Gamma_k with Gamma_k the squared differences along axis k.
-    `symmetries` is set when both sides are one letter list x: the letter
-    permutations q other than the identity with Gamma[q][:, q] == Gamma bit
-    for bit that `distortion_matrix` finds (`_symmetries`).  With the
-    identity they form a group of order 1, 2 or 4.
+    `symmetries` is set by `distortion_matrix` when both sides are one letter
+    list x: the letter permutations q other than the identity with
+    Gamma[q][:, q] == Gamma bit for bit that it finds (`_symmetries`).  With
+    the identity they form a group of order 1, 2 or 4.
     """
 
     gamma: np.ndarray
     metric: str = QUADRATIC
-    axes: tuple = field(default=None, init=False, repr=False, compare=False)
     symmetries: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -201,11 +189,9 @@ def distortion_matrix(x_grid, xhat_grid, metric: str = QUADRATIC) -> DistortionM
 
     Grids may be 1-D scalars or (n, d) blocks; quadratic means squared
     Euclidean distance, summed one coordinate at a time, hamming the 0/1
-    inequality indicator.  A quadratic table between one lexicographic
-    product grid on both sides keeps its per-axis grids (`axes`), and a table
-    between one letter list on both sides records the permutations that map
-    it onto itself (`symmetries`; a Hamming table only the mirror, as it
-    keeps no axes).  Coordinates k and d-1-k are added as one
+    inequality indicator.  A table between one letter list on both sides
+    records the permutations that map it onto itself (`symmetries`; a
+    Hamming table only the mirror).  Coordinates k and d-1-k are added as one
     pair before the next pair, so that reversing the coordinate order leaves
     every entry unchanged bit for bit.
     """
@@ -233,9 +219,8 @@ def distortion_matrix(x_grid, xhat_grid, metric: str = QUADRATIC) -> DistortionM
     else:
         raise ValueError(f"unknown metric {metric!r}")
     if np.array_equal(x, xh):
-        if metric == QUADRATIC:
-            object.__setattr__(dm, "axes", _product_axes(x))
-        object.__setattr__(dm, "symmetries", _symmetries(x, dm.axes))
+        axes = _product_axes(x) if metric == QUADRATIC else None
+        object.__setattr__(dm, "symmetries", _symmetries(x, axes))
     return dm
 
 
@@ -314,10 +299,6 @@ def mutual_information(p_x, q) -> float:
 _TINY = np.finfo(float).tiny
 #: exp(a) is sub-normal below this exponent
 _LOG_TINY = math.log(_TINY)
-#: the least column normalizer of a factored solve: the per-axis product keeps
-#: entries below _TINY that the channel's table writes as zeros (`_exp`), and
-#: below this floor those could move a channel column's sum by more than eps
-_FACTORED_COL_FLOOR = _TINY / np.finfo(float).eps
 
 
 def _exp(a) -> np.ndarray:
@@ -386,39 +367,7 @@ def _fold_rows(x, order) -> np.ndarray:
     return out
 
 
-def _mode_products(mats, v) -> np.ndarray:
-    """(A_1 (x) ... (x) A_M) v for v over a lexicographic product grid: one
-    small matrix product per axis, each of which moves its axis last."""
-    for a in mats:
-        v = (a @ v.reshape(a.shape[1], -1)).T
-    return v.ravel()
-
-
-class _Kron:
-    """Rows `rows` of sum_r A_r1 (x) ... (x) A_rM over a lexicographic product
-    grid, applied by per-axis mode products and never formed in the loop; the
-    rows left out act as exact zeros.  `t @ k`, `k @ w` and `k[live]` mean
-    what they mean on the dense matrix, so `_step` and the solver loop run on
-    either."""
-
-    __array_ufunc__ = None  # numpy then hands `t @ k` to __rmatmul__
-
-    def __init__(self, terms, rows):
-        self.terms, self.rows = terms, rows
-
-    def __getitem__(self, live):
-        return _Kron(self.terms, self.rows[live])
-
-    def __matmul__(self, w):
-        return sum(_mode_products(term, w) for term in self.terms)[self.rows]
-
-    def __rmatmul__(self, t):
-        full = np.zeros(math.prod(a.shape[0] for a in self.terms[0]))
-        full[self.rows] = t
-        return sum(_mode_products([a.T for a in term], full) for term in self.terms)
-
-
-def _step(e, t, p, c=None, floor=0.0):
+def _step(e, t, p, c=None):
     """One update from codeword marginal t: returns (col, w, t_new, cte) with
     the column normalizers col = t e, w = p / col, the new marginal
     t_new = t * (e w) and cte = (c t) e (None without `c`), from one 2-row
@@ -428,14 +377,13 @@ def _step(e, t, p, c=None, floor=0.0):
     channel is e t / col (see `_channel`).
 
     A normalizer so far below the normal range that p / col overflows is an
-    underflow too: the column's mass sits on codewords the grid has lost.  So
-    is one at or below `floor`.  Callers ignore numpy's overflow and invalid
-    warnings around it."""
+    underflow too: the column's mass sits on codewords the grid has lost.
+    Callers ignore numpy's overflow and invalid warnings around it."""
     if c is None:
         col, cte = t @ e, None
     else:
         col, cte = np.vstack((t, c * t)) @ e
-    if col.min() > floor:
+    if col.min() > 0.0:
         w = p / col
         ew = e @ w
         if np.isfinite(ew).all():
@@ -472,6 +420,28 @@ def ba_step(p_x, t, gamma, s: float):
     return Channel(_channel(e, tv, col)), Pmf(support, t_new)
 
 
+def _kernel(gamma, p, t):
+    """The kernel a solve runs on (folded or dense) and the group of codeword
+    permutations it folds under, one per row with the identity first: the
+    symmetries of gamma that fix p and t exactly (their stabilizer), or the
+    identity alone."""
+    group = [np.arange(_gamma(gamma).shape[0])]
+    group += [q for q in getattr(gamma, "symmetries", ())
+              if np.array_equal(p[q], p) and np.array_equal(t[q], t)]
+    return "folded" if len(group) > 1 else "dense", np.array(group)
+
+
+def _orbits(group):
+    """(reps, orbit) for the permutation group `group` (one per row): reps
+    holds the least element of each orbit in ascending order, and is a slice,
+    so that indexing by it makes views, when those are 0 .. k-1; orbit[j] is
+    the rank of the least element j maps to."""
+    least = group.min(axis=0)
+    reps = np.flatnonzero(least == group[0])  # group[0] is the identity
+    orbit = np.searchsorted(reps, least)
+    return (slice(reps.size) if reps[-1] == reps.size - 1 else reps), orbit
+
+
 def solve_tc_point(
     p_x,
     gamma,
@@ -495,7 +465,7 @@ def solve_tc_point(
     update into the plain rate-distortion iteration (used for the
     lossy-compression baseline of correlated sources).  A solve that stops at
     `max_iter` logs one WARNING with its last steps in I and D_s, and every
-    solve logs one DEBUG line naming its kernel (dense, folded or factored).
+    solve logs one DEBUG line naming its kernel (dense or folded).
 
     Each iteration is three matrix passes over the live rows of matrices
     built once per slope: [t; c t] e, e w and (e * Gamma) w (without the
@@ -509,66 +479,14 @@ def solve_tc_point(
 
     Kernels (module docstring).  A `DistortionMatrix` with `symmetries`, one
     of which fixes p and the warm start exactly, runs folded on the orbits of
-    all those that do, and its code marginal is fixed by them exactly too,
-    so a warm-started sweep stays folded.
-    Without the shift, one with `axes` runs factored; for M = 2 the passes are
-    t e = E_1^T T E_2, e w = E_1 W E_2^T and
-    (e * Gamma) w = (E_1 * Gamma_1) W E_2^T + E_1 W (E_2 * Gamma_2)^T.  Every
-    other input runs dense, and a factored solve whose column normalizer
-    underflows, or falls to `_FACTORED_COL_FLOOR` (the column shift of the
-    other kernels keeps that column finite), runs again folded or dense.
-    Dense and folded matrices come from one set-up (`_folded_tilt`), dense
-    being the case of the trivial group.
+    all those that do, with or without the shift, and its code marginal is
+    fixed by them exactly too, so a warm-started sweep stays folded.  Every
+    other input runs dense.  Dense and folded matrices come from one set-up
+    (`_folded_tilt`), dense being the case of the trivial group.
     A dense solve holds e and e * Gamma, a folded one their orbit averages
     (a quarter of the size under the mirror, a fourteenth under all four
-    maps), and a factored one only per-axis factors; a mid-solve cut copies
-    one matrix at a time.
+    maps); a mid-solve cut copies one matrix at a time.
     """
-    try:
-        return _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, True)
-    except NumericalUnderflow:
-        if _kernel_axes(gamma, exponent_shift) is None:
-            raise
-    logger.debug("slope %g: a column normalizer underflowed on the per-axis "
-                 "kernel; solving again without it", s)
-    return _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, False)
-
-
-def _kernel_axes(gamma, exponent_shift):
-    """The per-axis grids the solve factors its kernel over, or None.  One
-    axis does not factor: its factors would be Gamma, exp(-s Gamma) and their
-    product, three n x n arrays against two on the dense kernel."""
-    axes = None if exponent_shift else getattr(gamma, "axes", None)
-    return axes if axes is not None and len(axes) > 1 else None
-
-
-def _kernel(gamma, p, t, exponent_shift, factor):
-    """The kernel a solve runs on (factored, folded or dense) and the group of
-    codeword permutations it folds under, one per row with the identity
-    first: the symmetries of gamma that fix p and t exactly (their
-    stabilizer), or the identity alone."""
-    group = [np.arange(_gamma(gamma).shape[0])]
-    if factor and _kernel_axes(gamma, exponent_shift) is not None:
-        return "factored", np.array(group)
-    group += [q for q in getattr(gamma, "symmetries", ())
-              if np.array_equal(p[q], p) and np.array_equal(t[q], t)]
-    return "folded" if len(group) > 1 else "dense", np.array(group)
-
-
-def _orbits(group):
-    """(reps, orbit) for the permutation group `group` (one per row): reps
-    holds the least element of each orbit in ascending order, and is a slice,
-    so that indexing by it makes views, when those are 0 .. k-1; orbit[j] is
-    the rank of the least element j maps to."""
-    least = group.min(axis=0)
-    reps = np.flatnonzero(least == group[0])  # group[0] is the identity
-    orbit = np.searchsorted(reps, least)
-    return (slice(reps.size) if reps[-1] == reps.size - 1 else reps), orbit
-
-
-def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, factor) -> TcSolution:
-    """`solve_tc_point` on the kernel that gamma's structure and the inputs
-    select; `factor=False` rules out the per-axis kernel."""
     p = _probs(p_x)
     g_full = _gamma(gamma)
     m, n = g_full.shape
@@ -587,7 +505,7 @@ def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, factor) -> TcSoluti
         if t.shape != (m,):
             raise DimensionMismatch("warm start length must match the codeword grid")
 
-    kernel, group = _kernel(gamma, p, t, exponent_shift, factor)
+    kernel, group = _kernel(gamma, p, t)
     # the orbit of each codeword; under a symmetry (m = n) each letter has
     # the same orbit, otherwise each letter is its own
     reps, orbit = _orbits(group)
@@ -604,16 +522,8 @@ def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, factor) -> TcSoluti
     if n_live < m:
         logger.debug("pruning %d dead codewords before slope %g", m - n_live, s)
     c = (g_full[reps] @ p)[rows]  # Gamma p on each live orbit
-    if kernel == "factored":
-        gk = [_sq_diff(a, a) for a in gamma.axes]
-        factors = [_exp(-s * table) for table in gk]
-        e = _Kron([factors], rows)
-        eg = _Kron([factors[:k] + [factors[k] * gk[k]] + factors[k + 1:]
-                    for k in range(len(factors))], rows)
-        amax = np.zeros(n)
-    else:
-        images = group[:, np.arange(m)[reps][rows]]
-        amax, e, eg = _folded_tilt(g_full, p_letter, s, exponent_shift, images, cols, c)
+    images = group[:, np.arange(m)[reps][rows]]
+    amax, e, eg = _folded_tilt(g_full, p_letter, s, exponent_shift, images, cols, c)
     logger.debug("slope %g: %s kernel, %d rows x %d columns", s, kernel, rows.size, p_orb.size)
     p_amax = float(p_orb @ amax)
 
@@ -627,7 +537,6 @@ def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, factor) -> TcSoluti
     step_i = step_d = math.inf
     t_new = mu * t[rows]
     t_new /= t_new.sum()
-    floor = _FACTORED_COL_FLOOR if kernel == "factored" else 0.0
     # _step raises NumericalUnderflow where p / col overflows
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, max_iter + 1):
@@ -646,7 +555,7 @@ def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, factor) -> TcSoluti
                 # one matrix at a time, so no old and new copies of both are alive
                 e = e[live]
                 eg = eg[live]
-            col, w, t_new, cte = _step(e, tv, p_orb, c if exponent_shift else None, floor)
+            col, w, t_new, cte = _step(e, tv, p_orb, c if exponent_shift else None)
             shift_term = 0.0 if cte is None else float(cte @ (p_letter * w))
             lt = np.log(tv, out=np.zeros_like(tv), where=tv > 0)
             ltn = np.log(t_new, out=np.zeros_like(t_new), where=t_new > 0)
@@ -722,9 +631,7 @@ def _solve(p_x, gamma, s, tol, max_iter, t0, exponent_shift, factor) -> TcSoluti
 def _build_channel(g_full, p, s, exponent_shift, codewords, c, t, col, amax):
     """The m x n channel e t / col of a solve's last iteration, with zeros
     outside its live `codewords`: the rows of e are the tilt of those rows of
-    Gamma with the solve's own c and amax, on every kernel.  A factored solve
-    subtracts amax = 0, and its rows agree with the per-axis product
-    E_1 (x) ... (x) E_M up to rounding."""
+    Gamma with the solve's own c and amax, on either kernel."""
     _, _, e = _tilt(g_full[codewords], p, s, exponent_shift, c=c, amax=amax)
     q = _channel(e, t, col)
     if codewords.size == g_full.shape[0]:

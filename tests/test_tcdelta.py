@@ -508,23 +508,28 @@ def _product_letters(axes):
 
 
 def test_distortion_matrix_keeps_axes_of_product_grids():
+    # the per-axis grids `distortion_matrix` finds the coordinate reversal on
+    product_axes = idq.tcdelta._product_axes
     for cov, points in (([1.0, 0.7], 9), ([1.0, 0.5, 0.2], 5)):
         letters, _ = discretize_mv_gaussian(toeplitz_covariance(cov, len(cov)), 6.0, points)
         g = distortion_matrix(letters, letters)
-        assert len(g.axes) == len(cov)
-        assert np.array_equal(_product_letters(g.axes), letters)
+        axes = product_axes(letters)
+        assert len(axes) == len(cov)
+        assert np.array_equal(_product_letters(axes), letters)
         # one coordinate at a time gives the table the (m, n, d) sum gives
         ref = ((letters[:, None, :] - letters[None, :, :]) ** 2).sum(axis=2)
         assert np.array_equal(g.gamma, ref)
         perm = np.random.default_rng(0).permutation(len(letters))
-        assert distortion_matrix(letters[perm], letters[perm]).axes is None
-        assert distortion_matrix(letters, letters[perm]).axes is None
-        assert distortion_matrix(letters, 1.5 * letters).axes is None
-        assert distortion_matrix(letters, letters, "hamming").axes is None
+        assert product_axes(letters[perm]) is None
+        # two letter lists give no symmetries, and a Hamming table the mirror only
+        assert distortion_matrix(letters, letters[perm]).symmetries == ()
+        assert distortion_matrix(letters, 1.5 * letters).symmetries == ()
+        hamming = distortion_matrix(letters, letters, "hamming").symmetries
+        assert list(map(_is_mirror, hamming)) == [True]
     pmf = discretize_gaussian(1.0, 6.0, 65)
-    (axis,) = distortion_matrix(pmf.support, pmf.support).axes
+    (axis,) = product_axes(pmf.support[:, None])
     assert np.array_equal(axis, pmf.support)
-    assert distortion_matrix(pmf.support[::-1], pmf.support[::-1]).axes is None
+    assert product_axes(pmf.support[::-1, None]) is None
 
 
 def _solve_or_error(*args, **kwargs):
@@ -544,84 +549,6 @@ def _assert_same_solve(a, b, same_stop=True):
         assert abs(getattr(a, name) - getattr(b, name)) <= 1e-12, name
     assert np.max(np.abs(a.channel.q - b.channel.q)) <= 1e-12
     assert np.max(np.abs(a.code_marginal.probs - b.code_marginal.probs)) <= 1e-12
-
-
-@st.composite
-def _product_grid_cases(draw):
-    axis = arrays(float, st.integers(2, 6), elements=st.floats(-3.0, 3.0), unique=True)
-    # one axis does not factor (`_kernel_axes`)
-    axes = [np.sort(draw(axis)) for _ in range(draw(st.integers(2, 3)))]
-    letters = _product_letters(axes)
-    n = len(letters)
-    p = draw(arrays(float, n, elements=st.floats(0.0, 1.0)))
-    assume(p.sum() > 1e-3)
-    t0 = None
-    if draw(st.booleans()):  # warm start, some of it at or below PRUNE_EPS
-        t0 = draw(arrays(float, n, elements=st.floats(1e-3, 1.0)))
-        dead = draw(arrays(bool, n))
-        assume(not dead.all())
-        t0[dead] = draw(st.sampled_from([0.0, 1e-310, PRUNE_EPS]))
-    s = draw(st.floats(0.0, 20.0))
-    return letters, p / p.sum(), s, t0, draw(st.integers(1, 5))
-
-
-@settings(max_examples=100, deadline=None)
-@given(_product_grid_cases())
-def test_factored_kernel_matches_dense(case):
-    # the plain rate-distortion solve on a product grid's DistortionMatrix
-    # (per-axis kernel) against the same Gamma passed as a raw array (dense)
-    letters, p, s, t0, k = case
-    g = distortion_matrix(letters, letters)
-    assert idq.tcdelta._kernel(g, p, t0, False, True)[0] == "factored"
-    for tol, max_iter in ((0.0, k), (DEFAULT_TOL, 1000)):
-        a = _solve_or_error(p, g, s, tol, max_iter, t0, exponent_shift=False)
-        b = _solve_or_error(p, g.gamma, s, tol, max_iter, t0, exponent_shift=False)
-        if tol == 0.0 and any(getattr(x, "converged", False) for x in (a, b)):
-            # At tol=0 a solve stops early only where I and D_s stop moving to
-            # the last bit, as with a point-mass p or one live codeword, where
-            # both are 0 identically.  Rounding decides at which iteration
-            # either kernel sees two equal values while E_prod and the marginal
-            # still move, so only what the stop rule watches is compared.
-            for name in ("rate", "d_s"):
-                assert abs(getattr(a, name) - getattr(b, name)) <= 1e-12, name
-        else:
-            _assert_same_solve(a, b)
-
-
-def test_factored_kernel_falls_back_when_a_column_underflows(caplog):
-    # the only live codeword, (0, 0), sits at squared distance 100 or more
-    # from the letters (0, 11), (10, 0) and (10, 11): exp(-20 * 100)
-    # underflows, while the dense kernel's column shift keeps those columns
-    # at 1.  Unequal axes leave the table no symmetry, so the solve runs
-    # again dense.
-    letters = _product_letters([np.array([0.0, 10.0]), np.array([0.0, 11.0])])
-    g = distortion_matrix(letters, letters)
-    assert g.symmetries == ()
-    p, t0 = np.full(4, 0.25), np.array([1.0, 0.0, 0.0, 0.0])
-    with caplog.at_level(logging.DEBUG, logger="idq.tcdelta"):
-        sol = solve_tc_point(p, g, 20.0, t0=t0, exponent_shift=False)
-    assert "factored kernel" in caplog.text and "dense kernel" in caplog.text
-    assert sol.channel.q.tolist() == [[1.0] * 4] + [[0.0] * 4] * 3
-    _assert_same_solve(sol, solve_tc_point(p, g.gamma, 20.0, t0=t0, exponent_shift=False))
-
-
-def test_factored_kernel_falls_back_when_a_column_normalizer_is_sub_normal(caplog):
-    # the letter (2, 2.125, 2.875) is at squared distance 42.3 from the only
-    # live codeword: the product of its three normal per-axis factors is
-    # sub-normal, an entry the channel's table writes as 0, so the factored
-    # solve stops and runs again dense
-    axes = [np.array([-1.0, 2.0]), np.array([0.5, 2.125]),
-            np.array([-2.65625, 0.0, 1.0, 2.0, 2.875])]
-    g = distortion_matrix(*[_product_letters(axes)] * 2)
-    p, t0 = np.full(20, 0.05), np.eye(20)[0]
-    for tol, max_iter in ((0.0, 1), (DEFAULT_TOL, 1000)):
-        caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="idq.tcdelta"):
-            a = solve_tc_point(p, g, 16.875, tol, max_iter, t0, exponent_shift=False)
-        assert "factored kernel" in caplog.text and "solving again" in caplog.text
-        b = solve_tc_point(p, g.gamma, 16.875, tol, max_iter, t0, exponent_shift=False)
-        _assert_same_solve(a, b)
-        assert np.all(np.abs(a.channel.q.sum(axis=0) - 1.0) <= 1e-12)
 
 
 def test_exponent_table_has_exact_zeros_for_subnormal_entries():
@@ -650,29 +577,6 @@ def test_folded_rows_have_exact_zeros_for_subnormal_averages():
                   [0.0, 0.0, 3.0], [1.5 * tiny, 0.0, 2.0]])
     out = idq.tcdelta._fold_rows(x, 2)
     assert out.tolist() == [[0.0, tiny, 2.0], [1.5 * tiny, 0.0, 2.0]]
-
-
-def test_rows_cut_before_and_during_a_factored_solve_give_the_dense_channel(caplog):
-    # 121 product letters at slope 0.2: two codewords start dead, and 16 more
-    # are cut at iteration 64
-    letters, probs = discretize_mv_gaussian(toeplitz_covariance([1.0, 0.5], 2), 8.0, 11)
-    g = distortion_matrix(letters, letters)
-    t0 = np.full(len(letters), 1.0)
-    t0[[0, 5]] = 0.0
-    t0 /= t0.sum()
-    sols = []
-    for gamma in (g, g.gamma):
-        caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="idq.tcdelta"):
-            sols.append(solve_tc_point(probs, gamma, 0.2, t0=t0, exponent_shift=False))
-        text = caplog.text
-        assert "pruning 2 dead codewords before slope 0.2" in text
-        assert "at or below PRUNE_EPS" in text
-    factored, dense = sols
-    _assert_same_solve(factored, dense)
-    cut = factored.channel.q.sum(axis=1) == 0.0
-    assert cut[[0, 5]].all() and cut.sum() == 18
-    assert np.array_equal(cut, dense.channel.q.sum(axis=1) == 0.0)
 
 
 def _is_mirror(q):
@@ -798,24 +702,23 @@ def _nonzero_rows(q):
 @given(_mirror_cases())
 def test_folded_kernel_matches_dense(case):
     # The same solve on the folded kernel (a DistortionMatrix with the mirror
-    # among its symmetries; its axes are dropped so that the plain
-    # rate-distortion solve does not factor) and on the dense one (the raw
-    # table), for a fixed number of iterations.  The dense loop's own last
+    # among its symmetries) and on the dense one (the raw table), for a fixed
+    # number of iterations.  The dense loop's own last
     # channel e t / col ("eager") checks the channel built on demand.
     letters, p, s, t0, exponent_shift, k = case
     g = distortion_matrix(letters, letters)
     assert any(map(_is_mirror, g.symmetries))
-    object.__setattr__(g, "axes", None)
     t = np.full(len(p), 1.0 / len(p)) if t0 is None else t0
-    assert idq.tcdelta._kernel(g, p, t, exponent_shift, True)[0] == "folded"
+    assert idq.tcdelta._kernel(g, p, t)[0] == "folded"
     folded = _solve_or_error(p, g, s, 0.0, k, t0, exponent_shift)
     dense = _solve_or_error(p, g.gamma, s, 0.0, k, t0, exponent_shift)
     if isinstance(folded, TcSolution) and isinstance(dense, TcSolution) \
             and folded.iterations != dense.iterations:
         # At tol=0 a solve stops early only where I and D_s stand still to the
-        # last bit while the marginal may still move (see the factored test);
-        # rounding decides in which iteration either kernel sees that.  Both
-        # are then compared after the same number of iterations.
+        # last bit while the marginal may still move, as with a point-mass p
+        # or one live codeword, where both are 0 identically; rounding decides
+        # in which iteration either kernel sees that.  Both are then compared
+        # after the same number of iterations.
         k = min(folded.iterations, dense.iterations)
         folded = _solve_or_error(p, g, s, 0.0, k, t0, exponent_shift)
     spy = _LastStep()
@@ -881,9 +784,8 @@ def test_group_folded_kernel_matches_dense(case):
     n = len(p)
     g = distortion_matrix(letters, letters)
     assert len(g.symmetries) == 3
-    object.__setattr__(g, "axes", None)
     t = np.full(n, 1.0 / n) if t0 is None else t0
-    kernel, group = idq.tcdelta._kernel(g, p, t, exponent_shift, True)
+    kernel, group = idq.tcdelta._kernel(g, p, t)
     assert kernel == "folded" and len(group) == (2 if mirror_only else 4)
     _, orbit = idq.tcdelta._orbits(group)
     # Burnside: the orbit count is the mean number of fixed letters
@@ -909,7 +811,6 @@ def test_group_folded_kernel_matches_dense(case):
 @pytest.mark.parametrize("exponent_shift", [True, False])
 def test_rows_cut_during_a_folded_solve_give_the_dense_solve(caplog, exponent_shift):
     p, g, s = _compaction_case()
-    object.__setattr__(g, "axes", None)
     sols = []
     for gamma, kernel in ((g, "folded"), (g.gamma, "dense")):
         caplog.clear()
@@ -931,25 +832,19 @@ def test_asymmetric_source_or_warm_start_runs_dense():
     tilted = p * np.linspace(1.0, 1.5, p.size)
     t0 = np.full(p.size, 1.0 / p.size)
     t0[0] = 0.0
-    assert idq.tcdelta._kernel(g, p, t0 / t0.sum(), True, True)[0] == "dense"
-    assert idq.tcdelta._kernel(g, tilted / tilted.sum(), t0[::-1], True, True)[0] == "dense"
-    assert idq.tcdelta._kernel(g.gamma, p, p, True, True)[0] == "dense"
-    assert idq.tcdelta._kernel(g, p, p, True, True)[0] == "folded"
-    # one axis does not factor
-    assert idq.tcdelta._kernel(g, p, p, False, True)[0] == "folded"
-    assert idq.tcdelta._kernel(g, p, p, False, False)[0] == "folded"
+    assert idq.tcdelta._kernel(g, p, t0 / t0.sum())[0] == "dense"
+    assert idq.tcdelta._kernel(g, tilted / tilted.sum(), t0[::-1])[0] == "dense"
+    assert idq.tcdelta._kernel(g.gamma, p, p)[0] == "dense"
+    assert idq.tcdelta._kernel(g, p, p)[0] == "folded"
 
 
 def test_one_axis_plain_rate_distortion_solve_runs_folded(caplog):
-    # a one-axis table's per-axis factors are Gamma itself, its exp and
-    # their product: three n x n arrays against two on the dense kernel
     pmf = discretize_gaussian(1.0, 6.0, 65)
     g = distortion_matrix(pmf.support, pmf.support)
-    assert len(g.axes) == 1 and list(map(_is_mirror, g.symmetries)) == [True]
+    assert list(map(_is_mirror, g.symmetries)) == [True]
     with caplog.at_level(logging.DEBUG, logger="idq.tcdelta"):
         sol = solve_tc_point(pmf.probs, g, 2.0, exponent_shift=False)
     assert "slope 2: folded kernel" in caplog.text
-    assert "factored" not in caplog.text
     _assert_same_solve(sol, solve_tc_point(pmf.probs, g.gamma, 2.0, exponent_shift=False))
 
 
@@ -964,12 +859,11 @@ def test_every_compare_mv_solve_is_folded_or_factored(caplog):
     kernels = [line.split(": ")[1].split(" kernel")[0] for line in lines]
     # two component sweeps and two joint sweeps of 5 slopes each
     assert len(kernels) == 20
-    assert set(kernels) == {"folded", "factored"}
-    assert kernels.count("factored") == 5  # the joint plain rate-distortion sweep
-    # the joint TC sweep runs first, on the orbits of the mirror, the axis
-    # swap and their product: (81 + 1 + 9 + 9) / 4 = 25 of the 81 letters
-    assert all(line.endswith(" x 25 columns") for line in lines[:5])
-    assert all(kernel == "folded" for kernel in kernels[:5])
+    assert set(kernels) == {"folded"}
+    # the joint TC sweep runs first, then the joint plain rate-distortion
+    # sweep, both on the orbits of the mirror, the axis swap and their
+    # product: (81 + 1 + 9 + 9) / 4 = 25 of the 81 letters
+    assert all(line.endswith(" x 25 columns") for line in lines[:10])
 
 
 def test_sweep_points_builds_no_channel(monkeypatch):
@@ -983,28 +877,19 @@ def test_sweep_points_builds_no_channel(monkeypatch):
     letters, probs = discretize_mv_gaussian(toeplitz_covariance([1.0, 0.7], 2), 6.0, 33)
     g = distortion_matrix(letters, letters)
     s_grid = np.geomspace(0.5, 20.0, 3)
-    tracemalloc.start()
-    try:
-        d, r, _ = sweep_points(probs, g, s_grid, max_iter=30, exponent_shift=False)
-        _, factored_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the factored kernel holds per-axis factors and vectors only: far less
-    # than one 1089 x 1089 array
-    assert factored_peak < g.gamma.nbytes / 8
-    assert np.all(np.isfinite(r))
-    d, r, _ = sweep_points(probs, g, s_grid, max_iter=30)
-    assert np.all(np.isfinite(r))
-
-
-def test_factored_kernel_falls_back_to_the_folded_one(caplog):
-    # as above, on a mirror-symmetric grid: the one live codeword, (0, 0),
-    # sits at squared distance 100 from four of the 3 x 3 letters
-    letters = _product_letters([np.array([-10.0, 0.0, 10.0])] * 2)
-    g = distortion_matrix(letters, letters)
-    p, t0 = np.full(9, 1.0 / 9), np.eye(9)[4]
-    with caplog.at_level(logging.DEBUG, logger="idq.tcdelta"):
-        sol = solve_tc_point(p, g, 20.0, t0=t0, exponent_shift=False)
-    assert "factored kernel" in caplog.text and "folded kernel" in caplog.text
-    assert sol.channel.q.tolist() == [[0.0] * 9] * 4 + [[1.0] * 9] + [[0.0] * 9] * 4
-    _assert_same_solve(sol, solve_tc_point(p, g.gamma, 20.0, t0=t0, exponent_shift=False))
+    for exponent_shift in (False, True):
+        # numpy's one-time allocations then fall outside the traced sweeps
+        sweep_points(probs, g, s_grid, max_iter=1, exponent_shift=exponent_shift)
+    peaks = []
+    for exponent_shift in (False, True):
+        tracemalloc.start()
+        try:
+            d, r, _ = sweep_points(probs, g, s_grid, max_iter=30, exponent_shift=exponent_shift)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(r))
+    plain_peak, tc_peak = peaks
+    # both sweeps fold over the same four-element group, and neither holds
+    # as much as one 1089 x 1089 array
+    assert plain_peak <= tc_peak < g.gamma.nbytes
