@@ -214,11 +214,14 @@ def _cmd_tcdelta_components(args):
 def _cmd_simulate(args):
     model = IidGaussian(args.variance)
     d_grid = _d_grid(args)
+    training = {}
     ests, stderrs, total_fn = estimate_pr_maybe(
-        model, args.rate, args.block_len, d_grid, args.trials, args.seed
+        model, args.rate, args.block_len, d_grid, args.trials, args.seed, training=training
     )
     rows = [(float(d), est, stderr) for d, est, stderr in zip(d_grid, ests, stderrs)]
-    return ["d_id", "pr_maybe", "stderr"], rows, {"false_negatives": total_fn}
+    return ["d_id", "pr_maybe", "stderr"], rows, {
+        "false_negatives": total_fn, "kmeans_rounds": training["kmeans_rounds"],
+        "train_distortion": _fmt(training["train_distortion"])}
 
 
 def _cmd_compare(args):

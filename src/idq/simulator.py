@@ -64,6 +64,8 @@ class Signature:
     stored_dist: float
 
     def __post_init__(self):
+        if not math.isfinite(self.stored_dist):
+            raise ValueError("stored distance must be finite")
         if self.index < 0 or self.stored_dist < 0:
             raise ValueError("index and stored distance must be non-negative")
 
@@ -80,6 +82,14 @@ class QueryOutcome:
             raise ValueError("decision must be 'maybe' or 'no'")
 
 
+def _check_d_id(d_id) -> None:
+    """Reject a non-finite or negative threshold (or array of thresholds)."""
+    if not np.all(np.isfinite(d_id)):
+        raise ValueError("d_id must be finite")
+    if np.any(np.less(d_id, 0)):
+        raise ValueError("d_id must be non-negative")
+
+
 def _workers() -> int:
     """Worker count from IDQ_THREADS: unset or empty is 1, 0 is one per CPU."""
     raw = os.environ.get("IDQ_THREADS", "").strip()
@@ -90,37 +100,29 @@ def _workers() -> int:
     return int(raw) or os.cpu_count() or 1
 
 
-def _nearest(codewords: np.ndarray, blocks: np.ndarray):
-    """Chunked nearest-codeword search: (indices, exact squared distances).
+def _products(codewords: np.ndarray, blocks: np.ndarray, reduce, width: int = None) -> None:
+    """Chunked distance products: reduce(lo, hi, x, d2) for each chunk of rows.
 
     ||x - c||^2 - ||x||^2 = [x, 1] . [-2c, ||c||^2], and ||x||^2 is the same
-    for every codeword, so each chunk of rows costs one matrix product
-    [x, 1] @ A with A = [-2C, ||c||^2]^T, written into a distance block, and
-    one argmin.  Leaving ||x||^2 out moves only ties at rounding level.  A
-    chunk holds about _ASSIGN_ENTRIES distances (8 MB), so the chunk
-    boundaries depend only on the codebook, never on the worker count.
-    Worker k takes every k-th chunk into one distance block and one [x, 1]
-    staging block, both allocated here by the caller (blocks freed in a
-    worker thread stay in that thread's malloc arena).
-
-    Ties resolve to the lowest index: argmin returns the first minimum, and
-    a copy of a codeword maps to its first copy.  Stored distances are
-    recomputed from the differences, never taken from the product.
+    for every codeword, so each chunk of rows x = blocks[lo:hi] costs one
+    matrix product [x, 1] @ A with A = [-2C, ||c||^2]^T, written into a
+    distance block d2 that `reduce` reads and may overwrite; it writes only
+    rows lo:hi of its outputs.  A chunk holds _ASSIGN_ENTRIES // width rows,
+    about _ASSIGN_ENTRIES distances (8 MB) against a codebook of `width`
+    codewords (default: all of `codewords`; a screen against some codewords
+    of a codebook keeps the codebook's chunks and blocks no larger than its
+    full search's), so the chunk boundaries depend only on the codebook,
+    never on the worker count.  Worker k takes every k-th chunk into one
+    distance block and one [x, 1] staging block, both allocated here by the
+    caller (blocks freed in a worker thread stay in that thread's malloc
+    arena).
     """
     n, dim = blocks.shape
     count = codewords.shape[0]
-    idx = np.empty(n, dtype=np.int64)
-    dist = np.empty(n)
-    # BLAS may round the product differently for two copies of one codeword,
-    # so each index maps to the first copy of its codeword (bytewise equal rows)
-    cw = np.ascontiguousarray(codewords)
-    keys = cw.view(np.dtype((np.void, cw.itemsize * cw.shape[1]))).ravel()
-    _, first, copy_of = np.unique(keys, return_index=True, return_inverse=True)
-    lowest = first[copy_of]
     a = np.empty((dim + 1, count))
-    a[:dim] = -2.0 * cw.T
-    a[dim] = (cw**2).sum(axis=1)
-    rows = max(1, _ASSIGN_ENTRIES // count)
+    a[:dim] = -2.0 * codewords.T
+    a[dim] = (codewords**2).sum(axis=1)
+    rows = max(1, _ASSIGN_ENTRIES // (width or count))
     starts = range(0, n, rows)
     workers = max(1, min(_workers(), len(starts)))
     size = min(rows, n)
@@ -134,26 +136,139 @@ def _nearest(codewords: np.ndarray, blocks: np.ndarray):
             x, m = blocks[lo:hi], hi - lo
             x1[:m, :dim] = x
             np.matmul(x1[:m], a, out=d2[:m])
-            ii = lowest[d2[:m].argmin(axis=1)]
-            idx[lo:hi] = ii
-            dist[lo:hi] = ((x - codewords[ii]) ** 2).sum(axis=1)
+            reduce(lo, hi, x, d2[:m])
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, range(workers)))
     else:
         work(0)
-    return idx, dist
 
 
-def train_codebook(samples, rate_bits: float, block_len: int, seed) -> Codebook:
+def _nearest(codewords: np.ndarray, blocks: np.ndarray, runner_up: bool = False):
+    """Chunked nearest-codeword search: (indices, exact squared distances).
+
+    Each chunk is one `_products` block and one argmin.  Leaving ||x||^2 out
+    moves only ties at rounding level.  Ties resolve to the lowest index:
+    argmin returns the first minimum, and a copy of a codeword maps to its
+    first copy.  Stored distances are recomputed from the differences, never
+    taken from the product.  With `runner_up`, also returns each row's own
+    product value (its codeword's entry of [x, 1] @ A) and runner-up value
+    (the smallest entry of any other codeword, inf for one codeword).
+    """
+    n = blocks.shape[0]
+    idx = np.empty(n, dtype=np.int64)
+    dist = np.empty(n)
+    own, runner = (np.empty(n), np.empty(n)) if runner_up else (None, None)
+    # BLAS may round the product differently for two copies of one codeword,
+    # so each index maps to the first copy of its codeword (bytewise equal rows)
+    cw = np.ascontiguousarray(codewords)
+    keys = cw.view(np.dtype((np.void, cw.itemsize * cw.shape[1]))).ravel()
+    _, first, copy_of = np.unique(keys, return_index=True, return_inverse=True)
+    lowest = first[copy_of]
+
+    def reduce(lo, hi, x, d2):
+        ii = lowest[d2.argmin(axis=1)]
+        idx[lo:hi] = ii
+        dist[lo:hi] = ((x - codewords[ii]) ** 2).sum(axis=1)
+        if runner_up:
+            r = np.arange(hi - lo)
+            own[lo:hi] = d2[r, ii]
+            d2[r, ii] = np.inf
+            runner[lo:hi] = d2.min(axis=1)
+
+    _products(cw, blocks, reduce)
+    return (idx, dist, own, runner) if runner_up else (idx, dist)
+
+
+def _screen(codewords: np.ndarray, moved, blocks: np.ndarray, own_col, own, runner) -> None:
+    """Lower each row's `runner` to its smallest `_products` entry over the
+    codewords[moved] other than column own_col (-1: none), and write that
+    column's entry into `own`."""
+
+    def reduce(lo, hi, x, d2):
+        col = own_col[lo:hi]
+        r = np.flatnonzero(col >= 0)
+        own[lo + r] = d2[r, col[r]]
+        d2[r, col[r]] = np.inf
+        np.minimum(runner[lo:hi], d2.min(axis=1), out=runner[lo:hi])
+
+    _products(codewords[moved], blocks, reduce, width=codewords.shape[0])
+
+
+def _assignments(x: np.ndarray, centroids: np.ndarray):
+    """Nearest-centroid labels of every Lloyd round, searching again only
+    where a moved centroid can change them.
+
+    Yields (labels, exact squared distances, row x codeword distances
+    searched) once per round; the caller moves `centroids` in place between
+    rounds, and the next round overwrites the arrays yielded.  Round 1 is a
+    full `_nearest` search that keeps each row's own and runner-up product
+    values.  A later round screens every row against the moved centroids
+    only (rows not bytewise equal to the last round's; `np.bincount`
+    reproduces an unchanged cell's centroid bit for bit), excluding the
+    row's own codeword, and lowers the runner-up to the screened minimum, a
+    bound below every other codeword's value.  A row keeps its codeword
+    unless its own value comes within a rounding margin of that bound; such
+    rows are searched again over all codewords.  The labels are the full
+    search's labels except at rounding-level ties, and each row whose own
+    centroid moved gets its distance recomputed from the differences.
+    """
+    n, dim = x.shape
+    count = centroids.shape[0]
+    lab, dist, own, runner = _nearest(centroids, x, runner_up=True)
+    searched = n * count
+    x_norm = math.sqrt(float((x**2).sum(axis=1).max()))
+    moved_col = np.full(count, -1)
+    while True:
+        last = centroids.copy()
+        yield lab, dist, searched
+        moved = np.flatnonzero((centroids.view(np.uint64) != last.view(np.uint64)).any(axis=1))
+        searched = n * moved.size
+        if moved.size == 0:
+            continue
+        moved_col[:] = -1
+        moved_col[moved] = np.arange(moved.size)
+        own_col = moved_col[lab]
+        _screen(centroids, moved, x, own_col, own, runner)
+        # A product entry is a dot product of dim + 1 terms, one of them the
+        # rounded ||c||^2, so it lies within e = (2 dim + 1) u S of its exact
+        # value in whichever product computed it (u = 2^-53, first order, any
+        # summation order), with S = (max ||x|| + max ||c||)^2.  A full search
+        # would read the row's own entry at most own + 2e and every other
+        # entry at least bound - 2e, so a row whose own value lies more than
+        # 4e below its bound keeps its codeword under a full search too.
+        # 4e <= (8 dim + 4) u S < 1e-15 (dim + 1) S; twice that also covers
+        # the rounding of S and of the comparison.
+        c_norm = math.sqrt(float((centroids**2).sum(axis=1).max()))
+        margin = 2e-15 * (dim + 1) * (x_norm + c_norm) ** 2
+        again = own >= runner - margin
+        fix = (own_col >= 0) & ~again
+        dist[fix] = ((x[fix] - centroids[lab[fix]]) ** 2).sum(axis=1)
+        rows = np.flatnonzero(again)
+        if rows.size:
+            lab[rows], dist[rows], own[rows], runner[rows] = _nearest(
+                centroids, x[rows], runner_up=True)
+            searched += rows.size * count
+
+
+def train_codebook(samples, rate_bits: float, block_len: int, seed,
+                   training: dict = None) -> Codebook:
     """Lloyd/k-means codebook of 2^(rate_bits * block_len) codewords.
 
     Deterministic for a fixed seed: initial centroids are distinct sample rows
     drawn by the seeded generator; 20 update rounds or a relative distortion
     change below 1e-6, whichever first; empty cells keep their centroid.
-    Logs the assignment rounds run, the rule that stopped them and the last
-    assignment's per-sample distortion at DEBUG.
+    Each round's labels come from `_assignments`: after a full first search,
+    a round screens the rows against the centroids that moved and searches
+    all codewords again only for rows that one of them may have captured (up
+    to a rounding margin), so the labels are the full search's labels except
+    at rounding-level ties.  Logs the assignment rounds run, the rule that
+    stopped them, the row x codeword distances searched against a full
+    search's and the last assignment's per-sample distortion at DEBUG.
+
+    Pass a dict as `training` to receive the round count (`kmeans_rounds`)
+    and that distortion (`train_distortion`).
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2 or x.shape[1] != block_len:
@@ -169,8 +284,10 @@ def train_codebook(samples, rate_bits: float, block_len: int, seed) -> Codebook:
     centroids = x[rng.choice(x.shape[0], size=count, replace=False)].copy()
     prev = math.inf
     stop = f"{_KMEANS_ITERS}-round cap"
-    for rounds in range(1, _KMEANS_ITERS + 1):
-        lab, d2 = _nearest(centroids, x)
+    total = 0
+    for rounds, (lab, d2, searched) in zip(range(1, _KMEANS_ITERS + 1),
+                                          _assignments(x, centroids)):
+        total += searched
         distortion = float(d2.mean()) / block_len
         if prev - distortion < _KMEANS_RTOL * max(prev, 1e-300):
             stop = f"{_KMEANS_RTOL:g} rule"
@@ -181,8 +298,12 @@ def train_codebook(samples, rate_bits: float, block_len: int, seed) -> Codebook:
         for j in range(block_len):
             sums = np.bincount(lab, weights=x[:, j], minlength=count)
             centroids[live, j] = sums[live] / sizes[live]
-    logger.debug("k-means, %d codewords: %d rounds, stopped by the %s, distortion %.9g "
-                 "per sample at the last assignment", count, rounds, stop, distortion)
+    logger.debug("k-means, %d codewords: %d rounds, stopped by the %s, %d of %d row x "
+                 "codeword distances searched, distortion %.9g per sample at the last "
+                 "assignment", count, rounds, stop, total, rounds * x.shape[0] * count,
+                 distortion)
+    if training is not None:
+        training.update(kmeans_rounds=rounds, train_distortion=distortion)
     return Codebook(block_len, centroids)
 
 
@@ -216,8 +337,7 @@ def query_decide(sig: Signature, cb: Codebook, y, d_id: float, x=None) -> QueryO
 
     Pass the original block `x` to record ground truth in the outcome.
     """
-    if d_id < 0:
-        raise ValueError("d_id must be non-negative")
+    _check_d_id(d_id)
     y = np.asarray(y, dtype=float)
     if y.shape != (cb.block_len,):
         raise DimensionMismatch("query block length mismatch")
@@ -281,6 +401,7 @@ def estimate_pr_maybe(
     d_id,
     trials: int,
     seed,
+    training: dict = None,
 ):
     """Monte-Carlo estimate of Pr{maybe} for the triangle scheme.
 
@@ -296,6 +417,10 @@ def estimate_pr_maybe(
     decided on the same pairs.  For a sequence the estimate and standard error
     are lists, one entry per threshold, and the false-negative count is the
     total over all thresholds.
+
+    Pass a dict as `training` to receive the codebook's k-means round count
+    (`kmeans_rounds`) and per-sample training distortion at its last
+    assignment (`train_distortion`).
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials")
@@ -306,10 +431,7 @@ def estimate_pr_maybe(
     d_ids = np.asarray(d_id, dtype=float)
     if d_ids.ndim > 1 or d_ids.size == 0:
         raise ValueError("d_id must be a number or a non-empty 1-D sequence")
-    if not np.all(np.isfinite(d_ids)):
-        raise ValueError("d_id must be finite")
-    if np.any(d_ids < 0):
-        raise ValueError("d_id must be non-negative")
+    _check_d_id(d_ids)
     sub_len = _sub_block_len(rate_bits, block_len)
     n_sub = block_len // sub_len
     count = int(round(2.0 ** (rate_bits * sub_len)))
@@ -318,7 +440,8 @@ def estimate_pr_maybe(
     train_blocks, (km_rng,), x, y = _sample_streams(
         model, block_len, n_train_blocks, 1, trials, seed
     )
-    cb = train_codebook(train_blocks.reshape(-1, sub_len), rate_bits, sub_len, km_rng)
+    cb = train_codebook(train_blocks.reshape(-1, sub_len), rate_bits, sub_len, km_rng,
+                        training)
 
     stored, d_hat = _encode(cb, x, y)
     d_xy = ((x - y) ** 2).mean(axis=1)
@@ -362,8 +485,10 @@ def component_scheme_pr_maybe(
     d_ids = np.asarray(per_component_d_ids, dtype=float)
     if rates.shape != (m_dim,) or d_ids.shape != (m_dim,):
         raise DimensionMismatch("need one rate and one threshold per component")
-    if np.any(rates < 0) or np.any(d_ids < 0):
-        raise ValueError("rates and thresholds must be non-negative")
+    if not np.all(np.isfinite(rates) & (rates >= 0)):
+        raise ValueError("rate must be finite and non-negative")
+    _check_d_id(d_ids)
+    _check_d_id(d_id)
     if d_ids.mean() < d_id - 1e-12:
         raise AdmissibilityViolation(
             f"average component threshold {d_ids.mean():.6g} below target {d_id:.6g}"

@@ -142,6 +142,18 @@ def test_simulate_header_reports_false_negatives(tmp_path):
         assert row[1:] == [float(f"{v:.12g}") for v in ref[:2]]
 
 
+def test_simulate_header_reports_its_kmeans_training(tmp_path, capsys):
+    meta, _, _ = run_csv(
+        tmp_path,
+        ["simulate", "--trials", "1000", "--points", "2", "--block-len", "4", "--seed", "3",
+         "--log-level", "debug"],
+    )
+    line = next(ln for ln in capsys.readouterr().err.splitlines() if "k-means" in ln)
+    assert line.split(": ")[2].startswith(f"{meta['kmeans_rounds']} rounds, ")
+    debug = float(line.split("distortion ")[1].split()[0])
+    assert float(meta["train_distortion"]) == pytest.approx(debug, rel=1e-8)
+
+
 def _warnings(caplog):
     return [r.getMessage() for r in caplog.records
             if r.name == "idq.tcdelta" and r.levelname == "WARNING"]
@@ -464,7 +476,7 @@ def test_idrate_mv_water_fills_once_per_level(tmp_path, monkeypatch):
        "variance"], ["eigenvalues", "nonconverged"]),
      (["simulate", "--trials", "1000", "--points", "2", "--block-len", "2"],
       ["block-len", "dmax", "points", "rate", "seed", "subcommand", "trials", "variance"],
-      ["false_negatives"]),
+      ["false_negatives", "kmeans_rounds", "train_distortion"]),
      (["compare", "--grid-points", "17", "--slopes", "2"],
       ["grid-points", "grid-sigmas", "joint-grid-points", "joint-grid-sigmas", "max-iter",
        "order", "rho", "slopes", "source", "subcommand", "tau-points", "tol", "variance"],

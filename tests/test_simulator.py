@@ -73,10 +73,11 @@ def _loop_train(x, count, block_len, seed):
     return centroids
 
 
-@pytest.mark.parametrize("rate,block_len", [(1.0, 1), (3.0, 1), (1.0, 2), (0.6, 5)])
+# (0.625, 16) is the benchmark's simulate codebook: 1024 codewords, 10240 rows
+@pytest.mark.parametrize("rate,block_len", [(1.0, 1), (3.0, 1), (1.0, 2), (0.6, 5), (0.625, 16)])
 def test_train_matches_loop_update(rate, block_len):
-    x = sample_block(IidGaussian(1.0), block_len, 3000, 19)
     count = int(round(2.0 ** (rate * block_len)))
+    x = sample_block(IidGaussian(1.0), block_len, max(3000, 10 * count), 19)
     cb = train_codebook(x, rate, block_len, 4)
     ref = _loop_train(x, count, block_len, 4)
     if block_len == 1:
@@ -98,6 +99,83 @@ def test_train_empty_cells_keep_their_centroid():
     assert empty.sum() >= 11
     assert np.array_equal(cb.codewords[empty], init[empty])
     assert np.array_equal(cb.codewords, _loop_train(x, 16, 2, 8))
+
+
+def test_train_searches_fewer_distances_than_full_rounds(caplog):
+    x = sample_block(IidGaussian(1.0), 16, 10240, 19)
+    with caplog.at_level(logging.DEBUG, logger="idq.simulator"):
+        train_codebook(x, 0.625, 16, 4)
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "idq.simulator"]
+    rounds = int(line.split(": ")[1].split()[0])
+    searched, _, full = line.split(", ")[3].split()[:3]
+    assert int(full) == rounds * 10240 * 1024
+    # round 1 alone is a full search; the later rounds screen against the
+    # centroids that moved (about 5 full rounds in all at 15-20 rounds)
+    assert 10240 * 1024 <= int(searched) < int(full) / 2
+
+
+def _assert_nearest_bound(cw, x, idx, dist):
+    """test_nearest_contract's checks of one assignment of x to codewords cw."""
+    assert np.array_equal(dist, ((x - cw[idx]) ** 2).sum(axis=1))
+    brute = ((x[:, None, :] - cw[None, :, :]) ** 2).sum(axis=2)
+    scale = (np.abs(x).max() + np.abs(cw).max()) ** 2 * cw.shape[1]
+    assert np.all(dist <= brute.min(axis=1) + 1e-9 * scale)
+    first = [np.flatnonzero((cw == c).all(axis=1))[0] for c in cw]
+    assert np.array_equal(np.take(first, idx), idx)
+
+
+@st.composite
+def _training_cases(draw):
+    """Training rows drawn with repeats from a pool of distinct rows (so the
+    initial centroids can hold copies of one codeword), a codebook size and
+    a chunk size."""
+    dim, count = draw(st.integers(1, 8)), draw(st.sampled_from([1, 2, 4, 8, 16]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 10 * count + draw(st.integers(0, 40))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    offset = draw(st.sampled_from([0.0, 1e3]))
+    pool = rng.standard_normal((draw(st.integers(1, n)), dim)) * scale + offset
+    x = pool[rng.integers(0, pool.shape[0], size=n)]
+    return x, count, draw(st.integers(1, 64)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_training_cases())
+def test_train_rounds_keep_the_nearest_contract(case):
+    x, count, rows, seed = case
+    dim = x.shape[1]
+    real = simulator._assignments
+    out = {}
+    for threads in ("1", "2"):
+        log = []
+
+        def recorded(x, centroids):
+            for lab, dist, searched in real(x, centroids):
+                log.append((centroids.copy(), lab.copy(), dist.copy()))
+                yield lab, dist, searched
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_ASSIGN_ENTRIES", rows * count)
+            mp.setattr(simulator, "_assignments", recorded)
+            mp.setenv("IDQ_THREADS", threads)
+            cb = train_codebook(x, math.log2(count) / dim, dim, seed)
+        out[threads] = (cb.codewords, log)
+    cw, log = out["1"]
+    assert np.array_equal(cw, out["2"][0]) and len(log) == len(out["2"][1])
+    assert all(np.array_equal(a, b) for r1, r2 in zip(log, out["2"][1]) for a, b in zip(r1, r2))
+    for centroids, lab, dist in log:
+        _assert_nearest_bound(centroids, x, lab, dist)
+    # each live centroid is the mean of its cell in the round before; the
+    # codebook differs from the last round's centroids when the round cap
+    # stopped training after one more update
+    after = [c for c, _, _ in log[1:]] + ([] if np.array_equal(cw, log[-1][0]) else [cw])
+    for (_, lab, _), centroids in zip(log, after):
+        for k in np.unique(lab):
+            mean = x[lab == k].mean(axis=0)
+            if dim == 1:  # a column mean is a pairwise sum, bincount a sequential one
+                assert abs(centroids[k, 0] - mean[0]) <= 1e-12 * np.abs(x).max()
+            else:
+                assert np.array_equal(centroids[k], mean)
 
 
 @st.composite
@@ -134,12 +212,7 @@ def test_nearest_contract(case):
             out[threads] = simulator._nearest(cw, x)
     idx, dist = out["1"]
     assert np.array_equal(idx, out["2"][0]) and np.array_equal(dist, out["2"][1])
-    assert np.array_equal(dist, ((x - cw[idx]) ** 2).sum(axis=1))
-    brute = ((x[:, None, :] - cw[None, :, :]) ** 2).sum(axis=2)
-    scale = (np.abs(x).max() + np.abs(cw).max()) ** 2 * cw.shape[1]
-    assert np.all(dist <= brute.min(axis=1) + 1e-9 * scale)
-    first = [np.flatnonzero((cw == c).all(axis=1))[0] for c in cw]
-    assert np.array_equal(np.take(first, idx), idx)
+    _assert_nearest_bound(cw, x, idx, dist)
 
 
 @pytest.mark.parametrize("dim", [2, 4, 8])
@@ -198,6 +271,25 @@ def test_query_decide_examples():
     # sqrt(4) = 2 > sqrt(0.64) + sqrt(1) = 1.8
     sig2 = Signature(1, 0.64)
     assert query_decide(sig2, cb, np.array([3.0]), 1.0).decision == "no"
+
+
+@pytest.mark.parametrize("d_id,message", [(math.nan, "d_id must be finite"),
+                                           (math.inf, "d_id must be finite"),
+                                           (-1.0, "d_id must be non-negative")])
+def test_query_decide_rejects_a_bad_threshold(d_id, message):
+    # a NaN threshold used to answer 'no' for an identical pair
+    cb = Codebook(1, np.array([[-1.0], [1.0]]))
+    y = np.array([0.2])
+    with pytest.raises(ValueError, match=message):
+        query_decide(assign_signature(cb, y), cb, y, d_id, x=y)
+
+
+@pytest.mark.parametrize("stored,message", [(math.nan, "stored distance must be finite"),
+                                            (math.inf, "stored distance must be finite"),
+                                            (-1.0, "must be non-negative")])
+def test_signature_rejects_a_bad_stored_distance(stored, message):
+    with pytest.raises(ValueError, match=message):
+        Signature(0, stored)
 
 
 def test_query_decide_accepts_a_collinear_pair_at_triangle_equality():
@@ -266,6 +358,17 @@ def test_estimate_validation(block_len, d_id):
         estimate_pr_maybe(IidGaussian(1.0), 1.0, block_len, d_id, 1000, 0)
 
 
+def test_estimate_reports_its_kmeans_training(caplog):
+    training = {}
+    with caplog.at_level(logging.DEBUG, logger="idq.simulator"):
+        out = estimate_pr_maybe(IidGaussian(1.0), 1.0, 8, 0.5, 2000, 5, training=training)
+    assert out == estimate_pr_maybe(IidGaussian(1.0), 1.0, 8, 0.5, 2000, 5)
+    line = next(r.getMessage() for r in caplog.records if r.name == "idq.simulator")
+    assert set(training) == {"kmeans_rounds", "train_distortion"}
+    assert line.split(": ")[1].startswith(f"{training['kmeans_rounds']} rounds, ")
+    assert line.split("distortion ")[1].split()[0] == f"{training['train_distortion']:.9g}"
+
+
 def test_estimate_trains_once_for_all_thresholds(monkeypatch):
     calls = []
     real = simulator.train_codebook
@@ -331,6 +434,25 @@ def test_component_scheme_admissibility_precondition():
     model = MultivariateGaussian(cov)
     with pytest.raises(AdmissibilityViolation):
         component_scheme_pr_maybe(model, [1.0, 1.0], [0.1, 0.1], 0.5, 2000, 3)
+
+
+@pytest.mark.parametrize(
+    "rates,d_ids,d_id,message",
+    [([1.0, math.nan], [1.0, 1.0], 0.5, "rate must be finite and non-negative"),
+     ([1.0, math.inf], [1.0, 1.0], 0.5, "rate must be finite and non-negative"),
+     ([1.0, -1.0], [1.0, 1.0], 0.5, "rate must be finite and non-negative"),
+     ([1.0, 1.0], [1.0, math.nan], 0.5, "d_id must be finite"),
+     ([1.0, 1.0], [1.0, -1.0], 0.0, "d_id must be non-negative"),
+     ([1.0, 1.0], [1.0, 1.0], math.nan, "d_id must be finite"),
+     ([1.0, 1.0], [1.0, 1.0], -0.5, "d_id must be non-negative")],
+    ids=["nan-rate", "inf-rate", "negative-rate", "nan-component-d_id",
+         "negative-component-d_id", "nan-d_id", "negative-d_id"],
+)
+def test_component_scheme_rejects_bad_rates_and_thresholds(rates, d_ids, d_id, message):
+    # a NaN d_id or per-component threshold used to pass the admissibility check
+    model = MultivariateGaussian(toeplitz_covariance([1.0, 0.7], 2))
+    with pytest.raises(ValueError, match=message):
+        component_scheme_pr_maybe(model, rates, d_ids, d_id, 1000, 3)
 
 
 def test_component_scheme_zero_false_negatives():
