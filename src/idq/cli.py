@@ -3,12 +3,10 @@
 Every output file starts with `# key=value` header lines recording the
 command as `idq <subcommand>`, every parameter value (the seed among them),
 and the rate unit (always bits), so any file can be regenerated from its own
-header.  Infinite rates are written as the literal string `inf`.  The
-environment variable IDQ_THREADS caps the workers of the simulator's
-nearest-codeword search (unset = 1, 0 = one worker per CPU); output files do
-not depend on it.  `compare --source mv-gaussian` runs its joint sweeps and
-then the component model, which it skips once the joint sweeps fail, so its
-WARNING lines come in one fixed order.
+header.  Infinite rates are written as the literal string `inf`.
+`compare --source mv-gaussian` runs its joint sweeps and then the component
+model, which it skips once the joint sweeps fail, so its WARNING lines come
+in one fixed order.
 `--log-level` sets the level of the `idq` loggers for the run, whose records
 go to stderr; it changes no output file.
 """

@@ -9,8 +9,6 @@ estimates Pr{maybe}.
 
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +26,7 @@ MAX_SUB_BLOCK_BITS = 12.0
 
 _KMEANS_ITERS = 20
 _KMEANS_RTOL = 1e-6
-_ASSIGN_ENTRIES = 1 << 20
+_ASSIGN_ENTRIES = 1 << 17
 
 logger = logging.getLogger(__name__)
 
@@ -90,14 +88,14 @@ def _check_d_id(d_id) -> None:
         raise ValueError("d_id must be non-negative")
 
 
-def _workers() -> int:
-    """Worker count from IDQ_THREADS: unset or empty is 1, 0 is one per CPU."""
-    raw = os.environ.get("IDQ_THREADS", "").strip()
-    if not raw:
-        return 1
-    if not raw.isdecimal():
-        raise ValueError(f"IDQ_THREADS must be a non-negative integer, got {raw!r}")
-    return int(raw) or os.cpu_count() or 1
+def _codeword_count(bits: float) -> int:
+    """round(2^bits), the size of a codebook of `bits` bits per block; raises
+    TooManyCodewords above MAX_CODEWORDS (2^bits is never evaluated past
+    2^17, so a huge rate cannot overflow)."""
+    count = int(round(2.0 ** min(bits, 17.0)))
+    if count > MAX_CODEWORDS:
+        raise TooManyCodewords(f"2^{bits:g} codewords exceed the 2^16 maximum")
+    return count
 
 
 def _products(codewords: np.ndarray, blocks: np.ndarray, reduce, width: int = None) -> None:
@@ -108,14 +106,12 @@ def _products(codewords: np.ndarray, blocks: np.ndarray, reduce, width: int = No
     matrix product [x, 1] @ A with A = [-2C, ||c||^2]^T, written into a
     distance block d2 that `reduce` reads and may overwrite; it writes only
     rows lo:hi of its outputs.  A chunk holds _ASSIGN_ENTRIES // width rows,
-    about _ASSIGN_ENTRIES distances (8 MB) against a codebook of `width`
-    codewords (default: all of `codewords`; a screen against some codewords
-    of a codebook keeps the codebook's chunks and blocks no larger than its
-    full search's), so the chunk boundaries depend only on the codebook,
-    never on the worker count.  Worker k takes every k-th chunk into one
-    distance block and one [x, 1] staging block, both allocated here by the
-    caller (blocks freed in a worker thread stay in that thread's malloc
-    arena).
+    about _ASSIGN_ENTRIES distances (1 MB, which stays in a core's cache
+    from the product to `reduce`) against a codebook of `width` codewords
+    (default: all of `codewords`; a screen against some codewords of a
+    codebook keeps the codebook's chunks and blocks no larger than its full
+    search's), so the chunk boundaries depend only on the codebook.  Every
+    chunk reuses one distance block and one [x, 1] staging block.
     """
     n, dim = blocks.shape
     count = codewords.shape[0]
@@ -123,26 +119,15 @@ def _products(codewords: np.ndarray, blocks: np.ndarray, reduce, width: int = No
     a[:dim] = -2.0 * codewords.T
     a[dim] = (codewords**2).sum(axis=1)
     rows = max(1, _ASSIGN_ENTRIES // (width or count))
-    starts = range(0, n, rows)
-    workers = max(1, min(_workers(), len(starts)))
     size = min(rows, n)
-    d2s = [np.empty((size, count)) for _ in range(workers)]
-    x1s = [np.ones((size, dim + 1)) for _ in range(workers)]
-
-    def work(k):
-        d2, x1 = d2s[k], x1s[k]
-        for lo in starts[k::workers]:
-            hi = min(lo + rows, n)
-            x, m = blocks[lo:hi], hi - lo
-            x1[:m, :dim] = x
-            np.matmul(x1[:m], a, out=d2[:m])
-            reduce(lo, hi, x, d2[:m])
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, range(workers)))
-    else:
-        work(0)
+    d2 = np.empty((size, count))
+    x1 = np.ones((size, dim + 1))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        x, m = blocks[lo:hi], hi - lo
+        x1[:m, :dim] = x
+        np.matmul(x1[:m], a, out=d2[:m])
+        reduce(lo, hi, x, d2[:m])
 
 
 def _nearest(codewords: np.ndarray, blocks: np.ndarray, runner_up: bool = False):
@@ -273,11 +258,9 @@ def train_codebook(samples, rate_bits: float, block_len: int, seed,
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2 or x.shape[1] != block_len:
         raise DimensionMismatch("samples must be (count, block_len)")
-    count = int(round(2.0 ** (rate_bits * block_len)))
+    count = _codeword_count(rate_bits * block_len)
     if count < 1:
         raise ValueError("rate too small for a single codeword")
-    if count > MAX_CODEWORDS:
-        raise TooManyCodewords(f"{count} codewords exceed the 2^16 maximum")
     if x.shape[0] < 10 * count:
         raise ValueError(f"need at least {10 * count} training samples, got {x.shape[0]}")
     rng = np.random.default_rng(seed)
@@ -410,7 +393,9 @@ def estimate_pr_maybe(
     (estimate, binomial standard error, false-negative count).  When the flat
     codebook would exceed MAX_SUB_BLOCK_BITS bits, the block is quantized as a
     concatenation of equal sub-blocks sharing one codebook; the triangle rule
-    is applied to the whole block, so admissibility is untouched.
+    is applied to the whole block, so admissibility is untouched.  A
+    (sub-)codebook above MAX_CODEWORDS raises TooManyCodewords before any
+    block is drawn.
 
     `d_id` is one threshold or a 1-D sequence of them.  The codebook is
     trained and the pairs are drawn and encoded once; every threshold is
@@ -434,7 +419,7 @@ def estimate_pr_maybe(
     _check_d_id(d_ids)
     sub_len = _sub_block_len(rate_bits, block_len)
     n_sub = block_len // sub_len
-    count = int(round(2.0 ** (rate_bits * sub_len)))
+    count = _codeword_count(rate_bits * sub_len)
     n_train_sub = max(10 * count, 4096)
     n_train_blocks = -(-n_train_sub // n_sub)  # ceil
     train_blocks, (km_rng,), x, y = _sample_streams(
@@ -494,7 +479,7 @@ def component_scheme_pr_maybe(
             f"average component threshold {d_ids.mean():.6g} below target {d_id:.6g}"
         )
 
-    counts = [max(1, int(round(2.0**r))) for r in rates]
+    counts = [_codeword_count(r) for r in rates]
     n_train = max(4096, 10 * max(counts))
     train_blocks, km_rngs, x, y = _sample_streams(model, m_dim, n_train, m_dim, trials, seed)
     train_coeff = klt_forward(model.klt, train_blocks)

@@ -145,24 +145,17 @@ def test_train_rounds_keep_the_nearest_contract(case):
     x, count, rows, seed = case
     dim = x.shape[1]
     real = simulator._assignments
-    out = {}
-    for threads in ("1", "2"):
-        log = []
+    log = []
 
-        def recorded(x, centroids):
-            for lab, dist, searched in real(x, centroids):
-                log.append((centroids.copy(), lab.copy(), dist.copy()))
-                yield lab, dist, searched
+    def recorded(x, centroids):
+        for lab, dist, searched in real(x, centroids):
+            log.append((centroids.copy(), lab.copy(), dist.copy()))
+            yield lab, dist, searched
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulator, "_ASSIGN_ENTRIES", rows * count)
-            mp.setattr(simulator, "_assignments", recorded)
-            mp.setenv("IDQ_THREADS", threads)
-            cb = train_codebook(x, math.log2(count) / dim, dim, seed)
-        out[threads] = (cb.codewords, log)
-    cw, log = out["1"]
-    assert np.array_equal(cw, out["2"][0]) and len(log) == len(out["2"][1])
-    assert all(np.array_equal(a, b) for r1, r2 in zip(log, out["2"][1]) for a, b in zip(r1, r2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_ASSIGN_ENTRIES", rows * count)
+        mp.setattr(simulator, "_assignments", recorded)
+        cw = train_codebook(x, math.log2(count) / dim, dim, seed).codewords
     for centroids, lab, dist in log:
         _assert_nearest_bound(centroids, x, lab, dist)
     # each live centroid is the mean of its cell in the round before; the
@@ -185,8 +178,7 @@ def _nearest_cases(draw):
     else:
         count, dim = draw(st.integers(1, 300)), draw(st.integers(1, 8))
     rows = draw(st.integers(1, 64))  # rows per chunk
-    # one row, one chunk (fewer chunks than workers) or several, maybe with a
-    # remainder
+    # one row, one chunk or several, maybe with a remainder
     n = draw(st.one_of(st.just(1), st.integers(1, rows), st.integers(rows + 1, 5 * rows)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.integers(-3, 3))
@@ -204,14 +196,9 @@ def _nearest_cases(draw):
 @given(_nearest_cases())
 def test_nearest_contract(case):
     cw, x, rows = case
-    out = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "_ASSIGN_ENTRIES", rows * cw.shape[0])
-        for threads in ("1", "2"):
-            mp.setenv("IDQ_THREADS", threads)
-            out[threads] = simulator._nearest(cw, x)
-    idx, dist = out["1"]
-    assert np.array_equal(idx, out["2"][0]) and np.array_equal(dist, out["2"][1])
+        idx, dist = simulator._nearest(cw, x)
     _assert_nearest_bound(cw, x, idx, dist)
 
 
@@ -356,6 +343,24 @@ def test_estimate_requires_trials():
 def test_estimate_validation(block_len, d_id):
     with pytest.raises(ValueError):
         estimate_pr_maybe(IidGaussian(1.0), 1.0, block_len, d_id, 1000, 0)
+
+
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("sample_block called")
+
+
+@pytest.mark.parametrize("rate", [17.0, 2000.0])
+def test_oversized_rate_is_rejected_before_sampling(monkeypatch, rate):
+    # 2.0 ** 2000 overflows a float; 2^17 codewords would need 1.3 M
+    # training samples, so both are rejected before any block is drawn
+    monkeypatch.setattr(simulator, "sample_block", _no_sampling)
+    with pytest.raises(TooManyCodewords, match="exceed the 2\\^16 maximum"):
+        estimate_pr_maybe(IidGaussian(1.0), rate, 1, 0.5, 1000, 0)
+    with pytest.raises(TooManyCodewords, match="exceed the 2\\^16 maximum"):
+        estimate_pr_maybe(IidGaussian(1.0), rate, 16, 0.5, 1000, 0)
+    model = MultivariateGaussian(toeplitz_covariance([1.0, 0.7], 2))
+    with pytest.raises(TooManyCodewords, match="exceed the 2\\^16 maximum"):
+        component_scheme_pr_maybe(model, [1.0, rate], [1.0, 1.0], 0.5, 1000, 3)
 
 
 def test_estimate_reports_its_kmeans_training(caplog):

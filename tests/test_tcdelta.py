@@ -507,7 +507,7 @@ def _product_letters(axes):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def test_distortion_matrix_keeps_axes_of_product_grids():
+def test_product_axes_of_letter_lists():
     # the per-axis grids `distortion_matrix` finds the coordinate reversal on
     product_axes = idq.tcdelta._product_axes
     for cov, points in (([1.0, 0.7], 9), ([1.0, 0.5, 0.2], 5)):
@@ -848,7 +848,7 @@ def test_one_axis_plain_rate_distortion_solve_runs_folded(caplog):
     _assert_same_solve(sol, solve_tc_point(pmf.probs, g.gamma, 2.0, exponent_shift=False))
 
 
-def test_every_compare_mv_solve_is_folded_or_factored(caplog):
+def test_every_compare_mv_solve_is_folded(caplog):
     # a warm start that lost its exact symmetry would silently send the rest
     # of a sweep to the dense kernel; every solve logs the kernel it ran on
     args = ["compare", "--source", "mv-gaussian", "--grid-points", "65",
