@@ -342,6 +342,22 @@ def _sub_block_len(rate_bits: float, block_len: int) -> int:
     return 1
 
 
+def _sq_dists(a, b, take=None) -> np.ndarray:
+    """((a[take] - b) ** 2).sum(axis=1), or the same of a itself without
+    `take`, in chunks of about _ASSIGN_ENTRIES values of b's rows, so that
+    no temporary holds every row; each row's sum is the one the whole arrays
+    give, bit for bit."""
+    n, width = b.shape
+    out = np.empty(n)
+    rows = max(1, _ASSIGN_ENTRIES // width)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        d = (a[lo:hi] if take is None else a[take[lo:hi]]) - b[lo:hi]
+        d *= d
+        d.sum(axis=1, out=out[lo:hi])
+    return out
+
+
 def _encode(cb: Codebook, x, y):
     """Per-sample stored and query distances (stored, d_hat) of the blocks x
     (rows, each quantized as consecutive sub-blocks of cb.block_len samples
@@ -351,7 +367,7 @@ def _encode(cb: Codebook, x, y):
         sub = slice(lo, lo + cb.block_len)
         idx, dist = _nearest(cb.codewords, x[:, sub])
         stored += dist
-        d_hat += ((cb.codewords[idx] - y[:, sub]) ** 2).sum(axis=1)
+        d_hat += _sq_dists(cb.codewords, y[:, sub], idx)
     return stored / x.shape[1], d_hat / x.shape[1]
 
 
@@ -429,7 +445,7 @@ def estimate_pr_maybe(
                         training)
 
     stored, d_hat = _encode(cb, x, y)
-    d_xy = ((x - y) ** 2).mean(axis=1)
+    d_xy = _sq_dists(x, y) / x.shape[1]
     ests, stderrs, false_negs = zip(*(_tally(_maybe(d_hat, stored, d), d_xy, d)
                                       for d in d_ids.ravel()))
     if d_ids.ndim == 0:

@@ -63,6 +63,24 @@ update that does descend it (shift c_j in place of c_j p_i) collapses the
 comes from an iterative method; PAPER.md does not say which Lagrangian that
 method descends.
 
+Zero rate.  All mass on one codeword k, t = delta_k, is the channel
+Q(k|i) = 1: rate 0 and E_prod = E_joint = c_k, so d_id 0.  J is convex in t,
+and delta_k minimizes it over every codeword of the table iff the KKT
+condition (Blahut 1972) g_j = sum_i p_i E_ji / E_ki <= 1 holds for every
+j != k, with E = exp(a) the tilt.  The best single codeword is the argmin of
+c, and at low slopes it is the exact optimum: without the shift term, g_j of
+a N(0, v) source in the continuum is exp((2 s v - 1) s xhat_j^2), at most 1
+for every xhat_j iff s <= 1/(2v), and a grid moves that threshold a little.
+The loop only crawls toward rate 0 there and often stops at `max_iter`.  So
+every solve first tests the condition for the centre codeword (the argmin
+of c, live and fixed by the kernel's group), at the cost of one product on
+its own tilt when the live rows fail it, and returns delta_k when it holds;
+otherwise the loop runs unchanged.  No threshold is fixed in advance: the
+test decides, with a margin that covers rounding.  A sweep that reaches such
+a slope warm-starts the next lower one from delta_k, and the codewords that
+start pruned are tested in the log domain, so every lower slope is proved
+again over the whole table.
+
 Rates are reported in bits.  A solution's rate-similarity point carries the
 largest similarity threshold the metric's triangle inequality certifies from
 the channel moments: E_prod - E_joint for Hamming distance, and
@@ -92,6 +110,12 @@ PRUNE_EPS = 1e-300
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 5000
+
+#: Why a solve stopped (`TcSolution.stop_reason`): both steps at or below
+#: `tol`, the iteration cap, or the one-codeword optimum proved before the loop.
+TOL = "tol"
+MAX_ITER = "max_iter"
+ONE_CODEWORD = "one-codeword"
 
 QUADRATIC = "quadratic"
 HAMMING = "hamming"
@@ -165,6 +189,8 @@ class TcSolution:
 
     The code marginal is the loop's last Q p.  The channel Q, an m x n
     matrix, is built from the solve's last state on first access only.
+    stop_reason is TOL or MAX_ITER for a solve that ran the loop, and
+    ONE_CODEWORD (converged, 0 iterations) for one settled before it.
     """
 
     slope_s: float
@@ -173,6 +199,7 @@ class TcSolution:
     rate: float
     iterations: int
     converged: bool
+    stop_reason: str
     e_prod: float
     e_joint: float
     lagrangian_rise: float
@@ -299,6 +326,7 @@ def mutual_information(p_x, q) -> float:
 _TINY = np.finfo(float).tiny
 #: exp(a) is sub-normal below this exponent
 _LOG_TINY = math.log(_TINY)
+_EPS = np.finfo(float).eps
 
 
 def _exp(a) -> np.ndarray:
@@ -442,6 +470,54 @@ def _orbits(group):
     return (slice(reps.size) if reps[-1] == reps.size - 1 else reps), orbit
 
 
+#: each solve's DEBUG line: slope, kernel, rows x letter columns, stop reason
+_SOLVE_LINE = "slope %g: %s kernel, %d rows x %d columns, stopped on %s after %d iterations"
+
+
+def _one_codeword(e, kr, p_orb, g_full, p, s, exponent_shift, k, dead, dc) -> bool:
+    """Whether t = delta_k is proved to minimize J over every codeword of the
+    table (module docstring): g_j = sum_i p_i E_ji / E_ki <= 1 for j != k.
+
+    The live rows take one product on the solve's own tilt e (amax cancels
+    in each ratio): k is fixed by the kernel's group, so E_ki is the same on
+    each letter orbit, and g = e (p_orb / e[kr]).  Only if they pass are the
+    codewords `dead` (one of each orbit the warm start pruned; dc holds their
+    c less c_k) checked, in the log domain over the letters of positive mass.
+    A zero E_ki at such a letter proves nothing.  Each zero written into e
+    (`_exp`, `_fold_rows`) hides less than the smallest normal number, and
+    every g_j must clear 1 by a margin for rounding: each exponent is off by
+    a few eps (n + 1)(1 + s max Gamma), log p by at most 745 eps, and a sum
+    of n terms by n eps, relative."""
+    ek = e[kr]
+    pos = p_orb > 0
+    if not (ek[pos] > 0).all():
+        return False
+    v = np.zeros_like(p_orb)
+    v[pos] = p_orb[pos] / ek[pos]
+    g = e @ v
+    g[kr] = 0.0  # g_k = 1
+    worst = g.max() + _TINY * v.sum()
+    if worst > 1.0:  # most slopes end here, at the cost of one product
+        return False
+    n = p.size
+    slack = 16 * _EPS * ((n + 1) * (1.0 + s * g_full.max()) + 745)
+    if worst > 1.0 - slack:
+        return False
+    if dead.size == 0:
+        return True
+    letters = np.flatnonzero(p)
+    # log(p_i E_ji / E_ki) = log p_i + s ((c_j - c_k) p_i - (Gamma_ji - Gamma_ki))
+    x = g_full[np.ix_(dead, letters)] - g_full[k, letters]
+    if exponent_shift:
+        x -= np.outer(dc, p[letters])
+    x *= -s
+    x += np.log(p[letters])
+    top = x.max(axis=1)
+    x -= top[:, None]
+    log_g = top + np.log(np.exp(x).sum(axis=1))
+    return bool(log_g.max() <= math.log1p(-slack))
+
+
 def solve_tc_point(
     p_x,
     gamma,
@@ -465,7 +541,15 @@ def solve_tc_point(
     update into the plain rate-distortion iteration (used for the
     lossy-compression baseline of correlated sources).  A solve that stops at
     `max_iter` logs one WARNING with its last steps in I and D_s, and every
-    solve logs one DEBUG line naming its kernel (dense or folded).
+    solve logs one DEBUG line naming its kernel (dense or folded) and why it
+    stopped (`TcSolution.stop_reason`).
+
+    Before the loop, a solve whose centre codeword k (the argmin of
+    c = Gamma p, live and its own orbit) is proved the exact optimum by the
+    KKT condition over every codeword (`_one_codeword`, module docstring)
+    returns t = delta_k with no iteration: rate 0, E_prod = E_joint = c_k,
+    stop reason ONE_CODEWORD.  Otherwise the loop below runs as it would
+    without the test.
 
     Each iteration is three matrix passes over the live rows of matrices
     built once per slope: [t; c t] e, e w and (e * Gamma) w (without the
@@ -521,10 +605,25 @@ def solve_tc_point(
     n_live = int(mu.sum())
     if n_live < m:
         logger.debug("pruning %d dead codewords before slope %g", m - n_live, s)
-    c = (g_full[reps] @ p)[rows]  # Gamma p on each live orbit
-    images = group[:, np.arange(m)[reps][rows]]
-    amax, e, eg = _folded_tilt(g_full, p_letter, s, exponent_shift, images, cols, c)
-    logger.debug("slope %g: %s kernel, %d rows x %d columns", s, kernel, rows.size, p_orb.size)
+    c_all = g_full[reps] @ p  # Gamma p on each codeword orbit
+    c = c_all[rows]
+    rep = np.arange(m)[reps]  # one codeword of each orbit
+    amax, e, eg = _folded_tilt(g_full, p_letter, s, exponent_shift, group[:, rep[rows]], cols, c)
+    setup = s, kernel, rows.size, p_orb.size  # for the DEBUG line
+    if isinstance(p_x, Pmf) and p_x.n == m:
+        support = p_x.support
+    else:
+        support = np.arange(m, dtype=float)
+
+    # the centre codeword: the argmin of Gamma p, live and fixed by the group
+    k = int(np.argmin(c_all))
+    kr = int(np.searchsorted(rows, k))
+    if mu_all[k] == 1 and kr < rows.size and rows[kr] == k:
+        dead = np.flatnonzero(t <= PRUNE_EPS)
+        if _one_codeword(e, kr, p_orb, g_full, p, s, exponent_shift, rep[k], rep[dead],
+                         c_all[dead] - c_all[k]):
+            logger.debug(_SOLVE_LINE, *setup, ONE_CODEWORD, 0)
+            return _one_codeword_solution(s, support, rep[k], float(c_all[k]), g_full.shape)
     p_amax = float(p_orb @ amax)
 
     i_prev = math.inf
@@ -579,6 +678,8 @@ def solve_tc_point(
                 break
             i_prev, d_prev, lagr_prev, surr_prev = i_bits, d_s, lagr, surr
 
+    stop_reason = TOL if converged else MAX_ITER
+    logger.debug(_SOLVE_LINE, *setup, stop_reason, iterations)
     if not converged:
         logger.warning(
             "slope %g: not converged after %d iterations (last |dI| = %.3e bit, "
@@ -605,10 +706,6 @@ def solve_tc_point(
         return full[orbit]
 
     codewords = np.flatnonzero(per_codeword(1.0))  # both members of each live orbit
-    if isinstance(p_x, Pmf) and p_x.n == m:
-        support = p_x.support
-    else:
-        support = np.arange(m, dtype=float)
     build_channel = functools.partial(
         _build_channel, g_full, p, s, exponent_shift, codewords, per_codeword(c)[codewords],
         per_codeword(tv / mu)[codewords], col[letter_orbit], amax[letter_orbit],
@@ -620,10 +717,38 @@ def solve_tc_point(
         rate=max(i_nats, 0.0) / LN2,
         iterations=iterations,
         converged=converged,
+        stop_reason=stop_reason,
         e_prod=e_prod,
         e_joint=e_joint,
         lagrangian_rise=max_rise,
         surrogate_rise=max_surr_rise,
+        build_channel=build_channel,
+    )
+
+
+def _one_codeword_solution(s, support, k, c_k, shape) -> TcSolution:
+    """The solution t = delta_k: rate 0, E_prod = E_joint = c_k, and the
+    channel Q(k|i) = 1."""
+    t = np.zeros(shape[0])
+    t[k] = 1.0
+
+    def build_channel():
+        q = np.zeros(shape)
+        q[k] = 1.0
+        return q
+
+    return TcSolution(
+        slope_s=float(s),
+        code_marginal=Pmf(support, t),
+        d_s=0.0,
+        rate=0.0,
+        iterations=0,
+        converged=True,
+        stop_reason=ONE_CODEWORD,
+        e_prod=c_k,
+        e_joint=c_k,
+        lagrangian_rise=0.0,
+        surrogate_rise=0.0,
         build_channel=build_channel,
     )
 
@@ -706,7 +831,7 @@ def sweep_points(
         d_id, rate = solution_point(sol, metric)
         d.append(d_id)
         r.append(rate)
-        stopped += not sol.converged
+        stopped += sol.stop_reason == MAX_ITER
         del sol  # the next solve runs without it
     return np.array(d[::-1]), np.array(r[::-1]), stopped
 

@@ -20,7 +20,7 @@ from idq.idrate import (
     lc_delta_rate,
 )
 from idq.linalg import jacobi_eigh, toeplitz_covariance
-from idq.simulator import component_scheme_pr_maybe, estimate_pr_maybe
+from idq.simulator import estimate_pr_maybe
 from idq.sources import (
     GaussMarkov,
     IidGaussian,
@@ -269,14 +269,20 @@ def test_criterion_10_lagrangian_descent(binary_sweep, gaussian_sweep, component
     # On quadratic sources J and I - s*D_s differ by more than a constant, and
     # I - s*D_s is unbounded below, so its rise is reported but not asserted.
     quadratic_literal = max(s.lagrangian_rise for s in quadratic)
-    ok = surrogate_worst <= 1e-9 and binary_worst <= 1e-9
+    # a solve settled as one codeword before the loop runs no iteration
+    one_codeword = [s for s in all_solutions if s.stop_reason == "one-codeword"]
+    one_codeword_worst = max((max(s.surrogate_rise, s.lagrangian_rise) for s in one_codeword),
+                             default=0.0)
+    ok = surrogate_worst <= 1e-9 and binary_worst <= 1e-9 and one_codeword_worst == 0.0
     report(
         10,
         ok,
         f"max per-iteration rise across criteria 5-7 solves of the update's objective "
         f"J: {surrogate_worst:.3e}; of I - s*D_s on the binary runs: {binary_worst:.3e}; "
-        f"of I - s*D_s on the quadratic runs (not descended there): {quadratic_literal:.3e}",
+        f"of I - s*D_s on the quadratic runs (not descended there): {quadratic_literal:.3e}; "
+        f"of either on the {len(one_codeword)} one-codeword solves: {one_codeword_worst:.3e}",
     )
+    assert one_codeword_worst == 0.0
     assert surrogate_worst <= 1e-9, (
         "the conditional update is exact alternating minimization of "
         "J = I + s*(E_joint - sum_j c_j (Q p^2)_j) with c = Gamma p, so J must not "

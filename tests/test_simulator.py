@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -500,3 +501,23 @@ def test_klt_domain_similarity_equivalence():
     d0 = ((x - y) ** 2).mean(axis=1)
     d1 = ((klt_forward(basis, x) - klt_forward(basis, y)) ** 2).mean(axis=1)
     assert np.max(np.abs(d0 - d1)) <= 1e-9 * max(1.0, d0.max())
+
+
+def test_chunked_pair_distances_match_whole_array_sums():
+    # the query and pair distances are summed in chunks of rows, bit for bit
+    # as over the whole arrays, and no temporary holds every row
+    rng = np.random.default_rng(4)
+    for n, width in ((20000, 16), (9000, 3), (5, 1)):
+        x, y = rng.normal(size=(n, width)), rng.normal(size=(n, width))
+        codewords, idx = rng.normal(size=(50, width)), rng.integers(0, 50, n)
+        assert np.array_equal(simulator._sq_dists(x, y), ((x - y) ** 2).sum(axis=1))
+        assert np.array_equal(simulator._sq_dists(codewords, y, idx),
+                              ((codewords[idx] - y) ** 2).sum(axis=1))
+    x, y = rng.normal(size=(100000, 16)), rng.normal(size=(100000, 16))
+    tracemalloc.start()
+    try:
+        simulator._sq_dists(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 4

@@ -18,7 +18,10 @@ from idq.linalg import toeplitz_covariance
 from idq.sources import Pmf, bernoulli_pmf, discretize_gaussian, discretize_mv_gaussian
 from idq.tcdelta import (
     DEFAULT_TOL,
+    MAX_ITER,
+    ONE_CODEWORD,
     PRUNE_EPS,
+    TOL,
     Channel,
     DistortionMatrix,
     TcSolution,
@@ -125,11 +128,13 @@ def _invariant_cases():
 
 
 def _compaction_case():
-    # 33-letter N(0, 1) grid over +-8 sigma at slope 0.2 from the uniform start:
-    # the tail codewords' mass falls to PRUNE_EPS within about 120 iterations,
-    # and rows are cut from the solve several times before it converges.
-    pmf = discretize_gaussian(1.0, 8.0, 33)
-    return pmf.probs, distortion_matrix(pmf.support, pmf.support), 0.2
+    # 33-letter N(0, 1) grid over +-12 sigma at slope 0.53 from the uniform
+    # start, just above the slope below which one codeword is optimal (there
+    # no loop runs): the tail codewords' mass falls to PRUNE_EPS, and rows are
+    # cut from the solve several times before it converges, with and without
+    # the shift.
+    pmf = discretize_gaussian(1.0, 12.0, 33)
+    return pmf.probs, distortion_matrix(pmf.support, pmf.support), 0.53
 
 
 def test_solution_invariants_recompute():
@@ -165,6 +170,31 @@ def _kernel_cases(draw):
     return p / p.sum(), gamma, s, draw(st.booleans()), draw(st.integers(1, 5))
 
 
+def _kkt_ratios(p, gamma, s, exponent_shift, k):
+    """g_j = sum_i p_i E_ji / E_ki for the tilt E = exp(a), formed directly."""
+    a = -s * (gamma - (np.outer(gamma @ p, p) if exponent_shift else 0.0))
+    pos = p > 0
+    with np.errstate(over="ignore"):
+        return np.exp(a[:, pos] - a[k, pos]) @ p[pos]
+
+
+def _assert_one_codeword(sol, p, gamma, s, exponent_shift):
+    """sol is t = delta_k, settled before the loop, with k the argmin of
+    Gamma p, and the KKT ratios of every other codeword are at most 1."""
+    c = gamma @ p
+    k = int(np.argmin(c))
+    assert (sol.stop_reason, sol.converged, sol.iterations) == (ONE_CODEWORD, True, 0)
+    assert sol.rate == 0.0 and sol.d_s == 0.0 and sol.e_prod == sol.e_joint
+    # the folded kernel forms c on one codeword of each orbit
+    assert abs(sol.e_prod - c[k]) <= 1e-12 * (1.0 + c[k])
+    assert sol.lagrangian_rise == sol.surrogate_rise == 0.0
+    one_hot = np.zeros(gamma.shape)
+    one_hot[k] = 1.0
+    assert np.array_equal(sol.channel.q, one_hot)
+    assert np.array_equal(sol.code_marginal.probs, one_hot[:, 0])
+    assert np.delete(_kkt_ratios(p, gamma, s, exponent_shift, k), k).max(initial=0.0) <= 1.0
+
+
 @settings(max_examples=200, deadline=None)
 @given(_kernel_cases())
 def test_kernel_matches_dense_update(case):
@@ -173,6 +203,9 @@ def test_kernel_matches_dense_update(case):
     sol = solve_tc_point(
         p, gamma, s, tol=0.0, max_iter=k, exponent_shift=exponent_shift
     )
+    if sol.stop_reason == ONE_CODEWORD:  # no loop ran
+        _assert_one_codeword(sol, p, gamma, s, exponent_shift)
+        return
     shift = np.outer(gamma @ p, p) if exponent_shift else 0.0
     a = -s * (gamma - shift)
     e = np.exp(a - a.max(axis=0, keepdims=True))
@@ -259,7 +292,7 @@ def test_nonconverged_solve_logs_one_warning(caplog):
     _, g = bern_setup()
     with caplog.at_level(logging.WARNING, logger="idq.tcdelta"):
         sol = solve_tc_point(bernoulli_pmf(0.3), g, math.log(4.0), max_iter=2)
-    assert not sol.converged
+    assert not sol.converged and sol.stop_reason == MAX_ITER
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1
     msg = warnings[0].getMessage()
@@ -271,7 +304,7 @@ def test_converged_solve_does_not_warn(caplog):
     pmf, g = bern_setup()
     with caplog.at_level(logging.WARNING, logger="idq.tcdelta"):
         sol = solve_tc_point(pmf, g, math.log(4.0))
-    assert sol.converged
+    assert sol.converged and sol.stop_reason == TOL
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
@@ -544,7 +577,7 @@ def _assert_same_solve(a, b, same_stop=True):
         assert a == b
         return
     assert a.iterations == b.iterations
-    assert a.converged == b.converged or not same_stop
+    assert (a.converged, a.stop_reason) == (b.converged, b.stop_reason) or not same_stop
     for name in ("rate", "d_s", "e_prod", "e_joint", "lagrangian_rise", "surrogate_rise"):
         assert abs(getattr(a, name) - getattr(b, name)) <= 1e-12, name
     assert np.max(np.abs(a.channel.q - b.channel.q)) <= 1e-12
@@ -726,8 +759,9 @@ def test_folded_kernel_matches_dense(case):
         dense = _solve_or_error(p, g.gamma, s, 0.0, k, t0, exponent_shift)
     _assert_same_solve(folded, dense, same_stop=False)
     if isinstance(dense, TcSolution):
-        q = dense.channel.q
-        assert np.array_equal(_nonzero_rows(spy.eager_channel()), _nonzero_rows(q))
+        if dense.stop_reason != ONE_CODEWORD:  # otherwise no loop ran
+            q = dense.channel.q
+            assert np.array_equal(_nonzero_rows(spy.eager_channel()), _nonzero_rows(q))
         # the folded solve's channel and code marginal are mirror-symmetric
         assert np.array_equal(folded.channel.q[::-1, ::-1], folded.channel.q)
         assert np.array_equal(folded.code_marginal.probs[::-1], folded.code_marginal.probs)
@@ -816,7 +850,7 @@ def test_rows_cut_during_a_folded_solve_give_the_dense_solve(caplog, exponent_sh
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="idq.tcdelta"):
             sols.append(solve_tc_point(p, gamma, s, exponent_shift=exponent_shift))
-        assert f"slope 0.2: {kernel} kernel" in caplog.text
+        assert f"slope 0.53: {kernel} kernel" in caplog.text
         assert "at or below PRUNE_EPS" in caplog.text
     folded, dense = sols
     _assert_same_solve(folded, dense)
@@ -863,7 +897,7 @@ def test_every_compare_mv_solve_is_folded(caplog):
     # the joint TC sweep runs first, then the joint plain rate-distortion
     # sweep, both on the orbits of the mirror, the axis swap and their
     # product: (81 + 1 + 9 + 9) / 4 = 25 of the 81 letters
-    assert all(line.endswith(" x 25 columns") for line in lines[:10])
+    assert all(" x 25 columns, stopped on " in line for line in lines[:10])
 
 
 def test_sweep_points_builds_no_channel(monkeypatch):
@@ -893,3 +927,141 @@ def test_sweep_points_builds_no_channel(monkeypatch):
     # both sweeps fold over the same four-element group, and neither holds
     # as much as one 1089 x 1089 array
     assert plain_peak <= tc_peak < g.gamma.nbytes
+
+
+def _unit_gaussian_table():
+    pmf = discretize_gaussian(1.0, 6.0, 65)
+    return pmf, distortion_matrix(pmf.support, pmf.support)
+
+
+@pytest.mark.parametrize("exponent_shift", [True, False])
+def test_solve_below_the_critical_slope_is_one_codeword(caplog, exponent_shift):
+    # below about 1/(2v) the single codeword at the centre is the exact
+    # optimum: the solve says so before its loop, on either kernel
+    pmf, g = _unit_gaussian_table()
+    for gamma in (g, g.gamma):
+        with caplog.at_level(logging.DEBUG, logger="idq.tcdelta"):
+            sol = solve_tc_point(pmf, gamma, 0.3, exponent_shift=exponent_shift)
+        _assert_one_codeword(sol, pmf.probs, g.gamma, 0.3, exponent_shift)
+        assert sol.code_marginal.probs[32] == 1.0  # the letter 0
+        assert solution_point(sol, "quadratic") == (0.0, 0.0)
+        assert "stopped on one-codeword after 0 iterations" in caplog.text
+        caplog.clear()
+
+
+def _critical_slope(p, g, exponent_shift):
+    """The slope where the one-codeword test stops holding, within 1e-9
+    relative, by bisection on one-iteration solves."""
+    lo, hi = 0.1, 1.0
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        sol = solve_tc_point(p, g, mid, max_iter=1, exponent_shift=exponent_shift)
+        lo, hi = (mid, hi) if sol.stop_reason == ONE_CODEWORD else (lo, mid)
+    return lo, hi
+
+
+@pytest.mark.parametrize("exponent_shift", [True, False])
+def test_solve_just_above_the_critical_slope_runs_the_loop_unchanged(exponent_shift):
+    pmf, g = _unit_gaussian_table()
+    lo, hi = _critical_slope(pmf.probs, g, exponent_shift)
+    # the grid moves the continuum value 1/(2v) = 0.5 a little
+    assert 0.45 < lo < hi < 0.55
+    below = solve_tc_point(pmf, g, lo, max_iter=200, exponent_shift=exponent_shift)
+    assert below.stop_reason == ONE_CODEWORD
+    sol = solve_tc_point(pmf, g, hi, max_iter=200, exponent_shift=exponent_shift)
+    with unittest.mock.patch.object(idq.tcdelta, "_one_codeword", lambda *args: False):
+        loop = solve_tc_point(pmf, g, hi, max_iter=200, exponent_shift=exponent_shift)
+    assert sol.stop_reason == loop.stop_reason == MAX_ITER
+    for name in ("rate", "d_s", "e_prod", "e_joint", "iterations", "lagrangian_rise",
+                 "surrogate_rise"):
+        assert getattr(sol, name) == getattr(loop, name), name
+    assert sol.rate > 0.0
+    assert np.array_equal(sol.code_marginal.probs, loop.code_marginal.probs)
+    assert np.array_equal(sol.channel.q, loop.channel.q)
+
+
+@pytest.mark.parametrize("exponent_shift", [True, False])
+def test_sweep_below_a_one_codeword_slope_stays_one_codeword(exponent_shift):
+    # the sweep runs down from the largest slope; the first one-codeword
+    # solve leaves every other codeword dead in the warm start, and each
+    # lower slope is then proved one-codeword again over the whole table
+    # (the pruned rows in the log domain), as from a cold start
+    pmf, g = _unit_gaussian_table()
+    s_grid = np.geomspace(0.1, 3.0, 12)
+    sols = list(idq.tcdelta._sweep(pmf, g, s_grid, DEFAULT_TOL, 5000, exponent_shift))[::-1]
+    one = [sol.stop_reason == ONE_CODEWORD for sol in sols]
+    assert 0 < sum(one) < len(one)
+    assert one == sorted(one, reverse=True)  # a prefix of the ascending slopes
+    for sol in sols[:sum(one)]:
+        cold = solve_tc_point(pmf, g, sol.slope_s, exponent_shift=exponent_shift)
+        assert cold.stop_reason == ONE_CODEWORD
+        assert np.array_equal(cold.code_marginal.probs, sol.code_marginal.probs)
+    d, r, stopped = sweep_points(pmf, g, s_grid, exponent_shift=exponent_shift)
+    assert np.all(d[:sum(one)] == 0.0) and np.all(r[:sum(one)] == 0.0)
+    assert stopped == sum(sol.stop_reason == MAX_ITER for sol in sols)
+
+
+def test_underflowed_centre_tilt_proves_nothing():
+    # at the letter 30, of mass 1e-300, the centre's tilt exp(-900) is 0 in
+    # floating point; the exact ratio g_j there is about 1e-300 e^900, far
+    # above 1, so the loop must run
+    p = np.array([1e-300, 1.0 - 2e-300, 1e-300])
+    g = distortion_matrix([-30.0, 0.0, 30.0], [-30.0, 0.0, 30.0])
+    for gamma in (g, g.gamma):
+        sol = solve_tc_point(p, gamma, 1.0)
+        assert sol.stop_reason != ONE_CODEWORD and sol.iterations > 0
+
+
+def _objective(p, gamma, s, q, exponent_shift):
+    """J = I + s (E_joint - sum_ij p_i Q(j|i) c_j p_i) of the channel q (nats)."""
+    t = q @ p
+    joint = q * p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        info = float(np.where(joint > 0, joint * np.log(q / t[:, None]), 0.0).sum())
+    shift = float((joint * np.outer(gamma @ p, p)).sum()) if exponent_shift else 0.0
+    return info + s * (float((joint * gamma).sum()) - shift)
+
+
+@st.composite
+def _symmetric_grid_cases(draw):
+    """A mirror-symmetric letter list with the origin among its letters,
+    symmetric p and warm start (some rows dead), and a slope around the
+    continuum's one-codeword threshold 1/(2 E|X|^2)."""
+    dim = draw(st.integers(1, 2))
+    half = draw(arrays(float, (draw(st.integers(1, 6)), dim), elements=st.floats(-3.0, 3.0)))
+    letters = _mirror_letters(half, True)
+    h = len(half)
+    p = _mirror_vector(draw(arrays(float, h, elements=st.floats(0.0, 1.0))),
+                       draw(st.floats(0.0, 1.0)))
+    assume(p.sum() > 1e-3)
+    p = p / p.sum()
+    spread = float(p @ (letters ** 2).sum(axis=1))
+    assume(spread > 1e-3)
+    t0 = None
+    if draw(st.booleans()):
+        th = draw(arrays(float, h, elements=st.floats(1e-3, 1.0)))
+        th[draw(arrays(bool, h))] = 0.0
+        t0 = _mirror_vector(th, draw(st.floats(1e-3, 1.0)))
+        t0 = t0 / t0.sum()
+    s = draw(st.floats(0.05, 2.0)) / (2.0 * spread)
+    return letters, p, s, t0, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_symmetric_grid_cases())
+def test_one_codeword_solves_are_not_beaten_by_long_runs(case):
+    # when the test before the loop proves one codeword optimal, also with
+    # rows pruned by the warm start, no long run of the update from the
+    # uniform start over every codeword reaches a lower J
+    letters, p, s, t0, exponent_shift = case
+    g = distortion_matrix(letters, letters)
+    sol = solve_tc_point(p, g, s, t0=t0, exponent_shift=exponent_shift)
+    if sol.stop_reason != ONE_CODEWORD:
+        return
+    _assert_one_codeword(sol, p, g.gamma, s, exponent_shift)
+    j_one = _objective(p, g.gamma, s, sol.channel.q, exponent_shift)
+    with unittest.mock.patch.object(idq.tcdelta, "_one_codeword", lambda *args: False):
+        long_run = solve_tc_point(p, g, s, tol=1e-13, max_iter=3000,
+                                  exponent_shift=exponent_shift)
+    j_long = _objective(p, g.gamma, s, long_run.channel.q, exponent_shift)
+    assert j_long >= j_one - 1e-12 * (1.0 + abs(j_one))
