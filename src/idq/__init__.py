@@ -17,15 +17,11 @@ from .errors import (
 from .idrate import (
     Curve,
     RateSimilarityPoint,
-    binary_hamming_tc_oracle,
     id_curve_multivariate,
-    id_curve_spectral,
     id_point_multivariate,
-    id_point_spectral,
     id_rate_iid,
     lc_delta_rate,
     similarity_limit,
-    water_filling_allocation,
     water_filling_point,
 )
 from .linalg import EigenPair, SymMatrix, jacobi_eigh, klt_forward, klt_inverse, toeplitz_covariance
@@ -58,11 +54,8 @@ from .tcdelta import (
     Channel,
     DistortionMatrix,
     TcSolution,
-    ba_step,
-    brute_force_tc_oracle,
     component_tc_curve,
     distortion_matrix,
-    mutual_information,
     solve_tc_point,
     sweep_points,
     tc_curve,

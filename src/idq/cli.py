@@ -26,7 +26,6 @@ from .idrate import (
     curve_from_arrays,
     default_tau_grid,
     id_curve_multivariate,
-    id_curve_spectral,
     id_rate_iid,
     lc_delta_rate,
     water_filling_point,
@@ -175,7 +174,7 @@ def _cmd_idrate_spectral(args):
         model = IidGaussian(args.variance)
     psd = spectral_grid(model, args.grid_points)
     taus = default_tau_grid(float(psd.values.max()), args.tau_points, args.tau_min)
-    return _curve_table(id_curve_spectral(psd, taus, label=args.model))
+    return _curve_table(id_curve_multivariate(psd.values, taus, label=args.model))
 
 
 def _gaussian_table(variance, sigmas, points):
@@ -367,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    """Parse and execute; exit code 0 on success, 2 on usage errors, 3 on
-    numerical failures."""
+    """Parse and execute; exit code 0 on success, 2 on usage errors and on
+    running out of memory, 3 on numerical failures."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -388,6 +387,9 @@ def run(argv) -> int:
         return 3
     except (IdqError, ValueError) as exc:
         print(f"idq: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"idq: out of memory: {exc}", file=sys.stderr)
         return 2
     finally:
         log.removeHandler(handler)

@@ -10,13 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, TauOutOfRange, UnsupportedModel
+from .errors import NonConvergence, TauOutOfRange, UnsupportedModel
 from .sources import (
     GaussMarkov,
     IidGaussian,
     MultivariateGaussian,
     SourceModel,
-    SpectralGrid,
 )
 
 _MONO_SLACK = 1e-9
@@ -30,7 +29,7 @@ class RateSimilarityPoint:
     rate: float
 
     def __post_init__(self):
-        if self.d_id < 0:
+        if not (self.d_id >= 0):  # also rejects NaN
             raise ValueError("similarity threshold must be non-negative")
         if not (self.rate >= 0):  # also rejects NaN
             raise ValueError("rate must be non-negative or infinite")
@@ -83,7 +82,9 @@ def curve_from_arrays(d, r, label, nonconverged=0) -> Curve:
     r = np.asarray(r, dtype=float)
     order = np.argsort(d, kind="stable")
     d, r = d[order], r[order]
-    keep = np.concatenate([[True], np.diff(d) > 0])
+    # a NaN threshold (sorted last) equals no neighbour, so it is kept and
+    # rejected with its point
+    keep = np.concatenate([[True], d[1:] != d[:-1]])
     try:
         pts = [RateSimilarityPoint(float(a), float(b)) for a, b in zip(d[keep], r[keep])]
         return Curve(tuple(pts), label, nonconverged)
@@ -114,14 +115,9 @@ def id_rate_iid(variance: float, d_id: float) -> float:
     return math.log2(lim / (lim - d_id))
 
 
-def water_filling_allocation(eigenvalues, tau) -> np.ndarray:
-    """Per-component similarity shares max(0, 2(xi - tau)) for a water level."""
-    return water_filling_point(eigenvalues, tau)[1]
-
-
 def water_filling_point(eigenvalues, tau):
-    """(`id_point_multivariate`, `water_filling_allocation`) at one water
-    level, from one water-filling."""
+    """(`id_point_multivariate`, the per-component similarity shares
+    max(0, 2(xi - tau))) at one water level, from one water-filling."""
     xi = np.asarray(eigenvalues, dtype=float)
     t = float(tau)
     if not t > 0:  # also rejects NaN
@@ -166,7 +162,12 @@ def default_tau_grid(xi_max: float, n_points: int = 200, tau_min: float = None) 
 
 
 def id_curve_multivariate(eigenvalues, tau_grid, label="mv-gaussian") -> Curve:
-    """Sweep the water level over a sorted grid and collect the rate curve."""
+    """Sweep the water level over a sorted grid and collect the rate curve.
+
+    Over the samples of a PSD (`SpectralGrid.values`) this is the spectral
+    curve: the means over the samples are the midpoint Riemann sums of
+    (1/2pi) int max(0, log2(Phi/tau)) and (1/2pi) int max(0, 2(Phi-tau)).
+    """
     taus = np.asarray(tau_grid, dtype=float)
     if np.any(np.diff(taus) <= 0):
         raise TauOutOfRange("tau grid must be sorted strictly ascending")
@@ -179,18 +180,6 @@ def id_curve_multivariate(eigenvalues, tau_grid, label="mv-gaussian") -> Curve:
             raise TauOutOfRange("water level must be positive")
         pts.append(_water_point(xi, float(t))[0])
     return curve_from_arrays([p.d_id for p in pts], [p.rate for p in pts], label)
-
-
-def id_point_spectral(psd: SpectralGrid, tau) -> RateSimilarityPoint:
-    """Water-filling point against a sampled PSD: the multivariate point over
-    the PSD samples, whose means are the midpoint Riemann sums of
-    (1/2pi) int max(0, log2(Phi/tau)) and (1/2pi) int max(0, 2(Phi-tau)).
-    """
-    return id_point_multivariate(psd.values, tau)
-
-
-def id_curve_spectral(psd: SpectralGrid, tau_grid, label="spectral") -> Curve:
-    return id_curve_multivariate(psd.values, tau_grid, label)
 
 
 def similarity_limit(model: SourceModel) -> float:
@@ -220,23 +209,3 @@ def lc_delta_rate(variance: float, d_id: float) -> float:
     if root >= 1.0:
         return math.inf
     return 0.5 * math.log2(1.0 / (1.0 - root))
-
-
-def binary_entropy(q: float) -> float:
-    """Binary entropy in bits, with h(0) = h(1) = 0."""
-    if not 0.0 <= q <= 1.0:
-        raise DomainError("entropy argument must lie in [0, 1]")
-    if q in (0.0, 1.0):
-        return 0.0
-    return -(q * math.log2(q) + (1.0 - q) * math.log2(1.0 - q))
-
-
-def binary_hamming_tc_oracle(d_id: float) -> float:
-    """Closed-form TC-triangle rate for Bern(1/2) with Hamming distance.
-
-    1 - h2(1/2 - d_id): the symmetric-channel restriction of the type-covering
-    bound, cross-checked against the exhaustive channel search in the tests.
-    """
-    if not 0.0 <= d_id <= 0.5:
-        raise DomainError("binary-Hamming threshold must lie in [0, 1/2]")
-    return 1.0 - binary_entropy(0.5 - d_id)

@@ -20,13 +20,12 @@ subtracted from the exponent a, log Q = a - amax + log t - log col gives
 
 An iteration is thus three matrix-vector passes (two when
 `exponent_shift=False` drops the shift row) and makes no n x n temporary
-(`_step`; `ba_step` wraps the same step).  Rows whose marginal falls to
-PRUNE_EPS are cut during the solve, and entries of e (and of its folded
-averages) that would be sub-normal are exact zeros.  The code marginal is the
-loop's last t * (e w), which is Q p, and the reported rate, E_prod and E_joint
-are the loop's values for that Q; the channel itself is built only when it is
-asked for, on every kernel from the live rows of Gamma and the loop's last c,
-amax, t and col.
+(`_step`).  Rows whose marginal falls to PRUNE_EPS are cut during the solve,
+and entries of e (and of its folded averages) that would be sub-normal are
+exact zeros.  The code marginal is the loop's last t * (e w), which is Q p,
+and the reported rate, E_prod and E_joint are the loop's values for that Q;
+the channel itself is built only when it is asked for, on every kernel from
+the live rows of Gamma and the loop's last c, amax, t and col.
 
 The passes run on one of two kernels, and the loop is the same on both.
 Every source the CLI discretizes is zero-mean on a grid of integer offsets,
@@ -88,7 +87,6 @@ the channel moments: E_prod - E_joint for Hamming distance, and
 """
 
 import functools
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -137,14 +135,6 @@ class Channel:
         if not np.all(np.abs(colsums - 1.0) <= 1e-12):  # NaN fails too
             raise ValueError("every channel column must sum to 1 within 1e-12")
         object.__setattr__(self, "q", q)
-
-    @property
-    def n_code(self) -> int:
-        return self.q.shape[0]
-
-    @property
-    def n_source(self) -> int:
-        return self.q.shape[1]
 
 
 @dataclass(frozen=True)
@@ -310,19 +300,6 @@ def _gamma(gamma) -> np.ndarray:
     return gamma.gamma if isinstance(gamma, DistortionMatrix) else np.asarray(gamma, dtype=float)
 
 
-def mutual_information(p_x, q) -> float:
-    """I(X; Xhat) in bits for source p_x through channel q, with 0 log 0 = 0."""
-    p = _probs(p_x)
-    qm = q.q if isinstance(q, Channel) else np.asarray(q, dtype=float)
-    if qm.shape[1] != p.size:
-        raise DimensionMismatch("channel columns must match the source alphabet")
-    t = qm @ p
-    z = qm * p[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        contrib = np.where(z > 0, z * (np.log2(qm) - np.log2(t)[:, None]), 0.0)
-    return max(float(np.nansum(contrib)), 0.0)
-
-
 _TINY = np.finfo(float).tiny
 #: exp(a) is sub-normal below this exponent
 _LOG_TINY = math.log(_TINY)
@@ -426,26 +403,6 @@ def _channel(e, t, col) -> np.ndarray:
     e *= t[:, None]
     e /= col
     return e
-
-
-def ba_step(p_x, t, gamma, s: float):
-    """One conditional/marginal update; returns (Channel, updated marginal Pmf).
-
-    The codeword grid behind `t` must carry no zero entries (drop them first);
-    raises NumericalUnderflow if a column normalizes to zero.
-    """
-    p = _probs(p_x)
-    g = _gamma(gamma)
-    tv = t.probs if isinstance(t, Pmf) else np.asarray(t, dtype=float)
-    if g.shape != (tv.size, p.size):
-        raise DimensionMismatch("gamma shape must be (len(t), len(p_x))")
-    if not 0.0 <= s < math.inf:  # also rejects NaN
-        raise ValueError("slope must be finite and non-negative")
-    _, _, e = _tilt(g, p, s)
-    with np.errstate(over="ignore", invalid="ignore"):
-        col, _, t_new, _ = _step(e, tv, p)
-    support = t.support if isinstance(t, Pmf) else np.arange(tv.size, dtype=float)
-    return Channel(_channel(e, tv, col)), Pmf(support, t_new)
 
 
 def _kernel(gamma, p, t):
@@ -867,62 +824,3 @@ def component_tc_curve(
     d = [float(np.mean(d_at_s)) for d_at_s in zip(*(pc[0] for pc in per_comp))]
     r = [float(np.mean(r_at_s)) for r_at_s in zip(*(pc[1] for pc in per_comp))]
     return curve_from_arrays(d, r, label, sum(pc[2] for pc in per_comp))
-
-
-def _column_lattice(m: int, steps: int) -> np.ndarray:
-    """All probability columns of length m with entries on a 1/steps lattice."""
-    cols = []
-    for combo in itertools.combinations_with_replacement(range(m), steps):
-        counts = np.bincount(np.asarray(combo), minlength=m)
-        cols.append(counts / steps)
-    return np.array(cols)
-
-
-def brute_force_tc_oracle(p_x, gamma, rate_budget: float, grid_step: float) -> float:
-    """Exhaustive search over lattice channels for the best moment difference.
-
-    Enumerates every column-stochastic matrix whose entries lie on a
-    `grid_step` lattice, keeps those with I(X;Xhat) <= rate_budget, and
-    returns the largest achieved E_prod - E_joint.  Cost grows combinatorially
-    with the alphabet; intended for alphabets of at most 3 letters.
-    """
-    p = _probs(p_x)
-    g = _gamma(gamma)
-    m, n = g.shape
-    if n > 3 or m > 3:
-        raise ValueError("exhaustive search supports alphabets of at most 3 letters")
-    if not 0 < grid_step <= 0.01 + 1e-12:
-        raise ValueError("grid_step must lie in (0, 0.01]")
-    if rate_budget < 0:
-        raise ValueError("rate budget must be non-negative")
-    steps = int(round(1.0 / grid_step))
-    cols = _column_lattice(m, steps)
-    c = g @ p
-    best = 0.0
-    # channels are cartesian products of per-source-letter columns
-    index_iter = itertools.product(range(cols.shape[0]), repeat=n)
-    buf = []
-    for idx in index_iter:
-        buf.append(idx)
-        if len(buf) >= 200_000:
-            best = max(best, _best_in_chunk(np.array(buf), cols, p, g, c, rate_budget))
-            buf = []
-    if buf:
-        best = max(best, _best_in_chunk(np.array(buf), cols, p, g, c, rate_budget))
-    return best
-
-
-def _best_in_chunk(idx, cols, p, g, c, budget) -> float:
-    q = cols[idx].transpose(0, 2, 1)  # (B, m, n)
-    t = q @ p  # (B, m)
-    e_prod = t @ c
-    e_joint = np.einsum("bji,ji,i->b", q, g, p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = q * p[None, None, :]
-        logq = np.log2(q, where=q > 0, out=np.zeros_like(q))
-        logt = np.log2(t, where=t > 0, out=np.zeros_like(t))
-        info = np.where(z > 0, z * (logq - logt[:, :, None]), 0.0).sum(axis=(1, 2))
-    ok = info <= budget + 1e-12
-    if not ok.any():
-        return 0.0
-    return float((e_prod - e_joint)[ok].max())

@@ -11,14 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from idq.idrate import (
-    binary_entropy,
-    binary_hamming_tc_oracle,
-    id_point_multivariate,
-    id_point_spectral,
-    id_rate_iid,
-    lc_delta_rate,
-)
+from idq.idrate import id_point_multivariate, id_rate_iid, lc_delta_rate
 from idq.linalg import jacobi_eigh, toeplitz_covariance
 from idq.simulator import estimate_pr_maybe
 from idq.sources import (
@@ -29,7 +22,8 @@ from idq.sources import (
     discretize_mv_gaussian,
     spectral_grid,
 )
-from idq.tcdelta import brute_force_tc_oracle, distortion_matrix, solution_point, tc_sweep
+from idq.tcdelta import distortion_matrix, solution_point, tc_sweep
+from oracles import binary_entropy, binary_hamming_tc_oracle, brute_force_tc_oracle
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -117,7 +111,7 @@ def test_criterion_3_spectral_matches_iid_for_rho0():
     taus = np.geomspace(1e-4, 1.0, 50)
     worst = 0.0
     for tau in taus:
-        pt = id_point_spectral(psd, tau)
+        pt = id_point_multivariate(psd.values, tau)
         worst = max(worst, abs(pt.rate - id_rate_iid(1.0, pt.d_id)))
     ok = worst <= 1e-6
     report(3, ok, f"rho=0 spectral vs i.i.d. closed form at 50 points: max gap {worst:.2e}")
@@ -127,7 +121,7 @@ def test_criterion_3_spectral_matches_iid_for_rho0():
 def test_criterion_4_szego_convergence():
     tau = 0.5
     rho = 0.5
-    ref = id_point_spectral(spectral_grid(GaussMarkov(1.0, rho), 1 << 16), tau).rate
+    ref = id_point_multivariate(spectral_grid(GaussMarkov(1.0, rho), 1 << 16).values, tau).rate
     gaps = []
     for m in (8, 16, 32, 64, 128, 256):
         cov = toeplitz_covariance(rho ** np.arange(m), m)

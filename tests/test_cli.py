@@ -82,6 +82,17 @@ def test_exit_codes(tmp_path, capsys):
     assert run(["tcdelta", "--source", "bernoulli", "--max-iter", "0"]) == 2
 
 
+def test_out_of_memory_is_one_line_and_exit_2(monkeypatch, capsys):
+    # a distortion table too large for memory, without allocating one
+    def no_memory(a, b):
+        raise MemoryError("Unable to allocate 9.62 GiB")
+
+    monkeypatch.setattr(idq.tcdelta, "_sq_diff", no_memory)
+    assert run(["tcdelta", "--source", "gaussian", "--grid-points", "9", "--slopes", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "idq: out of memory: Unable to allocate 9.62 GiB\n"
+
+
 def test_spectral_rho0_matches_iid(tmp_path):
     meta, cols, rows = run_csv(
         tmp_path,

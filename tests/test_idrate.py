@@ -9,18 +9,13 @@ from idq.errors import DomainError, NonConvergence, TauOutOfRange, UnsupportedMo
 from idq.idrate import (
     Curve,
     RateSimilarityPoint,
-    binary_entropy,
-    binary_hamming_tc_oracle,
     curve_from_arrays,
     default_tau_grid,
     id_curve_multivariate,
-    id_curve_spectral,
     id_point_multivariate,
-    id_point_spectral,
     id_rate_iid,
     lc_delta_rate,
     similarity_limit,
-    water_filling_allocation,
     water_filling_point,
 )
 from idq.linalg import SymMatrix, toeplitz_covariance
@@ -32,6 +27,7 @@ from idq.sources import (
     SpectralGrid,
     spectral_grid,
 )
+from oracles import binary_entropy, binary_hamming_tc_oracle
 
 
 def test_id_rate_iid_examples():
@@ -74,12 +70,12 @@ def test_id_point_multivariate_iid_reduction():
 
 def test_water_filling_allocation_activation():
     # second component activates just below its variance
-    alloc_hi = water_filling_allocation([1.7, 0.3], 0.3000001)
-    alloc_lo = water_filling_allocation([1.7, 0.3], 0.2999999)
+    alloc_hi = water_filling_point([1.7, 0.3], 0.3000001)[1]
+    alloc_lo = water_filling_point([1.7, 0.3], 0.2999999)[1]
     assert alloc_hi[1] == 0.0
     assert alloc_lo[1] > 0.0
     pt = id_point_multivariate([1.7, 0.3], 0.25)
-    assert pt.d_id == pytest.approx(water_filling_allocation([1.7, 0.3], 0.25).mean(), abs=0.0)
+    assert pt.d_id == pytest.approx(water_filling_point([1.7, 0.3], 0.25)[1].mean(), abs=0.0)
 
 
 @pytest.mark.parametrize("tau", [0.05, 0.3, 0.9, 1.7])
@@ -87,7 +83,7 @@ def test_water_filling_point_is_the_point_and_its_shares(tau):
     xi = [1.7, 0.9, 0.3, 0.1]
     point, shares = water_filling_point(xi, tau)
     assert point == id_point_multivariate(xi, tau)
-    assert shares.tobytes() == water_filling_allocation(xi, tau).tobytes()
+    assert shares.tobytes() == water_filling_point(xi, tau)[1].tobytes()
     with pytest.raises(TauOutOfRange):
         water_filling_point(xi, 2.0)
 
@@ -205,19 +201,19 @@ def test_id_curve_multivariate_checks_once_like_each_point(xi, taus):
 def test_id_point_spectral_flat_psd_matches_iid():
     grid = spectral_grid(IidGaussian(1.5), 4096)
     for tau in (0.1, 0.5, 1.0, 1.4):
-        pt = id_point_spectral(grid, tau)
+        pt = id_point_multivariate(grid.values, tau)
         assert pt.rate == pytest.approx(id_rate_iid(1.5, pt.d_id), abs=1e-9)
 
 
 def test_id_point_spectral_low_tau_limit():
     grid = spectral_grid(GaussMarkov(1.0, 0.5), 1 << 14)
-    pt = id_point_spectral(grid, 1e-9)
+    pt = id_point_multivariate(grid.values, 1e-9)
     assert pt.d_id == pytest.approx(2.0, abs=1e-5)
 
 
 def test_id_curve_spectral_rho0_overlaps_iid():
     grid = spectral_grid(GaussMarkov(1.0, 0.0), 4096)
-    curve = id_curve_spectral(grid, default_tau_grid(1.0, 64))
+    curve = id_curve_multivariate(grid.values, default_tau_grid(1.0, 64))
     for p in curve.points:
         assert p.rate == pytest.approx(id_rate_iid(1.0, p.d_id), abs=1e-9)
 
@@ -225,7 +221,7 @@ def test_id_curve_spectral_rho0_overlaps_iid():
 def test_spectral_tau_validation():
     grid = SpectralGrid(np.array([-1.0, 0.0, 1.0]), np.array([1.0, 2.0, 1.0]))
     with pytest.raises(TauOutOfRange):
-        id_point_spectral(grid, 2.5)
+        id_point_multivariate(grid.values, 2.5)
 
 
 def test_similarity_limit():
@@ -273,6 +269,12 @@ def test_rate_similarity_point_validation():
     assert not RateSimilarityPoint(0.1, math.inf).finite
 
 
+def test_rate_similarity_point_rejects_a_nan_threshold():
+    with pytest.raises(ValueError, match="similarity threshold"):
+        RateSimilarityPoint(math.nan, 1.0)
+    assert RateSimilarityPoint(math.inf, 1.0).d_id == math.inf
+
+
 def test_curve_validation():
     pts = (RateSimilarityPoint(0.0, 0.0), RateSimilarityPoint(1.0, 1.0))
     Curve(pts, "ok")
@@ -293,3 +295,12 @@ def test_curve_from_arrays_blames_a_falling_curve_on_capped_solves():
         curve_from_arrays([0.1, 0.2], [0.5, 0.4], "x")
     with pytest.raises(NonConvergence, match=r"rate decreased.*\(1 solves stopped at max_iter\)"):
         curve_from_arrays([0.1, 0.2], [0.5, 0.4], "x", nonconverged=1)
+
+
+def test_curve_from_arrays_rejects_a_nan_threshold():
+    # a NaN threshold and its rate are not dropped as a duplicate
+    with pytest.raises(ValueError, match="similarity threshold"):
+        curve_from_arrays([0.1, math.nan, 0.3], [0.1, 0.2, 0.3], "x")
+    with pytest.raises(NonConvergence, match=r"similarity threshold.*\(1 solves stopped"):
+        curve_from_arrays([0.1, math.nan, 0.3], [0.1, 0.2, 0.3], "x", nonconverged=1)
+    assert curve_from_arrays([0.1, math.inf], [0.1, math.inf], "x").d_ids[-1] == math.inf

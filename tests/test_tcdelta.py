@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 import idq.tcdelta
 from idq.cli import run
 from idq.errors import DimensionMismatch, NumericalUnderflow
-from idq.idrate import binary_entropy, binary_hamming_tc_oracle, id_rate_iid
+from idq.idrate import id_rate_iid
 from idq.linalg import toeplitz_covariance
 from idq.sources import Pmf, bernoulli_pmf, discretize_gaussian, discretize_mv_gaussian
 from idq.tcdelta import (
@@ -25,17 +25,21 @@ from idq.tcdelta import (
     Channel,
     DistortionMatrix,
     TcSolution,
-    ba_step,
-    brute_force_tc_oracle,
     component_tc_curve,
     distortion_matrix,
-    mutual_information,
     solution_point,
     solve_tc_point,
     sweep_points,
     tc_curve,
     tc_sweep,
     triangle_similarity,
+)
+from oracles import (
+    ba_step,
+    binary_entropy,
+    binary_hamming_tc_oracle,
+    brute_force_tc_oracle,
+    mutual_information,
 )
 
 
