@@ -58,6 +58,5 @@ from .tcdelta import (
     distortion_matrix,
     solve_tc_point,
     sweep_points,
-    tc_curve,
     tc_sweep,
 )

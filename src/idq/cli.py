@@ -41,7 +41,7 @@ from .sources import (
     spectral_grid,
 )
 from .simulator import estimate_pr_maybe
-from .tcdelta import component_tc_curve, distortion_matrix, sweep_points, tc_curve
+from .tcdelta import component_tc_curve, distortion_matrix, sweep_points
 
 _FMT = "{:.12g}"
 
@@ -174,7 +174,7 @@ def _cmd_idrate_spectral(args):
         model = IidGaussian(args.variance)
     psd = spectral_grid(model, args.grid_points)
     taus = default_tau_grid(float(psd.values.max()), args.tau_points, args.tau_min)
-    return _curve_table(id_curve_multivariate(psd.values, taus, label=args.model))
+    return _curve_table(id_curve_multivariate(psd.values, taus))
 
 
 def _gaussian_table(variance, sigmas, points):
@@ -191,7 +191,7 @@ def _cmd_tcdelta(args):
     else:
         table = _gaussian_table(args.variance, args.grid_sigmas, args.grid_points)
         s_grid = _slope_grid(args, variance=args.variance)
-    curve = tc_curve(*table, s_grid, tol=args.tol, max_iter=args.max_iter)
+    curve = component_tc_curve([table], s_grid, tol=args.tol, max_iter=args.max_iter)
     return _curve_table(curve, nonconverged=curve.nonconverged)
 
 
@@ -224,8 +224,8 @@ def _cmd_simulate(args):
 def _cmd_compare(args):
     if args.source == "iid-gaussian":
         pmf, gamma = _gaussian_table(args.variance, args.grid_sigmas, args.grid_points)
-        curve = tc_curve(pmf, gamma, _slope_grid(args, variance=args.variance),
-                         tol=args.tol, max_iter=args.max_iter)
+        curve = component_tc_curve([(pmf, gamma)], _slope_grid(args, variance=args.variance),
+                                   tol=args.tol, max_iter=args.max_iter)
         rows = [
             (d, id_rate_iid(args.variance, d), r, lc_delta_rate(args.variance, d))
             for d, r in zip(curve.d_ids, curve.rates)
@@ -249,10 +249,10 @@ def _cmd_compare(args):
                                             args.joint_grid_points)
     gamma_j = distortion_matrix(letters, letters, "quadratic")
     joint = []
-    for exponent_shift, label in ((True, "joint-tc-delta"), (False, "joint-rate-distortion")):
+    for exponent_shift in (True, False):
         d, r, n_stopped = sweep_points(probs, gamma_j, s_grid, tol=args.tol,
                                        max_iter=args.max_iter, exponent_shift=exponent_shift)
-        joint.append(curve_from_arrays(d / args.order, r / args.order, label, n_stopped))
+        joint.append(curve_from_arrays(d / args.order, r / args.order, n_stopped))
     del gamma_j  # not alive beside the component model's matrices
     tc, lc = joint
     comp_curve = component_tc_curve(comps, s_grid, tol=args.tol, max_iter=args.max_iter)

@@ -21,6 +21,14 @@ from .sources import (
 _MONO_SLACK = 1e-9
 
 
+def _check_point(d_id, rate) -> None:
+    """A point's rule: threshold, then rate, non-negative; NaN fails both."""
+    if not (d_id >= 0):
+        raise ValueError("similarity threshold must be non-negative")
+    if not (rate >= 0):
+        raise ValueError("rate must be non-negative or infinite")
+
+
 @dataclass(frozen=True)
 class RateSimilarityPoint:
     """One (similarity threshold, rate) pair; rate may be math.inf."""
@@ -29,49 +37,46 @@ class RateSimilarityPoint:
     rate: float
 
     def __post_init__(self):
-        if not (self.d_id >= 0):  # also rejects NaN
-            raise ValueError("similarity threshold must be non-negative")
-        if not (self.rate >= 0):  # also rejects NaN
-            raise ValueError("rate must be non-negative or infinite")
+        _check_point(self.d_id, self.rate)
 
     @property
     def finite(self) -> bool:
         return math.isfinite(self.rate)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Curve:
-    """Rate-similarity points sorted by strictly increasing d_id, with rates
-    that do not decrease along the curve beyond a 1e-9 slack.
+    """Rate-similarity points as two read-only 1-D arrays of one length, sorted
+    by strictly increasing d_id, with rates that do not decrease along the
+    curve beyond a 1e-9 slack; a bad point raises as `RateSimilarityPoint`.
 
     `nonconverged` counts the solves behind the points that stopped at their
     iteration cap; closed-form curves have none.
     """
 
-    points: tuple
-    label: str
+    d_ids: np.ndarray
+    rates: np.ndarray
     nonconverged: int = 0
 
     def __post_init__(self):
-        pts = tuple(self.points)
-        d = np.array([p.d_id for p in pts])
-        r = np.array([p.rate for p in pts])
+        d = np.array(self.d_ids, dtype=float)
+        r = np.array(self.rates, dtype=float)
+        if d.ndim != 1 or d.shape != r.shape:
+            raise ValueError("d_ids and rates must be 1-D arrays of one length")
+        # the points `_check_point` rejects, found at once; the first raises
+        bad = np.flatnonzero(~((d >= 0) & (r >= 0)))
+        if bad.size:
+            _check_point(d[bad[0]], r[bad[0]])
         if np.any(np.diff(d) <= 0):
             raise ValueError("d_id must be strictly increasing along the curve")
         if np.any(np.diff(r) < -_MONO_SLACK):
             raise ValueError("rate decreased along increasing d_id beyond slack")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def d_ids(self) -> np.ndarray:
-        return np.array([p.d_id for p in self.points])
-
-    @property
-    def rates(self) -> np.ndarray:
-        return np.array([p.rate for p in self.points])
+        d.flags.writeable = r.flags.writeable = False
+        object.__setattr__(self, "d_ids", d)
+        object.__setattr__(self, "rates", r)
 
 
-def curve_from_arrays(d, r, label, nonconverged=0) -> Curve:
+def curve_from_arrays(d, r, nonconverged=0) -> Curve:
     """Sort by d_id, drop duplicate thresholds, and build a validated Curve.
 
     Points the curve cannot be built from (a rate that falls, say) raise
@@ -84,10 +89,10 @@ def curve_from_arrays(d, r, label, nonconverged=0) -> Curve:
     d, r = d[order], r[order]
     # a NaN threshold (sorted last) equals no neighbour, so it is kept and
     # rejected with its point
-    keep = np.concatenate([[True], d[1:] != d[:-1]])
+    keep = np.ones(d.size, dtype=bool)
+    keep[1:] = d[1:] != d[:-1]
     try:
-        pts = [RateSimilarityPoint(float(a), float(b)) for a, b in zip(d[keep], r[keep])]
-        return Curve(tuple(pts), label, nonconverged)
+        return Curve(d[keep], r[keep], nonconverged)
     except ValueError as exc:
         if not nonconverged:
             raise
@@ -130,7 +135,8 @@ def water_filling_point(eigenvalues, tau):
                          else "eigenvalues must be finite")
     if t > xi.max() * (1.0 + 1e-12):
         raise TauOutOfRange(f"tau {t} above the largest component variance {xi.max()}")
-    return _water_point(xi, t)
+    point, shares = _water_point(xi, t)
+    return RateSimilarityPoint(*point), shares
 
 
 def id_point_multivariate(eigenvalues, tau) -> RateSimilarityPoint:
@@ -142,11 +148,11 @@ def id_point_multivariate(eigenvalues, tau) -> RateSimilarityPoint:
 
 
 def _water_point(xi, t: float):
-    """`water_filling_point` for inputs already validated."""
+    """((d_id, rate), shares) of `water_filling_point`, inputs already validated."""
     shares = np.maximum(0.0, 2.0 * (xi - t))
     rate = float(np.log2(xi[xi > t] / t).sum()) / xi.size
     d_id = float(shares.sum()) / xi.size
-    return RateSimilarityPoint(max(d_id, 0.0), max(rate, 0.0)), shares
+    return (max(d_id, 0.0), max(rate, 0.0)), shares
 
 
 def default_tau_grid(xi_max: float, n_points: int = 200, tau_min: float = None) -> np.ndarray:
@@ -161,7 +167,7 @@ def default_tau_grid(xi_max: float, n_points: int = 200, tau_min: float = None) 
     return np.geomspace(lo, xi_max, n_points)
 
 
-def id_curve_multivariate(eigenvalues, tau_grid, label="mv-gaussian") -> Curve:
+def id_curve_multivariate(eigenvalues, tau_grid) -> Curve:
     """Sweep the water level over a sorted grid and collect the rate curve.
 
     Over the samples of a PSD (`SpectralGrid.values`) this is the spectral
@@ -174,12 +180,18 @@ def id_curve_multivariate(eigenvalues, tau_grid, label="mv-gaussian") -> Curve:
     xi = np.asarray(eigenvalues, dtype=float)
     # the eigenvalues and the largest level are checked once, as the first
     # point would check them; the smaller levels need only be positive
-    pts = [id_point_multivariate(xi, taus[-1])] if taus.size else []
+    d, r = [], []
+    if taus.size:
+        top = id_point_multivariate(xi, taus[-1])
+        d.append(top.d_id)
+        r.append(top.rate)
     for t in taus[-2::-1]:
         if not t > 0:  # also rejects NaN
             raise TauOutOfRange("water level must be positive")
-        pts.append(_water_point(xi, float(t))[0])
-    return curve_from_arrays([p.d_id for p in pts], [p.rate for p in pts], label)
+        (d_t, r_t), _ = _water_point(xi, float(t))
+        d.append(d_t)
+        r.append(r_t)
+    return curve_from_arrays(d, r)
 
 
 def similarity_limit(model: SourceModel) -> float:

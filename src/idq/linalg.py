@@ -87,12 +87,11 @@ def jacobi_eigh(c: SymMatrix) -> EigenPair:
     order = np.argsort(-w, kind="stable")
     w = w[order]
     v = v[:, order]
-    # sign convention: first component above noise level is non-negative
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size and col[nz[0]] < 0:
-            v[:, k] = -col
+    # sign convention: first component above noise level is non-negative.
+    # argmax finds each column's first entry above 1e-12, or entry 0 in a
+    # column with none, which then lies within 1e-12 of zero and flips nothing
+    first = v[(np.abs(v) > 1e-12).argmax(axis=0), np.arange(v.shape[1])]
+    v[:, first < -1e-12] *= -1.0
     pair = EigenPair(w, v)
     if scale > 0.0:
         resid = np.max(np.abs((v * w) @ v.T - c.a))

@@ -155,7 +155,7 @@ def _nearest(codewords: np.ndarray, blocks: np.ndarray, runner_up: bool = False)
     def reduce(lo, hi, x, d2):
         ii = lowest[d2.argmin(axis=1)]
         idx[lo:hi] = ii
-        dist[lo:hi] = ((x - codewords[ii]) ** 2).sum(axis=1)
+        dist[lo:hi] = _sq_dists(codewords, x, ii)
         if runner_up:
             r = np.arange(hi - lo)
             own[lo:hi] = d2[r, ii]
@@ -229,7 +229,7 @@ def _assignments(x: np.ndarray, centroids: np.ndarray):
         margin = 2e-15 * (dim + 1) * (x_norm + c_norm) ** 2
         again = own >= runner - margin
         fix = (own_col >= 0) & ~again
-        dist[fix] = ((x[fix] - centroids[lab[fix]]) ** 2).sum(axis=1)
+        dist[fix] = _sq_dists(centroids, x[fix], lab[fix])
         rows = np.flatnonzero(again)
         if rows.size:
             lab[rows], dist[rows], own[rows], runner[rows] = _nearest(
@@ -514,4 +514,4 @@ def component_scheme_pr_maybe(
         if decision_log is not None:
             decision_log.append(comp_maybe.copy())
         maybe &= comp_maybe
-    return _tally(maybe, ((x - y) ** 2).mean(axis=1), d_id)
+    return _tally(maybe, _sq_dists(x, y) / x.shape[1], d_id)

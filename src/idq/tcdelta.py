@@ -25,7 +25,10 @@ and entries of e (and of its folded averages) that would be sub-normal are
 exact zeros.  The code marginal is the loop's last t * (e w), which is Q p,
 and the reported rate, E_prod and E_joint are the loop's values for that Q;
 the channel itself is built only when it is asked for, on every kernel from
-the live rows of Gamma and the loop's last c, amax, t and col.
+the live rows of Gamma and the loop's last c, amax, t and col.  A letter of
+zero mass (a wide grid's outermost masses underflow to 0) weighs nothing in
+J, the moments or the update, so the loop leaves it out; its channel column
+is t_j exp(-s Gamma_ji) normalized over the live codewords.
 
 The passes run on one of two kernels, and the loop is the same on both.
 Every source the CLI discretizes is zero-mean on a grid of integer offsets,
@@ -180,21 +183,28 @@ class TcSolution:
     The code marginal is the loop's last Q p.  The channel Q, an m x n
     matrix, is built from the solve's last state on first access only.
     stop_reason is TOL or MAX_ITER for a solve that ran the loop, and
-    ONE_CODEWORD (converged, 0 iterations) for one settled before it.
+    ONE_CODEWORD (0 iterations) for one settled before it; `converged` is
+    every stop but MAX_ITER.
     """
 
     slope_s: float
     code_marginal: Pmf
-    d_s: float
     rate: float
     iterations: int
-    converged: bool
     stop_reason: str
     e_prod: float
     e_joint: float
     lagrangian_rise: float
     surrogate_rise: float
     build_channel: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @property
+    def d_s(self) -> float:
+        return self.e_prod - self.e_joint
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != MAX_ITER
 
     @functools.cached_property
     def channel(self) -> Channel:
@@ -446,11 +456,9 @@ def _one_codeword(e, kr, p_orb, g_full, p, s, exponent_shift, k, dead, dc) -> bo
     a few eps (n + 1)(1 + s max Gamma), log p by at most 745 eps, and a sum
     of n terms by n eps, relative."""
     ek = e[kr]
-    pos = p_orb > 0
-    if not (ek[pos] > 0).all():
+    if not (ek > 0).all():
         return False
-    v = np.zeros_like(p_orb)
-    v[pos] = p_orb[pos] / ek[pos]
+    v = p_orb / ek
     g = e @ v
     g[kr] = 0.0  # g_k = 1
     worst = g.max() + _TINY * v.sum()
@@ -553,6 +561,14 @@ def solve_tc_point(
     cols, letter_orbit = (reps, orbit) if kernel == "folded" else (slice(None), np.arange(n))
     mu_all = np.bincount(orbit).astype(float)  # codeword orbit sizes
     p_orb = np.bincount(letter_orbit, p)  # the mass of each letter orbit
+    if not p_orb.all():
+        # a letter of zero mass weighs nothing in J, the moments or the
+        # update, so the solve runs on the letter orbits of positive mass;
+        # letter_orbit then maps each letter of positive mass to its column
+        massive = np.flatnonzero(p_orb)
+        cols = np.arange(n)[cols][massive]
+        letter_orbit = np.searchsorted(massive, letter_orbit[p > 0])
+        p_orb = p_orb[massive]
     p_letter = p[cols]  # the mass of one letter of each orbit
     t = t[reps]  # the mass of one codeword of each orbit
     rows = np.flatnonzero(t > PRUNE_EPS)  # orbit of each live row
@@ -670,10 +686,8 @@ def solve_tc_point(
     return TcSolution(
         slope_s=float(s),
         code_marginal=Pmf(support, per_codeword(t_new / mu)),
-        d_s=d_s,
         rate=max(i_nats, 0.0) / LN2,
         iterations=iterations,
-        converged=converged,
         stop_reason=stop_reason,
         e_prod=e_prod,
         e_joint=e_joint,
@@ -697,10 +711,8 @@ def _one_codeword_solution(s, support, k, c_k, shape) -> TcSolution:
     return TcSolution(
         slope_s=float(s),
         code_marginal=Pmf(support, t),
-        d_s=0.0,
         rate=0.0,
         iterations=0,
-        converged=True,
         stop_reason=ONE_CODEWORD,
         e_prod=c_k,
         e_joint=c_k,
@@ -713,9 +725,22 @@ def _one_codeword_solution(s, support, k, c_k, shape) -> TcSolution:
 def _build_channel(g_full, p, s, exponent_shift, codewords, c, t, col, amax):
     """The m x n channel e t / col of a solve's last iteration, with zeros
     outside its live `codewords`: the rows of e are the tilt of those rows of
-    Gamma with the solve's own c and amax, on either kernel."""
-    _, _, e = _tilt(g_full[codewords], p, s, exponent_shift, c=c, amax=amax)
-    q = _channel(e, t, col)
+    Gamma with the solve's own c and amax, on either kernel.  col and amax
+    belong to the letters of positive mass.  The solve left the letters of
+    zero mass out; each gets the column t_j exp(-s Gamma_ji) normalized over
+    the live codewords, since its shift term c_j p_i is 0."""
+    pos = p > 0
+    q = np.empty((codewords.size, p.size))
+    g = g_full[np.ix_(codewords, pos)]
+    _, _, e = _tilt(g, p[pos], s, exponent_shift, c=c, amax=amax)
+    q[:, pos] = _channel(e, t, col)
+    with np.errstate(divide="ignore"):
+        b = np.log(t)[:, None] - s * g_full[np.ix_(codewords, ~pos)]
+    b -= b.max(axis=0)
+    np.exp(b, out=b)
+    # a column and its image under a symmetry hold the same values in
+    # another order; summed sorted, they get one normalizer bit for bit
+    q[:, ~pos] = b / np.sort(b, axis=0).sum(axis=0)
     if codewords.size == g_full.shape[0]:
         return q
     q_full = np.zeros(g_full.shape)
@@ -793,29 +818,16 @@ def sweep_points(
     return np.array(d[::-1]), np.array(r[::-1]), stopped
 
 
-def tc_curve(
-    p_x,
-    gamma,
-    s_grid,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    label: str = "tc-delta",
-) -> Curve:
-    """Rate-similarity curve traced by sweeping the slope grid."""
-    d, r, stopped = sweep_points(p_x, gamma, s_grid, tol=tol, max_iter=max_iter)
-    return curve_from_arrays(d, r, label, stopped)
-
-
 def component_tc_curve(
     components,
     s_grid,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    label: str = "tc-delta-components",
 ) -> Curve:
     """Pareto-condition curve of the component model: every component runs the
     solver independently at each common slope; the model's point averages the
-    component rates and the component similarity thresholds."""
+    component rates and the component similarity thresholds.  One component
+    gives the curve of its own slope sweep."""
     if not components:
         raise ValueError("need at least one component")
     per_comp = [
@@ -823,4 +835,4 @@ def component_tc_curve(
     ]
     d = [float(np.mean(d_at_s)) for d_at_s in zip(*(pc[0] for pc in per_comp))]
     r = [float(np.mean(r_at_s)) for r_at_s in zip(*(pc[1] for pc in per_comp))]
-    return curve_from_arrays(d, r, label, sum(pc[2] for pc in per_comp))
+    return curve_from_arrays(d, r, sum(pc[2] for pc in per_comp))

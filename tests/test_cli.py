@@ -139,6 +139,14 @@ def test_tcdelta_gaussian_small(tmp_path):
         assert rv >= id_rate_iid(1.0, dv) - 5e-3
 
 
+def test_tcdelta_solves_a_grid_with_letters_of_zero_mass(tmp_path):
+    # at 40 sigma the 20 outermost of the 513 masses underflow to 0; the
+    # solve leaves those letters out, so no channel column normalizes to 0
+    assert (idq.sources.discretize_gaussian(1.0, 40.0, 513).probs == 0.0).sum() == 20
+    _, _, rows = run_csv(tmp_path, ["tcdelta", "--grid-sigmas", "40", "--slopes", "3"])
+    assert len(rows) == 3
+
+
 def test_simulate_header_reports_false_negatives(tmp_path):
     meta, cols, rows = run_csv(
         tmp_path,

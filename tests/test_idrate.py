@@ -141,8 +141,8 @@ def test_water_filling_identities(case):
 
 def test_id_curve_multivariate_single_eigenvalue_matches_iid():
     curve = id_curve_multivariate([2.0], default_tau_grid(2.0))
-    for p in curve.points:
-        assert p.rate == pytest.approx(id_rate_iid(2.0, p.d_id), abs=1e-12)
+    for d_id, rate in zip(curve.d_ids, curve.rates):
+        assert rate == pytest.approx(id_rate_iid(2.0, d_id), abs=1e-12)
 
 
 def test_id_curve_multivariate_endpoint():
@@ -165,13 +165,13 @@ def test_id_curve_monotone_in_tau():
 def _curve_point_by_point(xi, taus):
     """id_curve_multivariate as one checked id_point_multivariate per level."""
     pts = [id_point_multivariate(xi, t) for t in np.asarray(taus, dtype=float)[::-1]]
-    return curve_from_arrays([p.d_id for p in pts], [p.rate for p in pts], "mv-gaussian")
+    return curve_from_arrays([p.d_id for p in pts], [p.rate for p in pts])
 
 
 def _outcome(fn, *args):
     try:
         curve = fn(*args)
-    except (ValueError, IndexError) as exc:  # the type and message are compared
+    except ValueError as exc:  # the type and message are compared
         return type(exc), str(exc)
     return curve.d_ids.tolist(), curve.rates.tolist()
 
@@ -214,8 +214,8 @@ def test_id_point_spectral_low_tau_limit():
 def test_id_curve_spectral_rho0_overlaps_iid():
     grid = spectral_grid(GaussMarkov(1.0, 0.0), 4096)
     curve = id_curve_multivariate(grid.values, default_tau_grid(1.0, 64))
-    for p in curve.points:
-        assert p.rate == pytest.approx(id_rate_iid(1.0, p.d_id), abs=1e-9)
+    for d_id, rate in zip(curve.d_ids, curve.rates):
+        assert rate == pytest.approx(id_rate_iid(1.0, d_id), abs=1e-9)
 
 
 def test_spectral_tau_validation():
@@ -276,31 +276,48 @@ def test_rate_similarity_point_rejects_a_nan_threshold():
 
 
 def test_curve_validation():
-    pts = (RateSimilarityPoint(0.0, 0.0), RateSimilarityPoint(1.0, 1.0))
-    Curve(pts, "ok")
+    Curve([0.0, 1.0], [0.0, 1.0])
     with pytest.raises(ValueError):
-        Curve((RateSimilarityPoint(1.0, 0.0), RateSimilarityPoint(1.0, 1.0)), "dup d")
+        Curve([1.0, 1.0], [0.0, 1.0])
     with pytest.raises(ValueError):
-        Curve((RateSimilarityPoint(0.0, 1.0), RateSimilarityPoint(1.0, 0.5)), "drop")
+        Curve([0.0, 1.0], [1.0, 0.5])
+    # two read-only 1-D arrays of one length
+    d = np.array([0.0, 1.0])
+    curve = Curve(d, np.array([0.0, math.inf]), 2)
+    assert curve.nonconverged == 2 and curve.rates[-1] == math.inf
+    assert d.flags.writeable  # the caller's array is left as it was
+    for values in (curve.d_ids, curve.rates):
+        assert values.dtype == float and not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 0.5
+    for d_ids, rates in (([0.0, 1.0], [0.0]), ([[0.0, 1.0]], [[0.0, 1.0]]), (0.0, 0.0)):
+        with pytest.raises(ValueError, match="1-D arrays of one length"):
+            Curve(d_ids, rates)
+    # the first bad point raises as a RateSimilarityPoint, threshold before rate
+    with pytest.raises(ValueError, match="similarity threshold"):
+        Curve([0.0, -1.0, 2.0], [0.0, -1.0, 1.0])
+    with pytest.raises(ValueError, match="rate must be"):
+        Curve([0.0, 1.0, -2.0], [0.0, -1.0, 1.0])
 
 
 def test_curve_from_arrays_dedupes():
-    c = curve_from_arrays([0.0, 1.0, 1.0, 2.0], [0.0, 0.5, 0.5, 1.0], "x")
-    assert len(c.points) == 3
+    c = curve_from_arrays([0.0, 1.0, 1.0, 2.0], [0.0, 0.5, 0.5, 1.0])
+    assert len(c.d_ids) == 3
+    assert curve_from_arrays([], []).d_ids.size == 0
 
 
 def test_curve_from_arrays_blames_a_falling_curve_on_capped_solves():
     # bad input without a capped solve; a numerical failure with one
     with pytest.raises(ValueError, match="rate decreased"):
-        curve_from_arrays([0.1, 0.2], [0.5, 0.4], "x")
+        curve_from_arrays([0.1, 0.2], [0.5, 0.4])
     with pytest.raises(NonConvergence, match=r"rate decreased.*\(1 solves stopped at max_iter\)"):
-        curve_from_arrays([0.1, 0.2], [0.5, 0.4], "x", nonconverged=1)
+        curve_from_arrays([0.1, 0.2], [0.5, 0.4], nonconverged=1)
 
 
 def test_curve_from_arrays_rejects_a_nan_threshold():
     # a NaN threshold and its rate are not dropped as a duplicate
     with pytest.raises(ValueError, match="similarity threshold"):
-        curve_from_arrays([0.1, math.nan, 0.3], [0.1, 0.2, 0.3], "x")
+        curve_from_arrays([0.1, math.nan, 0.3], [0.1, 0.2, 0.3])
     with pytest.raises(NonConvergence, match=r"similarity threshold.*\(1 solves stopped"):
-        curve_from_arrays([0.1, math.nan, 0.3], [0.1, 0.2, 0.3], "x", nonconverged=1)
-    assert curve_from_arrays([0.1, math.inf], [0.1, math.inf], "x").d_ids[-1] == math.inf
+        curve_from_arrays([0.1, math.nan, 0.3], [0.1, 0.2, 0.3], nonconverged=1)
+    assert curve_from_arrays([0.1, math.inf], [0.1, math.inf]).d_ids[-1] == math.inf

@@ -513,6 +513,8 @@ def test_chunked_pair_distances_match_whole_array_sums():
         assert np.array_equal(simulator._sq_dists(x, y), ((x - y) ** 2).sum(axis=1))
         assert np.array_equal(simulator._sq_dists(codewords, y, idx),
                               ((codewords[idx] - y) ** 2).sum(axis=1))
+        # the per-sample pair distances: a mean is the sum over the width
+        assert np.array_equal(simulator._sq_dists(x, y) / width, ((x - y) ** 2).mean(axis=1))
     x, y = rng.normal(size=(100000, 16)), rng.normal(size=(100000, 16))
     tracemalloc.start()
     try:

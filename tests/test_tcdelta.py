@@ -6,14 +6,14 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import idq.tcdelta
 from idq.cli import run
 from idq.errors import DimensionMismatch, NumericalUnderflow
-from idq.idrate import id_rate_iid
+from idq.idrate import curve_from_arrays, id_rate_iid
 from idq.linalg import toeplitz_covariance
 from idq.sources import Pmf, bernoulli_pmf, discretize_gaussian, discretize_mv_gaussian
 from idq.tcdelta import (
@@ -30,7 +30,6 @@ from idq.tcdelta import (
     solution_point,
     solve_tc_point,
     sweep_points,
-    tc_curve,
     tc_sweep,
     triangle_similarity,
 )
@@ -367,20 +366,20 @@ def test_tc_sweep_requires_sorted_nonnegative():
 
 def test_tc_curve_single_zero_slope():
     pmf, g = bern_setup()
-    curve = tc_curve(pmf, g, [0.0])
-    assert len(curve.points) == 1
-    assert curve.points[0].d_id == pytest.approx(0.0, abs=1e-12)
-    assert curve.points[0].rate == pytest.approx(0.0, abs=1e-12)
+    curve = component_tc_curve([(pmf, g)], [0.0])
+    assert len(curve.d_ids) == 1
+    assert curve.d_ids[0] == pytest.approx(0.0, abs=1e-12)
+    assert curve.rates[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_tc_curve_bernoulli_monotone():
     pmf, g = bern_setup()
-    curve = tc_curve(pmf, g, np.geomspace(0.05, 6.0, 50))
+    curve = component_tc_curve([(pmf, g)], np.geomspace(0.05, 6.0, 50))
     assert np.all(np.diff(curve.rates) >= -1e-9)
     assert curve.d_ids.max() <= 0.5 + 1e-9
     # solver fixed points sit on the closed-form curve
-    for p in curve.points[::7]:
-        assert p.rate == pytest.approx(binary_hamming_tc_oracle(p.d_id), abs=1e-6)
+    for d_id, rate in zip(curve.d_ids[::7], curve.rates[::7]):
+        assert rate == pytest.approx(binary_hamming_tc_oracle(d_id), abs=1e-6)
 
 
 def test_warm_start_pruning_keeps_contract():
@@ -440,7 +439,7 @@ def test_component_curve_single_equals_tc_curve():
     pmf = discretize_gaussian(1.0, 6.0, 65)
     g = distortion_matrix(pmf.support, pmf.support)
     s_grid = np.geomspace(0.5, 20.0, 8)
-    a = tc_curve(pmf, g, s_grid, tol=1e-8)
+    a = curve_from_arrays(*sweep_points(pmf, g, s_grid, tol=1e-8))
     b = component_tc_curve([(pmf, g)], s_grid, tol=1e-8)
     assert np.allclose(a.d_ids, b.d_ids)
     assert np.allclose(a.rates, b.rates)
@@ -450,7 +449,7 @@ def test_component_curve_equal_variances_symmetric():
     pmf = discretize_gaussian(1.0, 6.0, 65)
     g = distortion_matrix(pmf.support, pmf.support)
     s_grid = np.geomspace(0.5, 20.0, 6)
-    one = tc_curve(pmf, g, s_grid, tol=1e-8)
+    one = component_tc_curve([(pmf, g)], s_grid, tol=1e-8)
     two = component_tc_curve([(pmf, g), (pmf, g)], s_grid, tol=1e-8)
     assert np.allclose(one.d_ids, two.d_ids)
     assert np.allclose(one.rates, two.rates)
@@ -479,8 +478,8 @@ _FIVE_SLOPES = np.geomspace(0.5, 20.0, 5)
 @pytest.mark.parametrize(
     "sweep",
     [
-        lambda: tc_curve(*_two_components()[0], _FIVE_SLOPES).points,
-        lambda: component_tc_curve(_two_components(), _FIVE_SLOPES).points,
+        lambda: component_tc_curve(_two_components()[:1], _FIVE_SLOPES).d_ids.size,
+        lambda: component_tc_curve(_two_components(), _FIVE_SLOPES).d_ids.size,
         lambda: run(
             ["compare", "--source", "mv-gaussian", "--grid-points", "65",
              "--joint-grid-points", "9", "--slopes", "5", "--tau-points", "20",
@@ -716,23 +715,53 @@ def _mirror_cases(draw):
 
 
 class _LastStep:
-    """Records the dense loop's last (e, t, col), for the channel it describes."""
+    """Records the dense loop's last (e, t, col), for the channel it
+    describes, and the codewords of e's rows: those above PRUNE_EPS in the
+    start t, less the rows the loop cuts at PRUNE_EPS."""
 
-    def __init__(self):
+    def __init__(self, t):
         self.step, self.last = idq.tcdelta._step, None
+        self.rows, self.t_new = np.flatnonzero(t > PRUNE_EPS), None
 
     def __call__(self, e, t, *args):
+        if e.shape[0] < self.rows.size:  # rows cut before this step
+            self.rows = self.rows[self.t_new > PRUNE_EPS]
         out = self.step(e, t, *args)
-        self.last = e, t, out[0]
+        self.last, self.t_new = (e, t, out[0]), out[2]
         return out
 
     def eager_channel(self):
         e, t, col = self.last
         return e * t[:, None] / col
 
+    def completed_columns(self, gamma, s, letters):
+        """t_j exp(-s Gamma_ji) normalized over the live codewords j, for
+        each of the `letters` (as their channel columns: 0 off the rows)."""
+        t = self.last[1]
+        with np.errstate(divide="ignore"):
+            b = np.log(t)[:, None] - s * gamma[np.ix_(self.rows, letters)]
+        w = np.exp(b - b.max(axis=0))
+        q = np.zeros((gamma.shape[0], letters.size))
+        q[self.rows] = w / w.sum(axis=0)
+        return q
+
 
 def _nonzero_rows(q):
     return q[q.any(axis=1)]
+
+
+def _assert_loop_channel(spy, dense, p, gamma, s):
+    """The dense solve's channel, built on demand, is the loop's last
+    e t / col ("eager") on the letters of positive mass, bit for bit; the
+    solve leaves the letters of zero mass out, and their columns are
+    t_j exp(-s Gamma_ji) normalized over the live codewords."""
+    if not isinstance(dense, TcSolution) or dense.stop_reason == ONE_CODEWORD:
+        return  # no loop ran
+    q = dense.channel.q
+    assert np.array_equal(_nonzero_rows(spy.eager_channel()), _nonzero_rows(q[:, p > 0]))
+    zero = np.flatnonzero(p == 0)
+    assert np.max(np.abs(q[:, zero] - spy.completed_columns(gamma, s, zero)),
+                  initial=0.0) <= 1e-12
 
 
 @settings(max_examples=150, deadline=None)
@@ -758,14 +787,12 @@ def test_folded_kernel_matches_dense(case):
         # after the same number of iterations.
         k = min(folded.iterations, dense.iterations)
         folded = _solve_or_error(p, g, s, 0.0, k, t0, exponent_shift)
-    spy = _LastStep()
+    spy = _LastStep(t)
     with unittest.mock.patch.object(idq.tcdelta, "_step", spy):
         dense = _solve_or_error(p, g.gamma, s, 0.0, k, t0, exponent_shift)
     _assert_same_solve(folded, dense, same_stop=False)
+    _assert_loop_channel(spy, dense, p, g.gamma, s)
     if isinstance(dense, TcSolution):
-        if dense.stop_reason != ONE_CODEWORD:  # otherwise no loop ran
-            q = dense.channel.q
-            assert np.array_equal(_nonzero_rows(spy.eager_channel()), _nonzero_rows(q))
         # the folded solve's channel and code marginal are mirror-symmetric
         assert np.array_equal(folded.channel.q[::-1, ::-1], folded.channel.q)
         assert np.array_equal(folded.code_marginal.probs[::-1], folded.code_marginal.probs)
@@ -837,8 +864,11 @@ def test_group_folded_kernel_matches_dense(case):
             and folded.iterations != dense.iterations:
         k = min(folded.iterations, dense.iterations)
         folded = _solve_or_error(p, g, s, 0.0, k, t0, exponent_shift)
+    spy = _LastStep(t)
+    with unittest.mock.patch.object(idq.tcdelta, "_step", spy):
         dense = _solve_or_error(p, g.gamma, s, 0.0, k, t0, exponent_shift)
     _assert_same_solve(folded, dense, same_stop=False)
+    _assert_loop_channel(spy, dense, p, g.gamma, s)
     if isinstance(folded, TcSolution):
         q, code = folded.channel.q, folded.code_marginal.probs
         for perm in group:
@@ -1051,8 +1081,16 @@ def _symmetric_grid_cases(draw):
     return letters, p, s, t0, draw(st.booleans())
 
 
+# letters of zero mass, whose column maxima the first solve used to cut
+# mid-solve, until a column normalized to zero
+_ZERO_MASS_LETTERS = np.array([[3.0], [0.0625], [0.0], [0.0], [-0.0], [-0.0625], [-3.0]])
+_ZERO_MASS_P = np.array([0.0, 0.5, 0.0, 0.0, 0.0, 0.5, 0.0])
+
+
 @settings(max_examples=60, deadline=None)
 @given(_symmetric_grid_cases())
+@example((_ZERO_MASS_LETTERS, _ZERO_MASS_P, 128.0, None, True))
+@example((_ZERO_MASS_LETTERS, _ZERO_MASS_P, 128.0, None, False))
 def test_one_codeword_solves_are_not_beaten_by_long_runs(case):
     # when the test before the loop proves one codeword optimal, also with
     # rows pruned by the warm start, no long run of the update from the
