@@ -243,8 +243,9 @@ def _cmd_compare(args):
     s_grid = _slope_grid(args, variance=args.variance)
 
     # per-letter curves of the TC solver, then of plain rate-distortion, then
-    # the component model: one after the other, so no two joint-letter
-    # matrices are alive at once and a joint error ends the run first
+    # the component model: one after the other, so no two solves' matrices
+    # are alive at once and a joint error ends the run first.  The joint
+    # table of a product grid holds its letters only (`DistortionMatrix`).
     letters, probs = discretize_mv_gaussian(source, args.joint_grid_sigmas,
                                             args.joint_grid_points)
     gamma_j = distortion_matrix(letters, letters, "quadratic")
@@ -253,7 +254,6 @@ def _cmd_compare(args):
         d, r, n_stopped = sweep_points(probs, gamma_j, s_grid, tol=args.tol,
                                        max_iter=args.max_iter, exponent_shift=exponent_shift)
         joint.append(curve_from_arrays(d / args.order, r / args.order, n_stopped))
-    del gamma_j  # not alive beside the component model's matrices
     tc, lc = joint
     comp_curve = component_tc_curve(comps, s_grid, tol=args.tol, max_iter=args.max_iter)
 

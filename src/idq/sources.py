@@ -244,7 +244,9 @@ def sample_block(model: SourceModel, block_len: int, n_blocks: int, seed) -> np.
         raise ValueError("block_len and n_blocks must be positive")
     rng = np.random.default_rng(seed)
     if isinstance(model, IidGaussian):
-        return np.sqrt(model.variance) * rng.standard_normal((n_blocks, block_len))
+        z = rng.standard_normal((n_blocks, block_len))
+        z *= np.sqrt(model.variance)
+        return z
     if isinstance(model, MultivariateGaussian):
         if block_len != model.dim:
             raise DimensionMismatch(

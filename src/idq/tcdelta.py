@@ -140,9 +140,10 @@ class Channel:
         object.__setattr__(self, "q", q)
 
 
-@dataclass(frozen=True)
 class DistortionMatrix:
-    """Per-letter distortions; entry (j, i) = rho(x_i, xhat_j) >= 0.
+    """Per-letter distortions; entry (j, i) = rho(x_i, xhat_j) >= 0, held as
+    the dense m x n array `gamma`.  A solve reads nothing but `block`,
+    `shape` and `max_entry`, so a table may hold less (`_ProductTable`).
 
     `symmetries` is set by `distortion_matrix` when both sides are one letter
     list x: the letter permutations q other than the identity with
@@ -150,17 +151,55 @@ class DistortionMatrix:
     the identity they form a group of order 1, 2 or 4.
     """
 
-    gamma: np.ndarray
-    metric: str = QUADRATIC
-    symmetries: tuple = field(default=(), init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=float)
+    def __init__(self, gamma, metric: str = QUADRATIC):
+        g = np.asarray(gamma, dtype=float)
         if g.ndim != 2:
             raise DimensionMismatch("distortion matrix must be 2-D")
         if not np.all(np.isfinite(g) & (g >= 0)):
             raise ValueError("distortions must be finite and non-negative")
-        object.__setattr__(self, "gamma", g)
+        self.gamma, self.shape, self.metric, self.symmetries = g, g.shape, metric, ()
+
+    def block(self, rows, cols) -> np.ndarray:
+        """Gamma[rows][:, cols], for index arrays, masks or slices: a view of
+        `gamma` when both are slices, else a fresh array."""
+        if isinstance(rows, slice) and isinstance(cols, slice):
+            return self.gamma[rows, cols]
+        return self.gamma[np.ix_(np.arange(self.shape[0])[rows], np.arange(self.shape[1])[cols])]
+
+    @functools.cached_property
+    def max_entry(self) -> float:
+        """The largest entry."""
+        return float(self.gamma.max())
+
+
+class _ProductTable(DistortionMatrix):
+    """The quadratic table of one letter list x that is a product grid
+    (`_product_axes`; a sorted 1-D grid is one axis), held as x alone: n x d
+    numbers in place of n^2.  Each block is computed from the letters as
+    `distortion_matrix` computes a dense table, so it is that table's block
+    bit for bit, and always a fresh array.  `gamma` is built on its first
+    read and kept (tests and oracles read it; no solve does)."""
+
+    def __init__(self, x):
+        self.letters, self.shape, self.metric, self.symmetries = x, (len(x), len(x)), QUADRATIC, ()
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not math.isfinite(self.max_entry):  # NaN too: an infinite letter
+                raise ValueError("distortions must be finite and non-negative")
+
+    def block(self, rows, cols) -> np.ndarray:
+        x = self.letters
+        return _pair_sum(lambda k: _sq_diff(x[rows, k], x[cols, k]), x.shape[1])
+
+    @functools.cached_property
+    def max_entry(self) -> float:
+        """The entry between the last letter, every coordinate greatest, and
+        the first, every coordinate least: rounding is monotone, so no entry
+        is larger."""
+        return float(self.block([-1], [0])[0, 0])
+
+    @functools.cached_property
+    def gamma(self) -> np.ndarray:
+        return self.block(slice(None), slice(None))
 
 
 @dataclass(frozen=True)
@@ -215,12 +254,12 @@ def distortion_matrix(x_grid, xhat_grid, metric: str = QUADRATIC) -> DistortionM
     """Distortion table between a source grid and a codeword grid.
 
     Grids may be 1-D scalars or (n, d) blocks; quadratic means squared
-    Euclidean distance, summed one coordinate at a time, hamming the 0/1
-    inequality indicator.  A table between one letter list on both sides
-    records the permutations that map it onto itself (`symmetries`; a
-    Hamming table only the mirror).  Coordinates k and d-1-k are added as one
-    pair before the next pair, so that reversing the coordinate order leaves
-    every entry unchanged bit for bit.
+    Euclidean distance, summed one coordinate at a time (`_pair_sum`), hamming
+    the 0/1 inequality indicator.  A table between one letter list on both
+    sides records the permutations that map it onto itself (`symmetries`; a
+    Hamming table only the mirror).  A quadratic table of one letter list
+    that is a product grid holds the letters alone and computes its entries
+    when they are read (`_ProductTable`); every other table is dense.
     """
     x = np.asarray(x_grid, dtype=float)
     xh = np.asarray(xhat_grid, dtype=float)
@@ -232,22 +271,19 @@ def distortion_matrix(x_grid, xhat_grid, metric: str = QUADRATIC) -> DistortionM
         xh = xh[:, None]
     if x.shape[1] != xh.shape[1]:
         raise DimensionMismatch("source and codeword letters have different widths")
-    if metric == QUADRATIC:
-        d = x.shape[1]
-        for k in range((d + 1) // 2):
-            pair = _sq_diff(xh[:, k], x[:, k])
-            if k < d - 1 - k:
-                pair += _sq_diff(xh[:, d - 1 - k], x[:, d - 1 - k])
-            g = pair if k == 0 else g + pair
-        dm = DistortionMatrix(g, QUADRATIC)
+    one_list = np.array_equal(x, xh)
+    axes = _product_axes(x) if one_list and metric == QUADRATIC else None
+    if metric == QUADRATIC and axes is not None:
+        dm = _ProductTable(x.copy())
+    elif metric == QUADRATIC:
+        dm = DistortionMatrix(_pair_sum(lambda k: _sq_diff(xh[:, k], x[:, k]), x.shape[1]))
     elif metric == HAMMING:
         same = np.all(xh[:, None, :] == x[None, :, :], axis=2)
         dm = DistortionMatrix(1.0 - same.astype(float), HAMMING)
     else:
         raise ValueError(f"unknown metric {metric!r}")
-    if np.array_equal(x, xh):
-        axes = _product_axes(x) if metric == QUADRATIC else None
-        object.__setattr__(dm, "symmetries", _symmetries(x, axes))
+    if one_list:
+        dm.symmetries = _symmetries(x, axes)
     return dm
 
 
@@ -258,15 +294,34 @@ def _sq_diff(a, b) -> np.ndarray:
     return d
 
 
+def _pair_sum(term, d):
+    """term(0) + ... + term(d-1), coordinates k and d-1-k added as one pair
+    before the next pair, so that reversing the coordinate order leaves the
+    sum unchanged bit for bit.  Each term is a fresh array, which the sum is
+    written over."""
+    for k in range((d + 1) // 2):
+        pair = term(k)
+        if k < d - 1 - k:
+            pair += term(d - 1 - k)
+        if k == 0:
+            total = pair
+        else:
+            total += pair
+    return total
+
+
 def _product_axes(x):
     """The per-axis grids whose lexicographic product is the letter list x
     (rows of x), or None when x is no such product."""
-    axes = tuple(np.unique(col) for col in x.T)
+    axes = []
+    for col in x.T:
+        a = np.sort(col)  # np.unique would import numpy.ma
+        axes.append(a[np.append(True, a[1:] != a[:-1])])
     if math.prod(a.size for a in axes) != len(x):
         return None
     mesh = np.meshgrid(*axes, indexing="ij")
     if all(np.array_equal(m.ravel(), col) for m, col in zip(mesh, x.T)):
-        return axes
+        return tuple(axes)
     return None
 
 
@@ -306,8 +361,8 @@ def _probs(p_x) -> np.ndarray:
     return p
 
 
-def _gamma(gamma) -> np.ndarray:
-    return gamma.gamma if isinstance(gamma, DistortionMatrix) else np.asarray(gamma, dtype=float)
+def _table(gamma) -> DistortionMatrix:
+    return gamma if isinstance(gamma, DistortionMatrix) else DistortionMatrix(gamma)
 
 
 _TINY = np.finfo(float).tiny
@@ -348,24 +403,22 @@ def _tilt(g, p, s: float, exponent_shift: bool = True, c=None, amax=None):
     return c, amax, _exp(a)
 
 
-def _folded_tilt(g_full, p, s: float, exponent_shift: bool, images, cols, c):
+def _folded_tilt(table, p, s: float, exponent_shift: bool, images, cols, c):
     """`_tilt` on the codewords `images` and the letters `cols`, one letter
     per letter orbit with masses p: (amax, K, KG).  Row h of `images` holds
     the image under the h-th group element (the identity first) of one
     codeword of each live orbit, whose Gamma p values are c.  K is the mean
     of the group's row blocks of e, the orbit average of each codeword row
     (`_fold_rows`), and KG the same of e * Gamma.  The dense kernel is the
-    case of the trivial group: K and KG are the rows of e and e * Gamma, and
-    a table whose rows are all live is tilted with no copy of Gamma (`cols`
-    is then a slice)."""
+    case of the trivial group: K and KG are the rows of e and e * Gamma.
+    The tilt reads the table's block of those rows and letters only, and
+    e * Gamma is written over that block unless it is a view of the
+    caller's table: a dense table whose rows are all live and whose `cols`
+    is a slice, which is then tilted with no copy of Gamma."""
     order, k = images.shape
-    if (order, k) == (1, g_full.shape[0]):
-        g = g_full[:, cols]
-    else:
-        g = g_full[np.ix_(images.ravel(), np.arange(g_full.shape[1])[cols])]
+    g = table.block(slice(None) if (order, k) == (1, table.shape[0]) else images.ravel(), cols)
     _, amax, e = _tilt(g, p, s, exponent_shift, c=np.tile(c, order))
-    eg = e * g
-    del g
+    eg = np.multiply(e, g, out=g if g.base is None else None)
     return amax, _fold_rows(e, order), _fold_rows(eg, order)
 
 
@@ -420,7 +473,7 @@ def _kernel(gamma, p, t):
     permutations it folds under, one per row with the identity first: the
     symmetries of gamma that fix p and t exactly (their stabilizer), or the
     identity alone."""
-    group = [np.arange(_gamma(gamma).shape[0])]
+    group = [np.arange(t.size)]
     group += [q for q in getattr(gamma, "symmetries", ())
               if np.array_equal(p[q], p) and np.array_equal(t[q], t)]
     return "folded" if len(group) > 1 else "dense", np.array(group)
@@ -441,7 +494,7 @@ def _orbits(group):
 _SOLVE_LINE = "slope %g: %s kernel, %d rows x %d columns, stopped on %s after %d iterations"
 
 
-def _one_codeword(e, kr, p_orb, g_full, p, s, exponent_shift, k, dead, dc) -> bool:
+def _one_codeword(e, kr, p_orb, table, p, s, exponent_shift, k, dead, dc) -> bool:
     """Whether t = delta_k is proved to minimize J over every codeword of the
     table (module docstring): g_j = sum_i p_i E_ji / E_ki <= 1 for j != k.
 
@@ -465,14 +518,14 @@ def _one_codeword(e, kr, p_orb, g_full, p, s, exponent_shift, k, dead, dc) -> bo
     if worst > 1.0:  # most slopes end here, at the cost of one product
         return False
     n = p.size
-    slack = 16 * _EPS * ((n + 1) * (1.0 + s * g_full.max()) + 745)
+    slack = 16 * _EPS * ((n + 1) * (1.0 + s * table.max_entry) + 745)
     if worst > 1.0 - slack:
         return False
     if dead.size == 0:
         return True
     letters = np.flatnonzero(p)
     # log(p_i E_ji / E_ki) = log p_i + s ((c_j - c_k) p_i - (Gamma_ji - Gamma_ki))
-    x = g_full[np.ix_(dead, letters)] - g_full[k, letters]
+    x = table.block(dead, letters) - table.block([k], letters)
     if exponent_shift:
         x -= np.outer(dc, p[letters])
     x *= -s
@@ -534,11 +587,13 @@ def solve_tc_point(
     (`_folded_tilt`), dense being the case of the trivial group.
     A dense solve holds e and e * Gamma, a folded one their orbit averages
     (a quarter of the size under the mirror, a fourteenth under all four
-    maps); a mid-solve cut copies one matrix at a time.
+    maps); a mid-solve cut copies one matrix at a time.  The set-up reads the
+    table's blocks of the rows and letters it needs (`DistortionMatrix.block`)
+    and nothing more, so a product table builds no dense array.
     """
     p = _probs(p_x)
-    g_full = _gamma(gamma)
-    m, n = g_full.shape
+    table = _table(gamma)
+    m, n = table.shape
     if n != p.size:
         raise DimensionMismatch("gamma columns must match the source alphabet")
     if not 0.0 <= s < math.inf:  # also rejects NaN
@@ -554,7 +609,7 @@ def solve_tc_point(
         if t.shape != (m,):
             raise DimensionMismatch("warm start length must match the codeword grid")
 
-    kernel, group = _kernel(gamma, p, t)
+    kernel, group = _kernel(table, p, t)
     # the orbit of each codeword; under a symmetry (m = n) each letter has
     # the same orbit, otherwise each letter is its own
     reps, orbit = _orbits(group)
@@ -578,10 +633,10 @@ def solve_tc_point(
     n_live = int(mu.sum())
     if n_live < m:
         logger.debug("pruning %d dead codewords before slope %g", m - n_live, s)
-    c_all = g_full[reps] @ p  # Gamma p on each codeword orbit
+    c_all = table.block(reps, slice(None)) @ p  # Gamma p on each codeword orbit
     c = c_all[rows]
     rep = np.arange(m)[reps]  # one codeword of each orbit
-    amax, e, eg = _folded_tilt(g_full, p_letter, s, exponent_shift, group[:, rep[rows]], cols, c)
+    amax, e, eg = _folded_tilt(table, p_letter, s, exponent_shift, group[:, rep[rows]], cols, c)
     setup = s, kernel, rows.size, p_orb.size  # for the DEBUG line
     if isinstance(p_x, Pmf) and p_x.n == m:
         support = p_x.support
@@ -593,10 +648,10 @@ def solve_tc_point(
     kr = int(np.searchsorted(rows, k))
     if mu_all[k] == 1 and kr < rows.size and rows[kr] == k:
         dead = np.flatnonzero(t <= PRUNE_EPS)
-        if _one_codeword(e, kr, p_orb, g_full, p, s, exponent_shift, rep[k], rep[dead],
+        if _one_codeword(e, kr, p_orb, table, p, s, exponent_shift, rep[k], rep[dead],
                          c_all[dead] - c_all[k]):
             logger.debug(_SOLVE_LINE, *setup, ONE_CODEWORD, 0)
-            return _one_codeword_solution(s, support, rep[k], float(c_all[k]), g_full.shape)
+            return _one_codeword_solution(s, support, rep[k], float(c_all[k]), table.shape)
     p_amax = float(p_orb @ amax)
 
     i_prev = math.inf
@@ -680,7 +735,7 @@ def solve_tc_point(
 
     codewords = np.flatnonzero(per_codeword(1.0))  # both members of each live orbit
     build_channel = functools.partial(
-        _build_channel, g_full, p, s, exponent_shift, codewords, per_codeword(c)[codewords],
+        _build_channel, table, p, s, exponent_shift, codewords, per_codeword(c)[codewords],
         per_codeword(tv / mu)[codewords], col[letter_orbit], amax[letter_orbit],
     )
     return TcSolution(
@@ -722,7 +777,7 @@ def _one_codeword_solution(s, support, k, c_k, shape) -> TcSolution:
     )
 
 
-def _build_channel(g_full, p, s, exponent_shift, codewords, c, t, col, amax):
+def _build_channel(table, p, s, exponent_shift, codewords, c, t, col, amax):
     """The m x n channel e t / col of a solve's last iteration, with zeros
     outside its live `codewords`: the rows of e are the tilt of those rows of
     Gamma with the solve's own c and amax, on either kernel.  col and amax
@@ -731,19 +786,19 @@ def _build_channel(g_full, p, s, exponent_shift, codewords, c, t, col, amax):
     the live codewords, since its shift term c_j p_i is 0."""
     pos = p > 0
     q = np.empty((codewords.size, p.size))
-    g = g_full[np.ix_(codewords, pos)]
+    g = table.block(codewords, pos)
     _, _, e = _tilt(g, p[pos], s, exponent_shift, c=c, amax=amax)
     q[:, pos] = _channel(e, t, col)
     with np.errstate(divide="ignore"):
-        b = np.log(t)[:, None] - s * g_full[np.ix_(codewords, ~pos)]
+        b = np.log(t)[:, None] - s * table.block(codewords, ~pos)
     b -= b.max(axis=0)
     np.exp(b, out=b)
     # a column and its image under a symmetry hold the same values in
     # another order; summed sorted, they get one normalizer bit for bit
     q[:, ~pos] = b / np.sort(b, axis=0).sum(axis=0)
-    if codewords.size == g_full.shape[0]:
+    if codewords.size == table.shape[0]:
         return q
-    q_full = np.zeros(g_full.shape)
+    q_full = np.zeros(table.shape)
     q_full[codewords] = q
     return q_full
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from idq.errors import DimensionMismatch, DomainError
 from idq.sources import Pmf
-from idq.tcdelta import Channel, _channel, _gamma, _probs, _step, _tilt
+from idq.tcdelta import Channel, _channel, _probs, _step, _table, _tilt
 
 
 def mutual_information(p_x, q) -> float:
@@ -37,7 +37,7 @@ def ba_step(p_x, t, gamma, s: float):
     raises NumericalUnderflow if a column normalizes to zero.
     """
     p = _probs(p_x)
-    g = _gamma(gamma)
+    g = _table(gamma).gamma
     tv = t.probs if isinstance(t, Pmf) else np.asarray(t, dtype=float)
     if g.shape != (tv.size, p.size):
         raise DimensionMismatch("gamma shape must be (len(t), len(p_x))")
@@ -68,7 +68,7 @@ def brute_force_tc_oracle(p_x, gamma, rate_budget: float, grid_step: float) -> f
     with the alphabet; intended for alphabets of at most 3 letters.
     """
     p = _probs(p_x)
-    g = _gamma(gamma)
+    g = _table(gamma).gamma
     m, n = g.shape
     if n > 3 or m > 3:
         raise ValueError("exhaustive search supports alphabets of at most 3 letters")

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -469,6 +470,23 @@ def test_compare_mv_decomposes_the_covariance_once(tmp_path, monkeypatch):
     run_csv(tmp_path, ["compare", "--source", "mv-gaussian", "--grid-points", "65",
                        "--joint-grid-points", "9", "--slopes", "2", "--tau-points", "20"])
     assert sorted(dims) == [1, 1, 2]
+
+
+def test_compare_mv_runs_at_m3_within_a_memory_bound(tmp_path):
+    # 9^3 = 729 joint letters: the joint sweeps read blocks of the product
+    # table and build no dense 729 x 729 one, so the whole run's traced peak
+    # stays below one and a half of them
+    args = ["compare", "--source", "mv-gaussian", "-M", "3", "--joint-grid-points", "9",
+            "--grid-points", "65", "--slopes", "2", "--tol", "1e-6"]
+    tracemalloc.start()
+    try:
+        meta, cols, rows = run_csv(tmp_path, args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cols == ["d_id", "r_mstar", "r_ic", "r_i", "r_lc"]
+    assert len(meta["eigenvalues"].split(",")) == 3
+    assert peak < 1.5 * 729 * 729 * 8
 
 
 def test_idrate_mv_water_fills_once_per_level(tmp_path, monkeypatch):

@@ -118,6 +118,12 @@ def test_sample_block_iid_variance():
     assert 0.98 <= v <= 1.02
 
 
+def test_sample_block_iid_scales_the_draws_in_place_bit_for_bit():
+    # z *= sqrt(v) writes the bits sqrt(v) * z would allocate a second array for
+    z = np.random.default_rng(17).standard_normal((300, 16))
+    assert np.array_equal(sample_block(IidGaussian(2.0), 16, 300, 17), np.sqrt(2.0) * z)
+
+
 def test_sample_block_gauss_markov_lag1():
     x = sample_block(GaussMarkov(1.0, 0.7), 2, 100_000, 123)
     r = np.mean(x[:, 0] * x[:, 1]) / x.var()

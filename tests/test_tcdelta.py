@@ -1,5 +1,8 @@
 import logging
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import unittest.mock
 import weakref
@@ -961,6 +964,136 @@ def test_sweep_points_builds_no_channel(monkeypatch):
     # both sweeps fold over the same four-element group, and neither holds
     # as much as one 1089 x 1089 array
     assert plain_peak <= tc_peak < g.gamma.nbytes
+
+
+def _pair_order_table(letters):
+    """The quadratic table of a letter list of 1-3 coordinates straight from
+    the letters, coordinates 0 and d-1 added as one pair first."""
+    sq = (letters[:, None, :] - letters[None, :, :]) ** 2
+    if letters.shape[1] == 3:
+        return (sq[..., 0] + sq[..., 2]) + sq[..., 1]
+    return sq[..., 0] + sq[..., -1] if letters.shape[1] == 2 else sq[..., 0]
+
+
+class _NoDenseBuild:
+    """In place of `_ProductTable.gamma`: reading a product table's dense
+    array raises."""
+
+    def __get__(self, table, owner=None):
+        if table is None:
+            return self
+        raise AssertionError("a dense table was built")
+
+
+@st.composite
+def _product_blocks(draw):
+    """A product grid of 1-3 axes of 1-5 sorted points, and two index sets
+    into its letters: an index array (repeats, any order), a mask or a slice."""
+    axes = [np.sort(draw(arrays(float, st.integers(1, 5), elements=st.floats(-100.0, 100.0),
+                                unique=True)))
+            for _ in range(draw(st.integers(1, 3)))]
+    letters = _product_letters(axes)
+    n = len(letters)
+
+    def index():
+        kind = draw(st.sampled_from(["array", "mask", "slice"]))
+        if kind == "array":
+            return draw(arrays(np.intp, st.integers(0, 2 * n), elements=st.integers(0, n - 1)))
+        if kind == "mask":
+            return draw(arrays(bool, n))
+        bound = st.none() | st.integers(-n, n)
+        return slice(draw(bound), draw(bound), draw(st.sampled_from([None, 1, 2, -1, -3])))
+
+    return letters, index(), index()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_product_blocks())
+def test_product_table_blocks_are_the_dense_blocks_bit_for_bit(case):
+    # a product table computes each block from its letters; it is the block
+    # of the dense table, with no dense array built, and so is its maximum
+    letters, rows, cols = case
+    n = len(letters)
+    ref = _pair_order_table(letters)
+    r, c = np.arange(n)[rows], np.arange(n)[cols]
+    with unittest.mock.patch.object(idq.tcdelta._ProductTable, "gamma", _NoDenseBuild()):
+        g = distortion_matrix(letters, letters)
+        assert isinstance(g, idq.tcdelta._ProductTable)
+        block = g.block(rows, cols)
+        assert g.shape == (n, n)
+        assert g.max_entry == ref.max()
+        dense = DistortionMatrix(ref).block(rows, cols)
+    assert block.shape == (r.size, c.size)
+    assert block.tobytes() == ref[np.ix_(r, c)].tobytes() == dense.tobytes()
+    assert g.gamma.tobytes() == ref.tobytes()
+
+
+def test_sweeps_on_a_product_table_build_no_dense_table(monkeypatch):
+    # M = 3: the folded kernel (p fixed by the table's symmetries) and the
+    # dense one (a tilted p), with and without the shift, read the table
+    # block by block only
+    monkeypatch.setattr(idq.tcdelta._ProductTable, "gamma", _NoDenseBuild())
+    letters, probs = discretize_mv_gaussian(toeplitz_covariance([1.0, 0.5, 0.2], 3), 6.0, 7)
+    g = distortion_matrix(letters, letters)
+    tilted = probs * np.linspace(1.0, 1.5, probs.size)
+    for p, kernel in ((probs, "folded"), (tilted / tilted.sum(), "dense")):
+        assert idq.tcdelta._kernel(g, p, np.full(p.size, 1.0 / p.size))[0] == kernel
+        for exponent_shift in (True, False):
+            d, r, _ = sweep_points(p, g, [0.3, 2.0, 8.0], max_iter=30,
+                                   exponent_shift=exponent_shift)
+            assert np.all(np.isfinite(d)) and np.all(np.isfinite(r))
+    with pytest.raises(AssertionError, match="a dense table was built"):
+        g.gamma
+
+
+def test_product_table_with_a_non_finite_entry_is_rejected():
+    # each coordinate's squares of the first grid are finite and their sum is
+    # not; an infinite letter makes an entry inf or NaN
+    big = np.array([-6e153, 6e153])
+    for letters in (_product_letters([big, big]), np.array([-1e200, 1e200]),
+                    _product_letters([np.array([-1.0, np.inf])] * 2),
+                    _product_letters([np.array([np.inf]), np.array([0.0, 1.0])])):
+        with pytest.raises(ValueError, match="distortions must be finite and non-negative"):
+            distortion_matrix(letters, letters)
+
+
+@pytest.mark.parametrize("exponent_shift", [True, False])
+def test_solves_never_write_their_input_tables(exponent_shift):
+    # the dense kernel with every row live tilts a view of a dense table and
+    # must write e * Gamma elsewhere; the folded kernel, and the dense one on
+    # a product table, tilt blocks of their own.  A read-only array raises on
+    # any write.
+    letters, probs = discretize_mv_gaussian(toeplitz_covariance([1.0, 0.7], 2), 6.0, 9)
+    product = distortion_matrix(letters, letters)
+    before = product.block(slice(None), slice(None))
+    raw = before.copy()
+    raw.flags.writeable = False
+    tilted = probs * np.linspace(1.0, 1.5, probs.size)
+    tilted /= tilted.sum()
+    uniform = np.full(probs.size, 1.0 / probs.size)
+    for gamma, p, kernel in ((raw, probs, "dense"), (DistortionMatrix(raw), probs, "dense"),
+                             (product, probs, "folded"), (product, tilted, "dense")):
+        assert idq.tcdelta._kernel(gamma, p, uniform)[0] == kernel
+        sol = solve_tc_point(p, gamma, 2.0, max_iter=20, exponent_shift=exponent_shift)
+        assert sol.stop_reason != ONE_CODEWORD  # the loop ran
+        assert np.all(np.isfinite(sol.channel.q))
+        sweep_points(p, gamma, [0.3, 2.0, 8.0], max_iter=20, exponent_shift=exponent_shift)
+    assert np.array_equal(raw, before)
+    assert np.array_equal(product.block(slice(None), slice(None)), before)
+    assert np.array_equal(product.gamma, before)
+
+
+def test_building_a_quadratic_table_imports_no_numpy_ma():
+    # np.unique imports numpy.ma on its first call (about 10 ms); the
+    # product-grid test sorts and drops repeats instead
+    code = ("import sys\n"
+            "from idq.tcdelta import distortion_matrix\n"
+            "x = [[a, b] for a in (-1.0, 0.0, 1.0) for b in (-2.0, 2.0)]\n"
+            "assert distortion_matrix(x, x).max_entry == 20.0\n"
+            "sys.exit('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(idq.tcdelta.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def _unit_gaussian_table():
