@@ -45,6 +45,8 @@ from .tcdelta import component_tc_curve, distortion_matrix, sweep_points
 
 _FMT = "{:.12g}"
 
+logger = logging.getLogger("idq.cli")  # also when run as `python -m idq.cli`
+
 
 def _fmt(x) -> str:
     return _FMT.format(float(x))
@@ -267,8 +269,15 @@ def _cmd_compare(args):
     rows = list(zip(d, np.interp(d, star.d_ids, star.rates), comp_curve.rates[keep],
                     np.interp(d, tc.d_ids, tc.rates), np.interp(d, lc.d_ids, lc.rates)))
     stopped = comp_curve.nonconverged + tc.nonconverged + lc.nonconverged
-    return (["d_id", "r_mstar", "r_ic", "r_i", "r_lc"], rows,
-            {"eigenvalues": _eigenvalues(xi), "nonconverged": stopped})
+    cols = ["d_id", "r_mstar", "r_ic", "r_i", "r_lc"]
+    extra = {"eigenvalues": _eigenvalues(xi), "nonconverged": stopped}
+    if not rows:
+        ranges = "; ".join(f"{name} [{_fmt(c.d_ids.min())}, {_fmt(c.d_ids.max())}]"
+                           for name, c in zip(cols[1:], curves))
+        logger.warning("no row: no component-model threshold lies in every curve's d_id "
+                       "range: %s", ranges)
+        extra["d_id_ranges"] = ranges
+    return cols, rows, extra
 
 
 def _add_common(sp, seed=False):

@@ -7,6 +7,7 @@ negatives are impossible by construction; the harness certifies that and
 estimates Pr{maybe}.
 """
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -27,6 +28,10 @@ MAX_SUB_BLOCK_BITS = 12.0
 _KMEANS_ITERS = 20
 _KMEANS_RTOL = 1e-6
 _ASSIGN_ENTRIES = 1 << 17
+#: The estimators draw, encode and tally their (x, y) pairs in chunks of
+#: about this many sample values of x, so their memory does not grow with
+#: the trial count.
+_CHUNK_VALUES = 1 << 16
 
 logger = logging.getLogger(__name__)
 
@@ -51,6 +56,11 @@ class Codebook:
     @property
     def rate_bits(self) -> float:
         return math.log2(self.count) / self.block_len
+
+    @functools.cached_property
+    def first_copy(self) -> np.ndarray:
+        """`_first_copy` of the codewords, computed once per codebook."""
+        return _first_copy(self.codewords)
 
 
 @dataclass(frozen=True)
@@ -111,7 +121,10 @@ def _products(codewords: np.ndarray, blocks: np.ndarray, reduce, width: int = No
     (default: all of `codewords`; a screen against some codewords of a
     codebook keeps the codebook's chunks and blocks no larger than its full
     search's), so the chunk boundaries depend only on the codebook.  Every
-    chunk reuses one distance block and one [x, 1] staging block.
+    chunk reuses one distance block and one [x, 1] staging block.  The
+    estimators pass their pairs in chunks of a multiple of this row count
+    (`_chunk_rows`), so their products see the row blocks that one call
+    over every pair would.
     """
     n, dim = blocks.shape
     count = codewords.shape[0]
@@ -130,13 +143,23 @@ def _products(codewords: np.ndarray, blocks: np.ndarray, reduce, width: int = No
         reduce(lo, hi, x, d2[:m])
 
 
-def _nearest(codewords: np.ndarray, blocks: np.ndarray, runner_up: bool = False):
+def _first_copy(codewords: np.ndarray) -> np.ndarray:
+    """Index of the first copy (bytewise equal row) of each codeword."""
+    cw = np.ascontiguousarray(codewords)
+    keys = cw.view(np.dtype((np.void, cw.itemsize * cw.shape[1]))).ravel()
+    _, first, copy_of = np.unique(keys, return_index=True, return_inverse=True)
+    return first[copy_of]
+
+
+def _nearest(codewords: np.ndarray, blocks: np.ndarray, runner_up: bool = False,
+             lowest: np.ndarray = None):
     """Chunked nearest-codeword search: (indices, exact squared distances).
 
     Each chunk is one `_products` block and one argmin.  Leaving ||x||^2 out
     moves only ties at rounding level.  Ties resolve to the lowest index:
     argmin returns the first minimum, and a copy of a codeword maps to its
-    first copy.  Stored distances are recomputed from the differences, never
+    first copy (`lowest`, the codewords' `_first_copy`, computed here when
+    not given).  Stored distances are recomputed from the differences, never
     taken from the product.  With `runner_up`, also returns each row's own
     product value (its codeword's entry of [x, 1] @ A) and runner-up value
     (the smallest entry of any other codeword, inf for one codeword).
@@ -146,11 +169,10 @@ def _nearest(codewords: np.ndarray, blocks: np.ndarray, runner_up: bool = False)
     dist = np.empty(n)
     own, runner = (np.empty(n), np.empty(n)) if runner_up else (None, None)
     # BLAS may round the product differently for two copies of one codeword,
-    # so each index maps to the first copy of its codeword (bytewise equal rows)
+    # so each index maps to the first copy of its codeword
     cw = np.ascontiguousarray(codewords)
-    keys = cw.view(np.dtype((np.void, cw.itemsize * cw.shape[1]))).ravel()
-    _, first, copy_of = np.unique(keys, return_index=True, return_inverse=True)
-    lowest = first[copy_of]
+    if lowest is None:
+        lowest = _first_copy(cw)
 
     def reduce(lo, hi, x, d2):
         ii = lowest[d2.argmin(axis=1)]
@@ -295,7 +317,7 @@ def assign_signature(cb: Codebook, x) -> Signature:
     x = np.asarray(x, dtype=float)
     if x.shape != (cb.block_len,):
         raise DimensionMismatch(f"block length {x.shape} != {cb.block_len}")
-    idx, dist = _nearest(cb.codewords, x[None, :])
+    idx, dist = _nearest(cb.codewords, x[None, :], lowest=cb.first_copy)
     return Signature(int(idx[0]), float(dist[0]) / cb.block_len)
 
 
@@ -365,32 +387,55 @@ def _encode(cb: Codebook, x, y):
     stored, d_hat = np.zeros(x.shape[0]), np.zeros(x.shape[0])
     for lo in range(0, x.shape[1], cb.block_len):
         sub = slice(lo, lo + cb.block_len)
-        idx, dist = _nearest(cb.codewords, x[:, sub])
+        idx, dist = _nearest(cb.codewords, x[:, sub], lowest=cb.first_copy)
         stored += dist
         d_hat += _sq_dists(cb.codewords, y[:, sub], idx)
     return stored / x.shape[1], d_hat / x.shape[1]
 
 
-def _tally(maybe, d_xy, d_id):
-    """(Pr{maybe} estimate, binomial standard error, false negatives) of the
-    decisions `maybe` on pairs at per-sample distances d_xy, threshold d_id."""
-    false_neg = int(((d_xy <= d_id) & ~maybe).sum())
-    est = float(maybe.mean())
-    return est, math.sqrt(est * (1.0 - est) / maybe.size), false_neg
+def _count(maybe, d_xy, d_id) -> np.ndarray:
+    """(maybe decisions, false negatives) among the decisions `maybe` on
+    pairs at per-sample distances d_xy, threshold d_id."""
+    return np.array([np.count_nonzero(maybe), np.count_nonzero((d_xy <= d_id) & ~maybe)])
 
 
-def _sample_streams(model, block_len: int, n_train: int, n_generators: int, trials: int, seed):
-    """(training blocks, k-means generators, x blocks, y blocks) of one run.
+def _tally(hits, false_neg, trials: int):
+    """(Pr{maybe} estimate, binomial standard error, false negatives) of
+    `hits` maybe decisions in `trials` pairs.  The estimate is the bits of
+    the decisions' float mean: their float sum is the exact count."""
+    est = int(hits) / trials
+    return est, math.sqrt(est * (1.0 - est) / trials), int(false_neg)
+
+
+def _chunk_rows(block_len: int, count: int) -> int:
+    """Rows of one chunk of pairs: about _CHUNK_VALUES // block_len, rounded
+    down to a multiple (at least one) of the `_products` row count of a
+    codebook of `count` codewords."""
+    step = max(1, _ASSIGN_ENTRIES // count)
+    return max(1, _CHUNK_VALUES // block_len // step) * step
+
+
+def _sample_streams(model, block_len: int, n_train: int, n_generators: int, trials: int,
+                    chunk: int, seed):
+    """(training blocks, k-means generators, (x, y) chunks) of one run.
 
     `seed`'s children 1 and 2 draw x and y; its child 0 spawns one child for
-    the training blocks, then one per generator.
+    the training blocks, then one per generator.  The chunks, drawn when
+    iterated, hold `chunk` rows each but the last, which holds the rest; a
+    single remaining row joins the chunk before it, since numpy multiplies a
+    single row through another BLAS routine than a block of rows.  Each of x
+    and y is one generator drawn from chunk after chunk, so the chunks are
+    the rows of the whole arrays that one draw each would give.
     """
     train_ss, x_ss, y_ss = np.random.SeedSequence(seed).spawn(3)
-    x = sample_block(model, block_len, trials, x_ss)
-    y = sample_block(model, block_len, trials, y_ss)
     blocks_ss, *gen_ss = train_ss.spawn(1 + n_generators)
     train = sample_block(model, block_len, n_train, blocks_ss)
-    return train, [np.random.default_rng(child) for child in gen_ss], x, y
+    x_rng, y_rng = np.random.default_rng(x_ss), np.random.default_rng(y_ss)
+    stops = [*range(chunk, trials - 1, chunk), trials]
+    pairs = ((sample_block(model, block_len, hi - lo, x_rng),
+              sample_block(model, block_len, hi - lo, y_rng))
+             for lo, hi in zip([0, *stops], stops))
+    return train, [np.random.default_rng(child) for child in gen_ss], pairs
 
 
 def estimate_pr_maybe(
@@ -419,6 +464,11 @@ def estimate_pr_maybe(
     are lists, one entry per threshold, and the false-negative count is the
     total over all thresholds.
 
+    The pairs are drawn, encoded and decided one chunk of `_chunk_rows`
+    rows at a time, keeping only per-threshold counts between chunks, so
+    memory does not grow with `trials`.  The results are those of drawing
+    and encoding every pair at once, bit for bit.
+
     Pass a dict as `training` to receive the codebook's k-means round count
     (`kmeans_rounds`) and per-sample training distortion at its last
     assignment (`train_distortion`).
@@ -438,16 +488,19 @@ def estimate_pr_maybe(
     count = _codeword_count(rate_bits * sub_len)
     n_train_sub = max(10 * count, 4096)
     n_train_blocks = -(-n_train_sub // n_sub)  # ceil
-    train_blocks, (km_rng,), x, y = _sample_streams(
-        model, block_len, n_train_blocks, 1, trials, seed
+    train_blocks, (km_rng,), pairs = _sample_streams(
+        model, block_len, n_train_blocks, 1, trials, _chunk_rows(block_len, count), seed
     )
     cb = train_codebook(train_blocks.reshape(-1, sub_len), rate_bits, sub_len, km_rng,
                         training)
 
-    stored, d_hat = _encode(cb, x, y)
-    d_xy = _sq_dists(x, y) / x.shape[1]
-    ests, stderrs, false_negs = zip(*(_tally(_maybe(d_hat, stored, d), d_xy, d)
-                                      for d in d_ids.ravel()))
+    counts = np.zeros((d_ids.size, 2), dtype=np.int64)
+    for x, y in pairs:
+        stored, d_hat = _encode(cb, x, y)
+        d_xy = _sq_dists(x, y) / block_len
+        for k, d in enumerate(d_ids.ravel()):
+            counts[k] += _count(_maybe(d_hat, stored, d), d_xy, d)
+    ests, stderrs, false_negs = zip(*(_tally(hits, fn, trials) for hits, fn in counts))
     if d_ids.ndim == 0:
         return ests[0], stderrs[0], false_negs[0]
     return list(ests), list(stderrs), sum(false_negs)
@@ -474,6 +527,10 @@ def component_scheme_pr_maybe(
     maybe iff every component says maybe; false negatives are counted against
     the original-domain distance and are structurally zero.
 
+    The pairs stream through in chunks as in `estimate_pr_maybe`, of a
+    multiple of the `_products` row count of the smallest component
+    codebook (so of every one's when the counts are powers of two).
+
     Pass a list as `decision_log` to receive each component's per-trial
     decision array (for auditing the AND composition).
     """
@@ -497,21 +554,27 @@ def component_scheme_pr_maybe(
 
     counts = [_codeword_count(r) for r in rates]
     n_train = max(4096, 10 * max(counts))
-    train_blocks, km_rngs, x, y = _sample_streams(model, m_dim, n_train, m_dim, trials, seed)
+    train_blocks, km_rngs, pairs = _sample_streams(
+        model, m_dim, n_train, m_dim, trials, _chunk_rows(m_dim, min(counts)), seed)
     train_coeff = klt_forward(model.klt, train_blocks)
     books = [
         train_codebook(train_coeff[:, m][:, None], math.log2(counts[m]), 1, km_rngs[m])
         for m in range(m_dim)
     ]
 
-    xc = klt_forward(model.klt, x)
-    yc = klt_forward(model.klt, y)
-
-    maybe = np.ones(trials, dtype=bool)
-    for m in range(m_dim):
-        stored, d_hat = _encode(books[m], xc[:, m:m + 1], yc[:, m:m + 1])
-        comp_maybe = _maybe(d_hat, stored, d_ids.sum())
-        if decision_log is not None:
-            decision_log.append(comp_maybe.copy())
-        maybe &= comp_maybe
-    return _tally(maybe, _sq_dists(x, y) / x.shape[1], d_id)
+    logs = [[] for _ in range(m_dim)]
+    total = np.zeros(2, dtype=np.int64)
+    for x, y in pairs:
+        xc = klt_forward(model.klt, x)
+        yc = klt_forward(model.klt, y)
+        maybe = np.ones(x.shape[0], dtype=bool)
+        for m in range(m_dim):
+            stored, d_hat = _encode(books[m], xc[:, m:m + 1], yc[:, m:m + 1])
+            comp_maybe = _maybe(d_hat, stored, d_ids.sum())
+            if decision_log is not None:
+                logs[m].append(comp_maybe)
+            maybe &= comp_maybe
+        total += _count(maybe, _sq_dists(x, y) / m_dim, d_id)
+    if decision_log is not None:
+        decision_log.extend(np.concatenate(chunks) for chunks in logs)
+    return _tally(*total, trials)

@@ -1,7 +1,10 @@
 """Reference routines the tests check the package against.
 
 Independent oracles for the solver: the exhaustive lattice-channel search and
-the binary-Hamming type-covering closed form.  `ba_step` runs one solver
+the binary-Hamming type-covering closed form.  `whole_array_pr_maybe` and
+`whole_array_component_pr_maybe` are the simulator's two estimators as they
+were before they streamed their pairs in chunks: every pair drawn, encoded
+and decided in one array.  `ba_step` runs one solver
 update on the solver's own kernels (`idq.tcdelta._tilt`, `_step` and
 `_channel`) and builds the channel eagerly, so its raises are the solver's;
 `mutual_information` computes I(X; Xhat) from a channel directly.
@@ -12,8 +15,10 @@ import math
 
 import numpy as np
 
+from idq import simulator
 from idq.errors import DimensionMismatch, DomainError
-from idq.sources import Pmf
+from idq.linalg import klt_forward
+from idq.sources import Pmf, sample_block
 from idq.tcdelta import Channel, _channel, _probs, _step, _table, _tilt
 
 
@@ -127,3 +132,62 @@ def binary_hamming_tc_oracle(d_id: float) -> float:
     if not 0.0 <= d_id <= 0.5:
         raise DomainError("binary-Hamming threshold must lie in [0, 1/2]")
     return 1.0 - binary_entropy(0.5 - d_id)
+
+
+def whole_array_streams(model, block_len, n_train, n_generators, trials, seed):
+    """(training blocks, k-means generators, x blocks, y blocks): the
+    estimators' seed tree, with x and y each drawn in one array."""
+    train_ss, x_ss, y_ss = np.random.SeedSequence(seed).spawn(3)
+    x = sample_block(model, block_len, trials, x_ss)
+    y = sample_block(model, block_len, trials, y_ss)
+    blocks_ss, *gen_ss = train_ss.spawn(1 + n_generators)
+    train = sample_block(model, block_len, n_train, blocks_ss)
+    return train, [np.random.default_rng(child) for child in gen_ss], x, y
+
+
+def _whole_array_tally(maybe, d_xy, d_id):
+    false_neg = int(((d_xy <= d_id) & ~maybe).sum())
+    est = float(maybe.mean())
+    return est, math.sqrt(est * (1.0 - est) / maybe.size), false_neg
+
+
+def whole_array_pr_maybe(model, rate_bits, block_len, d_id, trials, seed):
+    """`estimate_pr_maybe` (valid arguments only) with every pair in memory."""
+    d_ids = np.asarray(d_id, dtype=float)
+    sub_len = simulator._sub_block_len(rate_bits, block_len)
+    n_sub = block_len // sub_len
+    count = simulator._codeword_count(rate_bits * sub_len)
+    n_train_blocks = -(-max(10 * count, 4096) // n_sub)
+    train_blocks, (km_rng,), x, y = whole_array_streams(
+        model, block_len, n_train_blocks, 1, trials, seed)
+    cb = simulator.train_codebook(train_blocks.reshape(-1, sub_len), rate_bits, sub_len, km_rng)
+    stored, d_hat = simulator._encode(cb, x, y)
+    d_xy = simulator._sq_dists(x, y) / x.shape[1]
+    ests, stderrs, false_negs = zip(*(
+        _whole_array_tally(simulator._maybe(d_hat, stored, d), d_xy, d) for d in d_ids.ravel()))
+    if d_ids.ndim == 0:
+        return ests[0], stderrs[0], false_negs[0]
+    return list(ests), list(stderrs), sum(false_negs)
+
+
+def whole_array_component_pr_maybe(model, per_component_rates, per_component_d_ids, d_id,
+                                   trials, seed, decision_log):
+    """`component_scheme_pr_maybe` (valid arguments only) with every pair in
+    memory; appends each component's decisions to `decision_log`."""
+    m_dim = model.dim
+    d_ids = np.asarray(per_component_d_ids, dtype=float)
+    counts = [simulator._codeword_count(r) for r in per_component_rates]
+    train_blocks, km_rngs, x, y = whole_array_streams(
+        model, m_dim, max(4096, 10 * max(counts)), m_dim, trials, seed)
+    train_coeff = klt_forward(model.klt, train_blocks)
+    books = [simulator.train_codebook(train_coeff[:, m][:, None], math.log2(counts[m]), 1,
+                                      km_rngs[m]) for m in range(m_dim)]
+    xc = klt_forward(model.klt, x)
+    yc = klt_forward(model.klt, y)
+    maybe = np.ones(trials, dtype=bool)
+    for m in range(m_dim):
+        stored, d_hat = simulator._encode(books[m], xc[:, m:m + 1], yc[:, m:m + 1])
+        comp_maybe = simulator._maybe(d_hat, stored, d_ids.sum())
+        decision_log.append(comp_maybe)
+        maybe &= comp_maybe
+    return _whole_array_tally(maybe, simulator._sq_dists(x, y) / x.shape[1], d_id)

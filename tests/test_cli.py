@@ -489,6 +489,30 @@ def test_compare_mv_runs_at_m3_within_a_memory_bound(tmp_path):
     assert peak < 1.5 * 729 * 729 * 8
 
 
+def test_compare_mv_says_why_it_keeps_no_row(tmp_path, caplog):
+    # at 2 slopes the component model's two thresholds lie outside the joint
+    # TC curve's d_id range, so no row is kept: the run still succeeds, but
+    # says so once on idq.cli and names every curve's range in the header
+    args = ["compare", "--source", "mv-gaussian", "-M", "3", "--joint-grid-points", "9",
+            "--grid-points", "65", "--slopes", "2", "--tol", "1e-6"]
+    meta, cols, rows = run_csv(tmp_path, args)
+    assert rows == []
+    warned = [r.getMessage() for r in caplog.records
+              if r.name == "idq.cli" and r.levelname == "WARNING"]
+    assert len(warned) == 1
+    ranges = meta["d_id_ranges"].split("; ")
+    assert [r.split(" [")[0] for r in ranges] == cols[1:]
+    for r in ranges:
+        assert r in warned[0]
+        lo, hi = (float(v) for v in r.split(" [")[1].rstrip("]").split(", "))
+        assert 0 <= lo < hi
+    # a run that keeps rows writes no such key
+    caplog.clear()
+    meta, _, rows = run_csv(tmp_path, args[:-4] + ["--slopes", "4", "--tol", "1e-6"], "rows.csv")
+    assert rows and "d_id_ranges" not in meta
+    assert not [r for r in caplog.records if r.name == "idq.cli"]
+
+
 def test_idrate_mv_water_fills_once_per_level(tmp_path, monkeypatch):
     levels = []
 
@@ -527,7 +551,8 @@ def test_idrate_mv_water_fills_once_per_level(tmp_path, monkeypatch):
        "--slopes", "2", "--tau-points", "10"],
       ["grid-points", "grid-sigmas", "joint-grid-points", "joint-grid-sigmas", "max-iter",
        "order", "rho", "slopes", "source", "subcommand", "tau-points", "tol", "variance"],
-      ["eigenvalues", "nonconverged"])],
+      # grids this coarse keep no row, which the header says
+      ["eigenvalues", "nonconverged", "d_id_ranges"])],
     ids=["idrate-iid", "lcdelta", "idrate-mv", "idrate-spectral", "tcdelta",
          "tcdelta-components", "simulate", "compare-iid", "compare-mv"],
 )

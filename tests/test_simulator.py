@@ -21,7 +21,8 @@ from idq.simulator import (
     query_decide,
     train_codebook,
 )
-from idq.sources import IidGaussian, MultivariateGaussian, sample_block
+from idq.sources import GaussMarkov, IidGaussian, MultivariateGaussian, sample_block
+from oracles import whole_array_component_pr_maybe, whole_array_pr_maybe, whole_array_streams
 
 
 def test_train_single_codeword_is_mean():
@@ -480,6 +481,84 @@ def test_component_scheme_and_composition():
     assert len(log) == 2
     combined = log[0] & log[1]
     assert est == combined.mean()
+
+
+def _chunk(rate, block_len):
+    """Chunk rows of `estimate_pr_maybe` at this rate and block length."""
+    sub_len = simulator._sub_block_len(rate, block_len)
+    return simulator._chunk_rows(block_len, simulator._codeword_count(rate * sub_len))
+
+
+_MV3 = MultivariateGaussian(toeplitz_covariance([1.0, 0.7, 0.3], 3))
+
+
+@pytest.mark.parametrize("model,rate,block_len", [
+    (IidGaussian(1.0), 0.625, 16),  # the benchmark's codebook: 1024 codewords
+    (IidGaussian(1.0), 0.25, 64),  # 32-sample sub-blocks of 256 codewords
+    (GaussMarkov(1.0, 0.7), 1.0, 8),
+    (_MV3, 1.0, 3),
+], ids=["iid", "iid-sub-blocks", "gauss-markov", "mv-gaussian"])
+@pytest.mark.parametrize("trials", ["below", "one", "one+1", "ragged"])
+def test_streamed_estimate_matches_the_whole_array_oracle(model, rate, block_len, trials):
+    # below one chunk, exactly one, one plus a single row (which joins the
+    # chunk before it), and two chunks plus a part that is not a multiple of
+    # the `_products` row count
+    chunk = _chunk(rate, block_len)
+    rows = max(1, simulator._ASSIGN_ENTRIES // simulator._codeword_count(
+        rate * simulator._sub_block_len(rate, block_len)))
+    n = {"below": 1000, "one": chunk, "one+1": chunk + 1,
+         "ragged": 2 * chunk + rows // 2 + 3}[trials]
+    assert chunk % rows == 0 and chunk > 1000
+    d_ids = [0.0, 0.3, 0.8, 1.5]
+    got = estimate_pr_maybe(model, rate, block_len, d_ids, n, 7)
+    assert got == whole_array_pr_maybe(model, rate, block_len, d_ids, n, 7)
+    assert estimate_pr_maybe(model, rate, block_len, 0.8, n, 7) == \
+        whole_array_pr_maybe(model, rate, block_len, 0.8, n, 7)
+
+
+@pytest.mark.parametrize("rates", [[1.0, 1.6, 2.0], [0.0, 1.0, 3.0]])
+def test_streamed_component_scheme_matches_the_whole_array_oracle(rates):
+    chunk = simulator._chunk_rows(3, min(simulator._codeword_count(r) for r in rates))
+    for n in (1000, chunk, chunk + 1, chunk + 77):
+        log, ref_log = [], []
+        got = component_scheme_pr_maybe(_MV3, rates, [0.6, 0.6, 0.6], 0.5, n, 5,
+                                        decision_log=log)
+        assert got == whole_array_component_pr_maybe(_MV3, rates, [0.6, 0.6, 0.6], 0.5, n, 5,
+                                                     ref_log)
+        assert [a.shape for a in log] == [(n,)] * 3
+        assert all(np.array_equal(a, b) for a, b in zip(log, ref_log))
+
+
+@pytest.mark.parametrize("model,block_len", [
+    (IidGaussian(1.0), 4), (GaussMarkov(1.0, 0.7), 4),
+    (MultivariateGaussian(toeplitz_covariance([1.0, 0.7, 0.4, 0.2], 4)), 4)],
+    ids=["iid", "gauss-markov", "mv-gaussian"])
+@pytest.mark.parametrize("trials", [1000, 2001, 2500])
+def test_sample_stream_chunks_are_the_whole_arrays(model, block_len, trials):
+    # 2001 would leave a last chunk of one row, whose coloring numpy computes
+    # through another BLAS routine; it joins the chunk before it instead
+    _, _, pairs = simulator._sample_streams(model, block_len, 10, 1, trials, 1000, 3)
+    _, _, x, y = whole_array_streams(model, block_len, 10, 1, trials, 3)
+    xs, ys = zip(*pairs)
+    assert np.array_equal(np.concatenate(xs), x) and np.array_equal(np.concatenate(ys), y)
+
+
+def _estimate_peak(trials):
+    tracemalloc.start()
+    try:
+        estimate_pr_maybe(IidGaussian(1.0), 0.625, 16, [0.0, 1.0], trials, 11)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_estimate_memory_does_not_grow_with_trials():
+    # every pair in memory would take x alone 200000 x 16 x 8 bytes (25.6 MB);
+    # the first call leaves out the one-time allocations of a first estimate
+    _estimate_peak(1000)
+    small, large = _estimate_peak(20_000), _estimate_peak(200_000)
+    assert large < 200_000 * 16 * 8 / 4
+    assert large <= 1.25 * small
 
 
 def test_component_water_filling_beats_equal_split():
