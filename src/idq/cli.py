@@ -9,6 +9,10 @@ model, which it skips once the joint sweeps fail, so its WARNING lines come
 in one fixed order.
 `--log-level` sets the level of the `idq` loggers for the run, whose records
 go to stderr; it changes no output file.
+The parser is built once per process, on the first `run`, and holds no
+command or rate function: `run` looks the command up by name on each call,
+and the command its rate, so a name patched after the first `run` is the one
+the next `run` calls.
 """
 
 import argparse
@@ -28,7 +32,7 @@ from .idrate import (
     id_curve_multivariate,
     id_rate_iid,
     lc_delta_rate,
-    water_filling_point,
+    water_filling_rows,
 )
 from .linalg import jacobi_eigh, toeplitz_covariance
 from .sources import (
@@ -43,13 +47,18 @@ from .sources import (
 from .simulator import estimate_pr_maybe
 from .tcdelta import component_tc_curve, distortion_matrix, sweep_points
 
-_FMT = "{:.12g}"
+_FMT = "%.12g"
 
 logger = logging.getLogger("idq.cli")  # also when run as `python -m idq.cli`
 
 
 def _fmt(x) -> str:
-    return _FMT.format(float(x))
+    return _FMT % float(x)
+
+
+def _fmt_row(values) -> str:
+    """The values as `_fmt` writes them, comma-separated, by one template."""
+    return ",".join([_FMT] * len(values)) % tuple(map(float, values))
 
 
 def write_curve_file(stream, meta: dict, columns, rows, fmt: str):
@@ -59,7 +68,7 @@ def write_curve_file(stream, meta: dict, columns, rows, fmt: str):
             stream.write(f"# {key}={value}\n")
         stream.write(",".join(columns) + "\n")
         for row in rows:
-            stream.write(",".join(_fmt(v) for v in row) + "\n")
+            stream.write(_fmt_row(row) + "\n")
     elif fmt == "json":
         payload = {
             "meta": {k: str(v) for k, v in meta.items()},
@@ -100,7 +109,7 @@ def _meta(args, **extra) -> dict:
         "log_base": "2",
     }
     for key, value in sorted(vars(args).items()):
-        if key in ("func", "out", "format", "log_level"):
+        if key in ("out", "format", "log_level"):
             continue
         meta[key.replace("_", "-")] = value
     meta.update(extra)
@@ -139,6 +148,14 @@ def _cmd_closed_form(rate, args):
     return ["d_id", "rate"], [(di, rate(args.variance, di)) for di in _d_grid(args)], {}
 
 
+def _cmd_idrate_iid(args):
+    return _cmd_closed_form(id_rate_iid, args)
+
+
+def _cmd_lcdelta(args):
+    return _cmd_closed_form(lc_delta_rate, args)
+
+
 def _ar1_covariance(variance, rho, order):
     return toeplitz_covariance(variance * rho ** np.arange(order), order)
 
@@ -149,7 +166,7 @@ def _ar1_eigenvalues(variance, rho, order):
 
 def _eigenvalues(xi) -> str:
     """The `eigenvalues=` header value: the component variances."""
-    return ",".join(_fmt(v) for v in xi)
+    return _fmt_row(xi)
 
 
 def _curve_table(curve, **extra):
@@ -160,11 +177,7 @@ def _curve_table(curve, **extra):
 def _cmd_idrate_mv(args):
     xi = _ar1_eigenvalues(args.variance, args.rho, args.order)
     taus = default_tau_grid(float(xi.max()), args.tau_points, args.tau_min)
-    rows = []
-    for tau in taus[::-1]:
-        point, alloc = water_filling_point(xi, tau)
-        rows.append((point.d_id, point.rate, *alloc))
-    rows.sort(key=lambda r: r[0])
+    rows = sorted(water_filling_rows(xi, taus), key=lambda r: r[0])
     cols = ["d_id", "rate"] + [f"d_id_{m + 1}" for m in range(args.order)]
     return cols, rows, {"eigenvalues": _eigenvalues(xi)}
 
@@ -197,14 +210,20 @@ def _cmd_tcdelta(args):
     return _curve_table(curve, nonconverged=curve.nonconverged)
 
 
-def _components_for(xi, grid_sigmas, grid_points):
-    """One discretized source and distortion table per KLT component variance."""
-    return [_gaussian_table(float(v), grid_sigmas, grid_points) for v in xi]
+def _components_for(xi, args):
+    """One discretized source and distortion table per KLT component variance
+    `xi` of the AR(1) block of `args`; one that is not positive is a usage error."""
+    low = xi.min()
+    if not low > 0:
+        kind = "singular" if low == 0 else "indefinite"
+        raise ValueError(f"{kind} covariance: rho={args.rho:g} gives the AR(1) block the KLT "
+                         f"eigenvalue {low:g}, and the component model needs every one positive")
+    return [_gaussian_table(float(v), args.grid_sigmas, args.grid_points) for v in xi]
 
 
 def _cmd_tcdelta_components(args):
     xi = _ar1_eigenvalues(args.variance, args.rho, args.order)
-    comps = _components_for(xi, args.grid_sigmas, args.grid_points)
+    comps = _components_for(xi, args)
     s_grid = _slope_grid(args, variance=args.variance)
     curve = component_tc_curve(comps, s_grid, tol=args.tol, max_iter=args.max_iter)
     return _curve_table(curve, eigenvalues=_eigenvalues(xi), nonconverged=curve.nonconverged)
@@ -240,7 +259,7 @@ def _cmd_compare(args):
     # joint discretization's quadratic form
     source = MultivariateGaussian(_ar1_covariance(args.variance, args.rho, args.order))
     xi = source.klt.eigenvalues
-    comps = _components_for(xi, args.grid_sigmas, args.grid_points)
+    comps = _components_for(xi, args)
     star = id_curve_multivariate(xi, default_tau_grid(float(xi.max()), args.tau_points))
     s_grid = _slope_grid(args, variance=args.variance)
 
@@ -305,15 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    for name, rate, text in (("idrate-iid", id_rate_iid, "closed-form i.i.d. Gaussian curve"),
-                             ("lcdelta", lc_delta_rate,
-                              "lossy-compression triangle-scheme curve")):
+    for name, text in (("idrate-iid", "closed-form i.i.d. Gaussian curve"),
+                       ("lcdelta", "lossy-compression triangle-scheme curve")):
         p = sub.add_parser(name, help=text)
         p.add_argument("--variance", type=float, default=1.0)
         p.add_argument("--dmax", type=float, default=1.9)
         p.add_argument("--points", type=int, default=100)
         _add_common(p)
-        p.set_defaults(func=functools.partial(_cmd_closed_form, rate))
 
     p = sub.add_parser("idrate-mv", help="reverse water-filling curve with per-component shares")
     p.add_argument("--variance", type=float, default=1.0)
@@ -322,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-min", type=float, default=None)
     p.add_argument("--tau-points", type=int, default=200)
     _add_common(p)
-    p.set_defaults(func=_cmd_idrate_mv)
 
     p = sub.add_parser("idrate-spectral", help="stationary-source curve from the PSD")
     p.add_argument("--model", choices=("gauss-markov", "iid"), default="gauss-markov")
@@ -332,14 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-min", type=float, default=None)
     p.add_argument("--tau-points", type=int, default=200)
     _add_common(p)
-    p.set_defaults(func=_cmd_idrate_spectral)
 
     p = sub.add_parser("tcdelta", help="iterative type-covering scheme approximation")
     p.add_argument("--source", choices=("gaussian", "bernoulli"), default="gaussian")
     p.add_argument("--variance", type=float, default=1.0)
     _add_solver(p)
     _add_common(p)
-    p.set_defaults(func=_cmd_tcdelta)
 
     p = sub.add_parser("tcdelta-components", help="component model at common slopes")
     p.add_argument("--variance", type=float, default=1.0)
@@ -347,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-M", "--order", type=int, default=2)
     _add_solver(p)
     _add_common(p)
-    p.set_defaults(func=_cmd_tcdelta_components)
 
     p = sub.add_parser("simulate", help="Monte-Carlo Pr{maybe} of the triangle scheme")
     p.add_argument("--variance", type=float, default=1.0)
@@ -357,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=5)
     p.add_argument("--trials", type=int, default=10000)
     _add_common(p, seed=True)
-    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("compare", help="matched-column comparison of all schemes")
     p.add_argument("--source", choices=("iid-gaussian", "mv-gaussian"), default="iid-gaussian")
@@ -369,17 +381,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--joint-grid-sigmas", type=float, default=6.0)
     _add_solver(p)
     _add_common(p)
-    p.set_defaults(func=_cmd_compare)
 
     return ap
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
 
 
 def run(argv) -> int:
     """Parse and execute; exit code 0 on success, 2 on usage errors and on
     running out of memory, 3 on numerical failures."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     log = logging.getLogger("idq")
@@ -389,7 +404,9 @@ def run(argv) -> int:
     log.setLevel(args.log_level.upper())
     log.addHandler(handler)
     try:
-        _emit(args, *args.func(args))
+        # each subcommand's `_cmd_*` function, looked up now
+        command = globals()["_cmd_" + args.subcommand.replace("-", "_")]
+        _emit(args, *command(args))
         return 0
     except (NonConvergence, NumericalUnderflow) as exc:
         print(f"idq: numerical failure: {exc}", file=sys.stderr)

@@ -120,12 +120,15 @@ def id_rate_iid(variance: float, d_id: float) -> float:
     return math.log2(lim / (lim - d_id))
 
 
-def water_filling_point(eigenvalues, tau):
-    """(`id_point_multivariate`, the per-component similarity shares
-    max(0, 2(xi - tau))) at one water level, from one water-filling."""
+def _water_levels(eigenvalues, tau_grid):
+    """(eigenvalues, water levels from the last down) of a grid, checked once
+    for every level: positive levels, none above the largest of a non-empty
+    list of finite, non-negative eigenvalues."""
     xi = np.asarray(eigenvalues, dtype=float)
-    t = float(tau)
-    if not t > 0:  # also rejects NaN
+    taus = np.asarray(tau_grid, dtype=float)
+    if not taus.size:
+        return xi, taus
+    if not taus.min() > 0:  # also rejects NaN
         raise TauOutOfRange("water level must be positive")
     if xi.ndim != 1 or xi.size == 0:
         raise ValueError("need a non-empty eigenvalue list")
@@ -133,10 +136,29 @@ def water_filling_point(eigenvalues, tau):
         # a NaN or inf would pass every comparison below and poison the point
         raise ValueError("eigenvalues must be non-negative" if np.any(xi < 0)
                          else "eigenvalues must be finite")
-    if t > xi.max() * (1.0 + 1e-12):
-        raise TauOutOfRange(f"tau {t} above the largest component variance {xi.max()}")
-    point, shares = _water_point(xi, t)
+    if taus.max() > xi.max() * (1.0 + 1e-12):
+        raise TauOutOfRange(f"tau {taus.max()} above the largest component variance {xi.max()}")
+    return xi, taus[::-1]
+
+
+def water_filling_point(eigenvalues, tau):
+    """(`id_point_multivariate`, the per-component similarity shares
+    max(0, 2(xi - tau))) at one water level, from one water-filling."""
+    xi, (t,) = _water_levels(eigenvalues, [float(tau)])
+    point, shares = _water_point(xi, float(t))
     return RateSimilarityPoint(*point), shares
+
+
+def water_filling_rows(eigenvalues, tau_grid) -> list:
+    """One row [d_id, rate, *shares] of Python floats per water level of a
+    grid, from its last level to its first: `water_filling_point` at each
+    level, with the inputs checked once."""
+    xi, levels = _water_levels(eigenvalues, tau_grid)
+    rows = []
+    for t in levels:
+        (d_id, rate), shares = _water_point(xi, float(t))
+        rows.append([d_id, rate, *shares.tolist()])
+    return rows
 
 
 def id_point_multivariate(eigenvalues, tau) -> RateSimilarityPoint:
@@ -174,24 +196,11 @@ def id_curve_multivariate(eigenvalues, tau_grid) -> Curve:
     curve: the means over the samples are the midpoint Riemann sums of
     (1/2pi) int max(0, log2(Phi/tau)) and (1/2pi) int max(0, 2(Phi-tau)).
     """
-    taus = np.asarray(tau_grid, dtype=float)
-    if np.any(np.diff(taus) <= 0):
+    if np.any(np.diff(np.asarray(tau_grid, dtype=float)) <= 0):
         raise TauOutOfRange("tau grid must be sorted strictly ascending")
-    xi = np.asarray(eigenvalues, dtype=float)
-    # the eigenvalues and the largest level are checked once, as the first
-    # point would check them; the smaller levels need only be positive
-    d, r = [], []
-    if taus.size:
-        top = id_point_multivariate(xi, taus[-1])
-        d.append(top.d_id)
-        r.append(top.rate)
-    for t in taus[-2::-1]:
-        if not t > 0:  # also rejects NaN
-            raise TauOutOfRange("water level must be positive")
-        (d_t, r_t), _ = _water_point(xi, float(t))
-        d.append(d_t)
-        r.append(r_t)
-    return curve_from_arrays(d, r)
+    xi, levels = _water_levels(eigenvalues, tau_grid)
+    points = [_water_point(xi, float(t))[0] for t in levels]
+    return curve_from_arrays(*np.reshape(points, (-1, 2)).T)
 
 
 def similarity_limit(model: SourceModel) -> float:

@@ -108,6 +108,13 @@ def _codeword_count(bits: float) -> int:
     return count
 
 
+def _block_rows(count: int, dim: int) -> int:
+    """Rows of one `_products` chunk against `count` codewords of `dim`
+    samples: about _ASSIGN_ENTRIES values in each of its distance and [x, 1]
+    staging blocks, and at least one row."""
+    return max(1, _ASSIGN_ENTRIES // max(count, dim + 1))
+
+
 def _products(codewords: np.ndarray, blocks: np.ndarray, reduce, width: int = None) -> None:
     """Chunked distance products: reduce(lo, hi, x, d2) for each chunk of rows.
 
@@ -115,23 +122,23 @@ def _products(codewords: np.ndarray, blocks: np.ndarray, reduce, width: int = No
     for every codeword, so each chunk of rows x = blocks[lo:hi] costs one
     matrix product [x, 1] @ A with A = [-2C, ||c||^2]^T, written into a
     distance block d2 that `reduce` reads and may overwrite; it writes only
-    rows lo:hi of its outputs.  A chunk holds _ASSIGN_ENTRIES // width rows,
-    about _ASSIGN_ENTRIES distances (1 MB, which stays in a core's cache
-    from the product to `reduce`) against a codebook of `width` codewords
-    (default: all of `codewords`; a screen against some codewords of a
-    codebook keeps the codebook's chunks and blocks no larger than its full
-    search's), so the chunk boundaries depend only on the codebook.  Every
-    chunk reuses one distance block and one [x, 1] staging block.  The
-    estimators pass their pairs in chunks of a multiple of this row count
-    (`_chunk_rows`), so their products see the row blocks that one call
-    over every pair would.
+    rows lo:hi of its outputs.  A chunk holds `_block_rows` rows: about
+    _ASSIGN_ENTRIES distances (1 MB, which stays in a core's cache from the
+    product to `reduce`) against a codebook of `width` codewords (default:
+    all of `codewords`; a screen against some codewords of a codebook keeps
+    the codebook's chunks and blocks no larger than its full search's), and
+    no more [x, 1] values than that, so the chunk boundaries depend only on
+    the codebook.  Every chunk reuses one distance block and one [x, 1]
+    staging block.  The estimators pass their pairs in chunks of a multiple
+    of this row count (`_chunk_rows`), so their products see the row blocks
+    that one call over every pair would.
     """
     n, dim = blocks.shape
     count = codewords.shape[0]
     a = np.empty((dim + 1, count))
     a[:dim] = -2.0 * codewords.T
     a[dim] = (codewords**2).sum(axis=1)
-    rows = max(1, _ASSIGN_ENTRIES // (width or count))
+    rows = _block_rows(width or count, dim)
     size = min(rows, n)
     d2 = np.empty((size, count))
     x1 = np.ones((size, dim + 1))
@@ -407,11 +414,11 @@ def _tally(hits, false_neg, trials: int):
     return est, math.sqrt(est * (1.0 - est) / trials), int(false_neg)
 
 
-def _chunk_rows(block_len: int, count: int) -> int:
+def _chunk_rows(block_len: int, count: int, dim: int) -> int:
     """Rows of one chunk of pairs: about _CHUNK_VALUES // block_len, rounded
     down to a multiple (at least one) of the `_products` row count of a
-    codebook of `count` codewords."""
-    step = max(1, _ASSIGN_ENTRIES // count)
+    codebook of `count` codewords of `dim` samples."""
+    step = _block_rows(count, dim)
     return max(1, _CHUNK_VALUES // block_len // step) * step
 
 
@@ -489,7 +496,7 @@ def estimate_pr_maybe(
     n_train_sub = max(10 * count, 4096)
     n_train_blocks = -(-n_train_sub // n_sub)  # ceil
     train_blocks, (km_rng,), pairs = _sample_streams(
-        model, block_len, n_train_blocks, 1, trials, _chunk_rows(block_len, count), seed
+        model, block_len, n_train_blocks, 1, trials, _chunk_rows(block_len, count, sub_len), seed
     )
     cb = train_codebook(train_blocks.reshape(-1, sub_len), rate_bits, sub_len, km_rng,
                         training)
@@ -555,7 +562,7 @@ def component_scheme_pr_maybe(
     counts = [_codeword_count(r) for r in rates]
     n_train = max(4096, 10 * max(counts))
     train_blocks, km_rngs, pairs = _sample_streams(
-        model, m_dim, n_train, m_dim, trials, _chunk_rows(m_dim, min(counts)), seed)
+        model, m_dim, n_train, m_dim, trials, _chunk_rows(m_dim, min(counts), 1), seed)
     train_coeff = klt_forward(model.klt, train_blocks)
     books = [
         train_codebook(train_coeff[:, m][:, None], math.log2(counts[m]), 1, km_rngs[m])

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import idq.idrate
 import idq.sources
@@ -563,3 +568,88 @@ def test_every_subcommand_header_records_its_command_and_parameters(tmp_path, ar
     assert list(meta) == ["command", "version", "rate_unit", "log_base"] + params + extra
     assert meta["command"] == f"idq {args[0]}"
     assert meta["subcommand"] == args[0]
+
+
+_ROW_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_subnormal=True, min_value=-1e-300, max_value=1e-300),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-320, 1e20, 1e-20]),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.integers(-(2**53), 2**53),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ROW_VALUES, max_size=12))
+def test_row_template_writes_what_per_value_formatting_wrote(row):
+    assert cli._fmt_row(row) == ",".join("{:.12g}".format(float(v)) for v in row)
+    assert cli._fmt_row(np.array(row, dtype=float)) == cli._fmt_row(row)
+
+
+_CLOSED_FORM = (
+    ["idrate-mv", "-M", "16", "--variance", "2", "--tau-points", "20"],
+    ["idrate-spectral", "--variance", "2", "--grid-points", "256", "--tau-points", "20"],
+    ["idrate-iid", "--variance", "2", "--dmax", "3.8", "--points", "10"],
+    ["lcdelta", "--variance", "2", "--dmax", "3.8", "--points", "10"],
+    ["tcdelta", "--source", "bernoulli", "--slopes", "5"],
+)
+
+
+def test_one_process_writes_what_fresh_processes_write(tmp_path):
+    # the parser is built once and reused; no run may leave state that
+    # changes a later run's bytes
+    for name in ("first", "second"):
+        (tmp_path / name).mkdir()
+    for k, args in enumerate(_CLOSED_FORM):
+        assert run(args + ["--out", str(tmp_path / "first" / f"{k}.csv")]) == 0
+    assert run(["simulate", "--trials", "1000", "--points", "2", "--block-len", "2",
+                "--out", str(tmp_path / "sim.csv")]) == 0
+    assert run(["compare", "--grid-points", "17", "--slopes", "2",
+                "--out", str(tmp_path / "compare.csv")]) == 0
+    for k, args in enumerate(_CLOSED_FORM):
+        assert run(args + ["--out", str(tmp_path / "second" / f"{k}.csv")]) == 0
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for k, args in enumerate(_CLOSED_FORM):
+        fresh = tmp_path / f"fresh-{k}.csv"
+        subprocess.run([sys.executable, "-m", "idq.cli", *args, "--out", str(fresh)],
+                       check=True, env=env)
+        for name in ("first", "second"):
+            assert (tmp_path / name / f"{k}.csv").read_bytes() == fresh.read_bytes(), args
+
+
+def test_a_name_patched_after_the_first_run_is_called(tmp_path, monkeypatch):
+    args = ["idrate-iid", "--points", "3"]
+    run_csv(tmp_path, args)
+    calls = []
+
+    def counting(variance, d_id):
+        calls.append(d_id)
+        return id_rate_iid(variance, d_id)
+
+    monkeypatch.setattr(cli, "id_rate_iid", counting)
+    run_csv(tmp_path, args)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("args", [
+    ["compare", "--source", "mv-gaussian", "--rho", "1"],
+    ["compare", "--source", "mv-gaussian", "--rho", "-1"],
+    ["tcdelta-components", "--rho", "1"],
+    ["tcdelta-components", "--rho", "-1", "-M", "4"],
+], ids=["compare-rho1", "compare-rho-1", "components-rho1", "components-rho-1-m4"])
+def test_singular_ar1_covariance_is_named_as_such(tmp_path, capsys, args):
+    out = tmp_path / "o.csv"
+    assert run(args + ["--grid-points", "17", "--slopes", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    rho = args[args.index("--rho") + 1]
+    assert f"singular covariance: rho={rho} " in err
+    assert "variance must be positive" not in err
+    assert not out.exists()
+
+
+def test_idrate_mv_water_fills_a_singular_covariance(tmp_path):
+    # a zero KLT eigenvalue gets no share of the similarity budget
+    _, _, rows = run_csv(tmp_path, ["idrate-mv", "--rho", "1", "-M", "3", "--tau-points", "5"])
+    assert len(rows) == 5
+    assert all(r[3] == r[4] == 0.0 for r in rows)

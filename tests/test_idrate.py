@@ -17,6 +17,7 @@ from idq.idrate import (
     lc_delta_rate,
     similarity_limit,
     water_filling_point,
+    water_filling_rows,
 )
 from idq.linalg import SymMatrix, toeplitz_covariance
 from idq.sources import (
@@ -176,7 +177,7 @@ def _outcome(fn, *args):
     return curve.d_ids.tolist(), curve.rates.tolist()
 
 
-@pytest.mark.parametrize(
+_CHECK_ONCE_CASES = pytest.mark.parametrize(
     "xi, taus",
     [
         ([1.7, 0.3], default_tau_grid(1.7, 50)),
@@ -193,9 +194,36 @@ def _outcome(fn, *args):
         ([[1.7, 0.3]], [0.1, 0.2]),
     ],
 )
+
+
+@_CHECK_ONCE_CASES
 def test_id_curve_multivariate_checks_once_like_each_point(xi, taus):
     # validating the eigenvalues once per curve keeps every value and error
     assert _outcome(id_curve_multivariate, xi, taus) == _outcome(_curve_point_by_point, xi, taus)
+
+
+def _rows_point_by_point(xi, taus):
+    """water_filling_rows as one checked water_filling_point per level."""
+    rows = []
+    for t in np.asarray(taus, dtype=float)[::-1]:
+        point, shares = water_filling_point(xi, t)
+        rows.append([point.d_id, point.rate, *shares.tolist()])
+    return rows
+
+
+def _rows_outcome(fn, xi, taus):
+    try:
+        return fn(xi, taus)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@_CHECK_ONCE_CASES
+def test_water_filling_rows_check_once_like_each_point(xi, taus):
+    got = _rows_outcome(water_filling_rows, xi, taus)
+    assert got == _rows_outcome(_rows_point_by_point, xi, taus)
+    if isinstance(got, list):
+        assert all(type(v) is float for row in got for v in row)
 
 
 def test_id_point_spectral_flat_psd_matches_iid():

@@ -486,7 +486,7 @@ def test_component_scheme_and_composition():
 def _chunk(rate, block_len):
     """Chunk rows of `estimate_pr_maybe` at this rate and block length."""
     sub_len = simulator._sub_block_len(rate, block_len)
-    return simulator._chunk_rows(block_len, simulator._codeword_count(rate * sub_len))
+    return simulator._chunk_rows(block_len, simulator._codeword_count(rate * sub_len), sub_len)
 
 
 _MV3 = MultivariateGaussian(toeplitz_covariance([1.0, 0.7, 0.3], 3))
@@ -518,7 +518,7 @@ def test_streamed_estimate_matches_the_whole_array_oracle(model, rate, block_len
 
 @pytest.mark.parametrize("rates", [[1.0, 1.6, 2.0], [0.0, 1.0, 3.0]])
 def test_streamed_component_scheme_matches_the_whole_array_oracle(rates):
-    chunk = simulator._chunk_rows(3, min(simulator._codeword_count(r) for r in rates))
+    chunk = simulator._chunk_rows(3, min(simulator._codeword_count(r) for r in rates), 1)
     for n in (1000, chunk, chunk + 1, chunk + 77):
         log, ref_log = [], []
         got = component_scheme_pr_maybe(_MV3, rates, [0.6, 0.6, 0.6], 0.5, n, 5,
@@ -543,10 +543,10 @@ def test_sample_stream_chunks_are_the_whole_arrays(model, block_len, trials):
     assert np.array_equal(np.concatenate(xs), x) and np.array_equal(np.concatenate(ys), y)
 
 
-def _estimate_peak(trials):
+def _estimate_peak(trials, rate=0.625, block_len=16):
     tracemalloc.start()
     try:
-        estimate_pr_maybe(IidGaussian(1.0), 0.625, 16, [0.0, 1.0], trials, 11)
+        estimate_pr_maybe(IidGaussian(1.0), rate, block_len, [0.0, 1.0], trials, 11)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -559,6 +559,15 @@ def test_estimate_memory_does_not_grow_with_trials():
     small, large = _estimate_peak(20_000), _estimate_peak(200_000)
     assert large < 200_000 * 16 * 8 / 4
     assert large <= 1.25 * small
+
+
+def test_one_codeword_streams_chunks_of_bounded_size():
+    # at rate 0 the codebook is one codeword, whose `_products` row block
+    # was 2^17 rows; at L = 64 each of x, y and the [x, 1] staging block of
+    # such a chunk held about 67 MB (215 MB of peak here), where a chunk of
+    # about 2^16 values holds 1 MB
+    assert simulator._chunk_rows(64, 1, 64) * 64 <= 2 * simulator._CHUNK_VALUES
+    assert _estimate_peak(140_000, rate=0.0, block_len=64) < 16e6
 
 
 def test_component_water_filling_beats_equal_split():
