@@ -417,9 +417,17 @@ def _tally(hits, false_neg, trials: int):
 def _chunk_rows(block_len: int, count: int, dim: int) -> int:
     """Rows of one chunk of pairs: about _CHUNK_VALUES // block_len, rounded
     down to a multiple (at least one) of the `_products` row count of a
-    codebook of `count` codewords of `dim` samples."""
+    codebook of `count` codewords of `dim` samples.  When one such row block
+    would hold more than twice that many rows (a codebook of fewer
+    codewords than a block has samples), the chunk is instead the
+    largest divisor of the row block within the target, so that no chunk
+    straddles two row blocks and the chunk stays within the target at any
+    block length."""
     step = _block_rows(count, dim)
-    return max(1, _CHUNK_VALUES // block_len // step) * step
+    target = max(1, _CHUNK_VALUES // block_len)
+    if step <= 2 * target:
+        return max(1, target // step) * step
+    return step // next(k for k in range(-(-step // target), step + 1) if step % k == 0)
 
 
 def _sample_streams(model, block_len: int, n_train: int, n_generators: int, trials: int,
@@ -474,7 +482,12 @@ def estimate_pr_maybe(
     The pairs are drawn, encoded and decided one chunk of `_chunk_rows`
     rows at a time, keeping only per-threshold counts between chunks, so
     memory does not grow with `trials`.  The results are those of drawing
-    and encoding every pair at once, bit for bit.
+    and encoding every pair at once, bit for bit, whenever a chunk holds
+    whole `_products` row blocks: always unless one row block would hold
+    more than twice _CHUNK_VALUES values of x (a codebook of fewer codewords
+    than the block has samples, as at 1 bit per sample and 512 samples),
+    where a chunk is a fraction of one and a nearest codeword can differ at
+    a tie within rounding (see `component_scheme_pr_maybe`).
 
     Pass a dict as `training` to receive the codebook's k-means round count
     (`kmeans_rounds`) and per-sample training distortion at its last
@@ -534,9 +547,15 @@ def component_scheme_pr_maybe(
     maybe iff every component says maybe; false negatives are counted against
     the original-domain distance and are structurally zero.
 
-    The pairs stream through in chunks as in `estimate_pr_maybe`, of a
-    multiple of the `_products` row count of the smallest component
-    codebook (so of every one's when the counts are powers of two).
+    The pairs stream through in chunks of about _CHUNK_VALUES values of x,
+    as in `estimate_pr_maybe`, of a multiple of the `_products` row count of
+    the smallest component codebook (so of every one's when the counts are
+    powers of two), or, when one row block alone would hold more than twice
+    that (few codewords at a large M: 1 or 2 at M > 2), of a divisor of it
+    (`_chunk_rows`).
+    Such a chunk's products are smaller matrix products than one call over
+    every pair makes, which a BLAS may round differently in the last bit, so
+    a nearest codeword can then differ at a tie within rounding.
 
     Pass a list as `decision_log` to receive each component's per-trial
     decision array (for auditing the AND composition).

@@ -5,9 +5,10 @@ update.  For a slope s >= 0 the conditional is
 
     Q'(xhat_j | x_i) = t(xhat_j) * exp(-s * (Gamma - Gamma P P^T)(j, i)),
 
-column-normalized, followed by t <- Q P.  The constant shift Gamma P P^T is
-precomputed once per solve, and exponentials are stabilized by subtracting the
-per-column maximum exponent (the normalization cancels the shift exactly).
+column-normalized, followed by t <- Q P.  The constant shift Gamma P P^T needs
+only c = Gamma P, computed once per table and P (`_solve_setup`), and
+exponentials are stabilized by subtracting the per-column maximum exponent
+(the normalization cancels the shift exactly).
 
 No iteration forms Q.  With e = exp(a) fixed per slope, Q = e t / col where
 col = t e, so t <- t * (e w) with w = P / col.  E_joint and the shift term of
@@ -92,8 +93,9 @@ the channel moments: E_prod - E_joint for Hamming distance, and
 import functools
 import logging
 import math
+import weakref
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -149,6 +151,9 @@ class DistortionMatrix:
     list x: the letter permutations q other than the identity with
     Gamma[q][:, q] == Gamma bit for bit that it finds (`_symmetries`).  With
     the identity they form a group of order 1, 2 or 4.
+
+    A solve may keep its set-up for the next solve on the same table
+    (`_solve_setup`), so a table is not to be changed once solved on.
     """
 
     def __init__(self, gamma, metric: str = QUADRATIC):
@@ -377,59 +382,86 @@ def _exp(a) -> np.ndarray:
     reads such entries).  Each entry moves by less than 2.3e-308."""
     normal = a >= _LOG_TINY
     np.exp(a, out=a, where=normal)
-    a[~normal] = 0.0
+    np.copyto(a, 0.0, where=np.logical_not(normal, out=normal))
     return a
 
 
-def _tilt(g, p, s: float, exponent_shift: bool = True, c=None, amax=None):
+def _tilt(g, p, s: float, exponent_shift: bool = True, c=None, amax=None, live=None):
     """Per-slope terms of the update: (c, amax, e) with c = Gamma p, amax the
     column maxima of a = -s * (Gamma - c p^T) (or -s * Gamma without the
-    shift), and e = exp(a - amax) (`_exp`).  p is the mass of each column of
-    g; a given c (the rows' Gamma p over every letter) or amax is used as it
-    is."""
+    shift), and e = exp(a - amax) (`_exp`).  Gamma is g, or, when g is a
+    stack of row blocks (3-D, one row per entry of c), the blocks g[h] cut
+    to their rows `live` (None: all) and stacked in order; each is read once
+    and copied only when cut, one at a time, and g is never written.  p is
+    the mass of each column of g; a given c (the rows' Gamma p over every
+    letter) or amax is used as it is."""
+    if g.ndim == 2:
+        g = g[None]
     if c is None:
-        c = g @ p
+        c = g[0] @ p
+    k = c.size
+    a = np.empty((len(g) * k, p.size))
+    for h, block in enumerate(g):
+        ah = a[h * k:(h + 1) * k]
+        if live is not None:
+            block = block[live]
+        if exponent_shift:
+            # shift entry (j, i) = p_i * sum_k p_k rho(x_k, xhat_j); in place,
+            # s * (c p^T - Gamma) is -s * (Gamma - c p^T) bit for bit
+            np.outer(c, p, out=ah)
+            ah -= block
+        else:
+            np.multiply(block, -s, out=ah)
     if exponent_shift:
-        # shift entry (j, i) = p_i * sum_k p_k rho(x_k, xhat_j); in place,
-        # s * (c p^T - Gamma) is -s * (Gamma - c p^T) bit for bit
-        a = np.outer(c, p)
-        a -= g
         a *= s
-    else:
-        a = -s * g
     if amax is None:
         amax = a.max(axis=0)
     a -= amax
     return c, amax, _exp(a)
 
 
-def _folded_tilt(table, p, s: float, exponent_shift: bool, images, cols, c):
-    """`_tilt` on the codewords `images` and the letters `cols`, one letter
-    per letter orbit with masses p: (amax, K, KG).  Row h of `images` holds
-    the image under the h-th group element (the identity first) of one
-    codeword of each live orbit, whose Gamma p values are c.  K is the mean
-    of the group's row blocks of e, the orbit average of each codeword row
-    (`_fold_rows`), and KG the same of e * Gamma.  The dense kernel is the
-    case of the trivial group: K and KG are the rows of e and e * Gamma.
-    The tilt reads the table's block of those rows and letters only, and
-    e * Gamma is written over that block unless it is a view of the
-    caller's table: a dense table whose rows are all live and whose `cols`
-    is a slice, which is then tilted with no copy of Gamma."""
-    order, k = images.shape
-    g = table.block(slice(None) if (order, k) == (1, table.shape[0]) else images.ravel(), cols)
-    _, amax, e = _tilt(g, p, s, exponent_shift, c=np.tile(c, order))
-    eg = np.multiply(e, g, out=g if g.base is None else None)
-    return amax, _fold_rows(e, order), _fold_rows(eg, order)
+def _folded_tilt(block, live, p, s: float, exponent_shift: bool, c):
+    """`_tilt` of a solve's set-up block (`_Setup.block`: row block h holds
+    the image under the h-th group element, the identity first, of one
+    codeword of each orbit, on one letter per letter orbit with masses p),
+    cut to the live orbits `live` (None: all), whose Gamma p values are c:
+    (amax, K, KG).  K is the mean of the group's row blocks of e, the orbit
+    average of each codeword row (`_fold_rows`), and KG the same of
+    e * Gamma.  The dense kernel is the case of the trivial group: K and KG
+    are the rows of e and e * Gamma.  The block is shared by every solve of
+    the set-up and only read: e is folded into K first, then e * Gamma is
+    written over e, one image block at a time, and folded over its own
+    first block (KG is a view of e), so the tilt holds the block, e, K and,
+    when rows are dead, the live rows of one image block at a time.  On the
+    dense kernel K is e itself, so e * Gamma takes a copy of the live rows
+    (or, with every row live, a fresh array)."""
+    order = block.shape[0]
+    _, amax, e = _tilt(block, p, s, exponent_shift, c=c, live=live)
+    k = _fold_rows(e, order)
+    if order == 1:  # k is e
+        g = block[0] if live is None else block[0][live]
+        eg = np.multiply(e, g, out=None if live is None else g)
+    else:
+        for eh, g in zip(e.reshape(order, -1, e.shape[1]), block):
+            eh *= g if live is None else g[live]
+        eg = e
+    return amax, k, _fold_rows(eg, order, over=True)
 
 
-def _fold_rows(x, order) -> np.ndarray:
-    """The mean of the `order` row blocks of x, x itself when order is 1.  x
-    is non-negative; a mean that would be sub-normal is an exact zero, as in
-    `_exp`.  Under the mirror alone this is (e[R] + e[sigma R]) / mu with
-    orbit sizes mu, bit for bit, since (y + y) / 2 == y."""
+def _fold_rows(x, order, over=False) -> np.ndarray:
+    """The mean of the `order` row blocks of x, x itself when order is 1: a
+    new array, or, with `over`, x's first row block, written over (a view,
+    which keeps all of x).  The blocks are added in order, as numpy's sum
+    over the block axis adds them.  x is non-negative; a mean that would be
+    sub-normal is an exact zero, as in `_exp`.  Under the mirror alone this
+    is (e[R] + e[sigma R]) / mu with orbit sizes mu, bit for bit, since
+    (y + y) / 2 == y."""
     if order == 1:
         return x
-    out = x.reshape(order, -1, x.shape[1]).sum(axis=0)
+    blocks = x.reshape(order, -1, x.shape[1])
+    out = blocks[0] if over else blocks[0].copy()
+    for b in blocks[1:]:
+        out += b
     out /= order
     out[out < _TINY] = 0.0
     return out
@@ -488,6 +520,69 @@ def _orbits(group):
     reps = np.flatnonzero(least == group[0])  # group[0] is the identity
     orbit = np.searchsorted(reps, least)
     return (slice(reps.size) if reps[-1] == reps.size - 1 else reps), orbit
+
+
+class _Setup(NamedTuple):
+    """What a solve needs that depends on the table, p and the kernel's group
+    only, not on the slope or the warm start's live rows (`_solve_setup`)."""
+
+    reps: object  # one codeword of each orbit (`_orbits`)
+    orbit: np.ndarray  # the orbit of each codeword
+    mu_all: np.ndarray  # the size of each codeword orbit
+    letter_orbit: np.ndarray  # the column of each letter of positive mass
+    p_orb: np.ndarray  # the mass of each letter orbit of positive mass
+    p_letter: np.ndarray  # the mass of one letter of each
+    c_all: np.ndarray  # Gamma p on each codeword orbit
+    rep: np.ndarray  # the index of one codeword of each orbit
+    block: np.ndarray  # (order, orbits, columns): Gamma on the orbit images x columns
+
+
+#: the set-up of the last solve, keyed by its table (`_solve_setup`)
+_last_setup = weakref.WeakKeyDictionary()
+
+
+def _solve_setup(table, p, group) -> _Setup:
+    """The set-up of a solve on `table` with source masses p that folds
+    under `group` (`_kernel`): the orbits, the letter-orbit masses, Gamma p
+    on each codeword orbit and the block of Gamma that the tilt reads, the
+    images of one codeword of each orbit under each group element (the
+    identity first) on one letter of each letter orbit of positive mass.
+    On the dense kernel the block is the table's own rows, a view of a
+    dense table when every letter has mass.
+
+    The last set-up built is kept for the next solve, so every slope of a
+    sweep, and every sweep of the same p on one table (the TC and the plain
+    rate-distortion sweep of `compare`), builds it once; a solve whose warm
+    start prunes rows reads their live rows from its block (`_folded_tilt`).
+    Only one set-up is kept, and only while its table lives: the components
+    of `component_tc_curve`, swept one table after the other, hold one
+    block at a time, not one each."""
+    key = p.tobytes(), group.tobytes()
+    if table in _last_setup and _last_setup[table][0] == key:
+        return _last_setup[table][1]
+    _last_setup.clear()  # the old block goes before the new one is built
+    m, n = table.shape
+    order = len(group)
+    # the orbit of each codeword; under a symmetry (m = n) each letter has
+    # the same orbit, otherwise each letter is its own
+    reps, orbit = _orbits(group)
+    cols, letter_orbit = (reps, orbit) if order > 1 else (slice(None), np.arange(n))
+    p_orb = np.bincount(letter_orbit, p)  # the mass of each letter orbit
+    if not p_orb.all():
+        # a letter of zero mass weighs nothing in J, the moments or the
+        # update, so the solve runs on the letter orbits of positive mass;
+        # letter_orbit then maps each letter of positive mass to its column
+        massive = np.flatnonzero(p_orb)
+        cols = np.arange(n)[cols][massive]
+        letter_orbit = np.searchsorted(massive, letter_orbit[p > 0])
+        p_orb = p_orb[massive]
+    c_all = table.block(reps, slice(None)) @ p  # before the block, so no two are alive
+    rep = np.arange(m)[reps]
+    block = table.block(slice(None) if order == 1 else group[:, rep].ravel(), cols)
+    setup = _Setup(reps, orbit, np.bincount(orbit).astype(float), letter_orbit, p_orb,
+                   p[cols], c_all, rep, block.reshape(order, rep.size, -1))
+    _last_setup[table] = key, setup
+    return setup
 
 
 #: each solve's DEBUG line: slope, kernel, rows x letter columns, stop reason
@@ -584,12 +679,19 @@ def solve_tc_point(
     all those that do, with or without the shift, and its code marginal is
     fixed by them exactly too, so a warm-started sweep stays folded.  Every
     other input runs dense.  Dense and folded matrices come from one set-up
-    (`_folded_tilt`), dense being the case of the trivial group.
-    A dense solve holds e and e * Gamma, a folded one their orbit averages
-    (a quarter of the size under the mirror, a fourteenth under all four
-    maps); a mid-solve cut copies one matrix at a time.  The set-up reads the
-    table's blocks of the rows and letters it needs (`DistortionMatrix.block`)
-    and nothing more, so a product table builds no dense array.
+    (`_solve_setup`), dense being the case of the trivial group: the orbits,
+    Gamma p on each codeword orbit and the block of Gamma on the orbit
+    images and letter orbits.  It depends on the table, p and the group
+    only, so it is built on the first solve and kept for the next one on the
+    same table with the same p and group: a sweep builds it once, and so do
+    the TC and the plain rate-distortion sweep of one table and p.  A solve
+    only tilts that block (its live rows when the warm start pruned some)
+    and folds it (`_folded_tilt`).  A dense solve holds e and e * Gamma, a
+    folded one their orbit averages (a quarter of the size under the
+    mirror, a fourteenth under all four maps); a mid-solve cut copies one
+    matrix at a time.  The set-up reads the table's blocks of the rows and
+    letters it needs (`DistortionMatrix.block`) and nothing more, so a
+    product table builds no dense array.
     """
     p = _probs(p_x)
     table = _table(gamma)
@@ -610,21 +712,8 @@ def solve_tc_point(
             raise DimensionMismatch("warm start length must match the codeword grid")
 
     kernel, group = _kernel(table, p, t)
-    # the orbit of each codeword; under a symmetry (m = n) each letter has
-    # the same orbit, otherwise each letter is its own
-    reps, orbit = _orbits(group)
-    cols, letter_orbit = (reps, orbit) if kernel == "folded" else (slice(None), np.arange(n))
-    mu_all = np.bincount(orbit).astype(float)  # codeword orbit sizes
-    p_orb = np.bincount(letter_orbit, p)  # the mass of each letter orbit
-    if not p_orb.all():
-        # a letter of zero mass weighs nothing in J, the moments or the
-        # update, so the solve runs on the letter orbits of positive mass;
-        # letter_orbit then maps each letter of positive mass to its column
-        massive = np.flatnonzero(p_orb)
-        cols = np.arange(n)[cols][massive]
-        letter_orbit = np.searchsorted(massive, letter_orbit[p > 0])
-        p_orb = p_orb[massive]
-    p_letter = p[cols]  # the mass of one letter of each orbit
+    reps, orbit, mu_all, letter_orbit, p_orb, p_letter, c_all, rep, block = \
+        _solve_setup(table, p, group)
     t = t[reps]  # the mass of one codeword of each orbit
     rows = np.flatnonzero(t > PRUNE_EPS)  # orbit of each live row
     if rows.size == 0:
@@ -633,11 +722,10 @@ def solve_tc_point(
     n_live = int(mu.sum())
     if n_live < m:
         logger.debug("pruning %d dead codewords before slope %g", m - n_live, s)
-    c_all = table.block(reps, slice(None)) @ p  # Gamma p on each codeword orbit
     c = c_all[rows]
-    rep = np.arange(m)[reps]  # one codeword of each orbit
-    amax, e, eg = _folded_tilt(table, p_letter, s, exponent_shift, group[:, rep[rows]], cols, c)
-    setup = s, kernel, rows.size, p_orb.size  # for the DEBUG line
+    amax, e, eg = _folded_tilt(block, None if rows.size == rep.size else rows, p_letter, s,
+                               exponent_shift, c)
+    line = s, kernel, rows.size, p_orb.size  # for the DEBUG line
     if isinstance(p_x, Pmf) and p_x.n == m:
         support = p_x.support
     else:
@@ -650,7 +738,7 @@ def solve_tc_point(
         dead = np.flatnonzero(t <= PRUNE_EPS)
         if _one_codeword(e, kr, p_orb, table, p, s, exponent_shift, rep[k], rep[dead],
                          c_all[dead] - c_all[k]):
-            logger.debug(_SOLVE_LINE, *setup, ONE_CODEWORD, 0)
+            logger.debug(_SOLVE_LINE, *line, ONE_CODEWORD, 0)
             return _one_codeword_solution(s, support, rep[k], float(c_all[k]), table.shape)
     p_amax = float(p_orb @ amax)
 
@@ -664,12 +752,14 @@ def solve_tc_point(
     step_i = step_d = math.inf
     t_new = mu * t[rows]
     t_new /= t_new.sum()
+    ltn = np.log(t_new, out=np.zeros_like(t_new), where=t_new > 0)
+    floor = mu * PRUNE_EPS  # each codeword of the orbit at PRUNE_EPS
     # _step raises NumericalUnderflow where p / col overflows
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, max_iter + 1):
-            tv = t_new  # the marginal behind this iteration's channel e tv / col
+            tv, lt = t_new, ltn  # the marginal behind this iteration's channel e tv / col
             assert (tv >= 0.0).all()  # e >= 0, so the channel is non-negative too
-            dead = tv <= mu * PRUNE_EPS  # each codeword of the orbit at PRUNE_EPS
+            dead = tv <= floor
             n_dead = int(mu[dead].sum())
             if 8 * n_dead >= n_live:
                 logger.debug(
@@ -677,14 +767,14 @@ def solve_tc_point(
                     "PRUNE_EPS", s, iterations, n_dead, n_live,
                 )
                 live = ~dead
-                rows, c, tv, mu = rows[live], c[live], tv[live], mu[live]
+                rows, c, tv, lt = rows[live], c[live], tv[live], lt[live]
+                mu, floor = mu[live], floor[live]
                 n_live -= n_dead
                 # one matrix at a time, so no old and new copies of both are alive
                 e = e[live]
                 eg = eg[live]
             col, w, t_new, cte = _step(e, tv, p_orb, c if exponent_shift else None)
             shift_term = 0.0 if cte is None else float(cte @ (p_letter * w))
-            lt = np.log(tv, out=np.zeros_like(tv), where=tv > 0)
             ltn = np.log(t_new, out=np.zeros_like(t_new), where=t_new > 0)
             # J and I(X;Xhat) in nats from log Q = a - amax + log t - log col.
             # p . amax and s * shift_term nearly cancel, so I subtracts them together.
@@ -707,7 +797,7 @@ def solve_tc_point(
             i_prev, d_prev, lagr_prev, surr_prev = i_bits, d_s, lagr, surr
 
     stop_reason = TOL if converged else MAX_ITER
-    logger.debug(_SOLVE_LINE, *setup, stop_reason, iterations)
+    logger.debug(_SOLVE_LINE, *line, stop_reason, iterations)
     if not converged:
         logger.warning(
             "slope %g: not converged after %d iterations (last |dI| = %.3e bit, "

@@ -570,6 +570,23 @@ def test_one_codeword_streams_chunks_of_bounded_size():
     assert _estimate_peak(140_000, rate=0.0, block_len=64) < 16e6
 
 
+def test_component_scheme_streams_chunks_of_bounded_size_at_any_order():
+    # 1 bit per component: scalar books of 2 codewords, whose `_products`
+    # row block is 65536 rows, so a chunk of a multiple of it held
+    # 65536 x 16 values of each of x, y and their coefficients (41.6 MB of
+    # peak at 70000 trials); the chunk is now a divisor of the row block
+    model = MultivariateGaussian(toeplitz_covariance(0.7 ** np.arange(16), 16))
+    assert simulator._chunk_rows(16, 2, 1) * 16 == simulator._CHUNK_VALUES
+    assert simulator._chunk_rows(16, 1024, 16) == 4096
+    tracemalloc.start()
+    try:
+        component_scheme_pr_maybe(model, [1.0] * 16, [0.5] * 16, 0.5, 70_000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 def test_component_water_filling_beats_equal_split():
     # same total rate (2 bits per block), water-filling allocation vs equal
     cov = toeplitz_covariance([1.0, 0.7], 2)

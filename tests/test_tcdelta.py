@@ -1046,6 +1046,116 @@ def test_sweeps_on_a_product_table_build_no_dense_table(monkeypatch):
         g.gamma
 
 
+@st.composite
+def _shared_table_cases(draw):
+    """A mirror-symmetric letter list of `_mirror_cases` (a product grid,
+    held as letters, or a free point list, held dense), masses p that the
+    mirror fixes or a tilted copy that it does not, and 2-4 solves on it:
+    slope, warm start, shift and iteration cap.  A warm start is None or has
+    dead entries (0, sub-normal or at PRUNE_EPS), mirror-symmetric or not,
+    so the solves run folded or dense and some share a set-up while others
+    replace it."""
+    letters, p, *_ = draw(_mirror_cases())
+    n = len(p)
+    if draw(st.booleans()):
+        p = p * np.linspace(1.0, 2.0, n)
+        p /= p.sum()
+
+    def warm_start():
+        if draw(st.booleans()):
+            return None
+        t0 = draw(arrays(float, n, elements=st.floats(1e-3, 1.0)))
+        dead = draw(arrays(bool, n))
+        if draw(st.booleans()):
+            t0, dead = (t0 + t0[::-1]) / 2, dead | dead[::-1]
+        t0 /= t0.sum()
+        t0[dead] = draw(st.sampled_from([0.0, 1e-310, PRUNE_EPS]))
+        assume((t0 > PRUNE_EPS).any())
+        return t0
+
+    solves = [(draw(st.floats(0.0, 20.0)), warm_start(), draw(st.booleans()),
+               draw(st.integers(1, 30))) for _ in range(draw(st.integers(2, 4)))]
+    return letters, p, solves
+
+
+def _assert_identical_solve(a, b):
+    """Every field of two solutions, the code marginal and the built
+    channel, bit for bit; or the same error."""
+    if not isinstance(a, TcSolution) or not isinstance(b, TcSolution):
+        assert a == b
+        return
+    scalars = ("slope_s", "rate", "e_prod", "e_joint", "lagrangian_rise", "surrogate_rise")
+    assert np.array([getattr(a, f) for f in scalars]).tobytes() == \
+        np.array([getattr(b, f) for f in scalars]).tobytes()
+    assert (a.iterations, a.stop_reason) == (b.iterations, b.stop_reason)
+    for x, y in ((a.code_marginal.support, b.code_marginal.support),
+                 (a.code_marginal.probs, b.code_marginal.probs), (a.channel.q, b.channel.q)):
+        assert x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_shared_table_cases())
+def test_solves_sharing_a_table_equal_solves_on_fresh_tables(case):
+    # a solve keeps its set-up for the next solve on the same table; one
+    # table solved on in turn gives what a fresh table per solve gives
+    letters, p, solves = case
+    fresh = [_solve_or_error(p, distortion_matrix(letters, letters), s, 0.0, k, t0, shift)
+             for s, t0, shift, k in solves]
+    g = distortion_matrix(letters, letters)
+    for (s, t0, shift, k), ref in zip(solves, fresh):
+        _assert_identical_solve(_solve_or_error(p, g, s, 0.0, k, t0, shift), ref)
+
+
+def _joint_table(points):
+    letters, probs = discretize_mv_gaussian(toeplitz_covariance([1.0, 0.7], 2), 6.0, points)
+    return probs, distortion_matrix(letters, letters)
+
+
+def test_sweeps_of_one_table_build_its_set_up_once(monkeypatch):
+    # the TC and the plain rate-distortion sweep of one product table share
+    # one set-up: Gamma p on the 81 codeword orbits of the 289 letters, and
+    # the 324 x 81 block of the orbit images on the letter orbits
+    probs, g = _joint_table(17)
+    shapes = []
+    block = g.block
+
+    def spy(rows, cols):
+        out = block(rows, cols)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(g, "block", spy)
+    for exponent_shift in (True, False):
+        sweep_points(probs, g, [0.5, 2.0, 8.0], exponent_shift=exponent_shift)
+    assert shapes.count((81, 289)) == 1 and shapes.count((324, 81)) == 1
+
+
+def test_joint_sweep_that_prunes_rows_peaks_within_three_blocks(caplog):
+    # an 8-slope ladder whose warm starts prune rows: the set-up's block is
+    # kept for the whole sweep, and a solve with dead rows tilts their live
+    # rows one image block at a time, holding no second copy of the block.
+    # The plain rate-distortion sweep after it reuses the set-up.
+    probs, g = _joint_table(17)
+    s_grid = np.geomspace(0.35, 130.0, 8)
+    # numpy's one-time allocations fall outside the traced sweeps, and so
+    # does no set-up: this one is dropped when g builds its own
+    sweep_points(probs, _joint_table(17)[1], s_grid[-1:], max_iter=1)
+    block_bytes = 324 * 81 * 8
+    peaks = []
+    with caplog.at_level(logging.DEBUG, logger="idq.tcdelta"):
+        for exponent_shift in (True, False):
+            tracemalloc.start()
+            try:
+                sweep_points(probs, g, s_grid, max_iter=300, exponent_shift=exponent_shift)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert "dead codewords before slope" in caplog.text
+    tc_peak, plain_peak = peaks
+    assert tc_peak <= 3 * block_bytes
+    assert plain_peak <= 2 * block_bytes
+
+
 def test_product_table_with_a_non_finite_entry_is_rejected():
     # each coordinate's squares of the first grid are finite and their sum is
     # not; an infinite letter makes an entry inf or NaN
