@@ -7,7 +7,6 @@ negatives are impossible by construction; the harness certifies that and
 estimates Pr{maybe}.
 """
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -28,6 +27,9 @@ MAX_SUB_BLOCK_BITS = 12.0
 _KMEANS_ITERS = 20
 _KMEANS_RTOL = 1e-6
 _ASSIGN_ENTRIES = 1 << 17
+#: Float32 products pick a row's nearest codeword only where ||x|| + max ||c||
+#: lies in this range (see `_products`).
+_F32_NORMS = (2.0**-32, 2.0**32)
 #: The estimators draw, encode and tally their (x, y) pairs in chunks of
 #: about this many sample values of x, so their memory does not grow with
 #: the trial count.
@@ -56,11 +58,6 @@ class Codebook:
     @property
     def rate_bits(self) -> float:
         return math.log2(self.count) / self.block_len
-
-    @functools.cached_property
-    def first_copy(self) -> np.ndarray:
-        """`_first_copy` of the codewords, computed once per codebook."""
-        return _first_copy(self.codewords)
 
 
 @dataclass(frozen=True)
@@ -115,99 +112,156 @@ def _block_rows(count: int, dim: int) -> int:
     return max(1, _ASSIGN_ENTRIES // max(count, dim + 1))
 
 
-def _products(codewords: np.ndarray, blocks: np.ndarray, reduce, width: int = None) -> None:
-    """Chunked distance products: reduce(lo, hi, x, d2) for each chunk of rows.
+def _products(codewords: np.ndarray, blocks: np.ndarray, reduce, cols=None) -> None:
+    """Chunked float32 distance products: reduce(lo, hi, d2, margin) for
+    each chunk of rows blocks[lo:hi].
 
     ||x - c||^2 - ||x||^2 = [x, 1] . [-2c, ||c||^2], and ||x||^2 is the same
     for every codeword, so each chunk of rows x = blocks[lo:hi] costs one
-    matrix product [x, 1] @ A with A = [-2C, ||c||^2]^T, written into a
-    distance block d2 that `reduce` reads and may overwrite; it writes only
-    rows lo:hi of its outputs.  A chunk holds `_block_rows` rows: about
-    _ASSIGN_ENTRIES distances (1 MB, which stays in a core's cache from the
-    product to `reduce`) against a codebook of `width` codewords (default:
-    all of `codewords`; a screen against some codewords of a codebook keeps
-    the codebook's chunks and blocks no larger than its full search's), and
-    no more [x, 1] values than that, so the chunk boundaries depend only on
-    the codebook.  Every chunk reuses one distance block and one [x, 1]
-    staging block.  The estimators pass their pairs in chunks of a multiple
-    of this row count (`_chunk_rows`), so their products see the row blocks
-    that one call over every pair would.
+    float32 matrix product [x, 1] @ A with A = [-2C, ||c||^2]^T over the
+    codewords[cols] (default: all), written into a distance block d2 that
+    `reduce` reads and may overwrite; it writes only rows lo:hi of its
+    outputs.  The entries only pick codewords, and only where `margin`
+    certifies the pick: a row whose smallest entry lies more than
+    margin[row] below every other entry of its codewords has that codeword
+    as its unique nearest by a wide gap, which the float64 products and the
+    difference-form distances also find.  A row outside float32's range
+    (`_F32_NORMS`) gets margin inf, and its entries mean nothing.  A chunk
+    holds `_block_rows` rows of the codewords searched: about
+    _ASSIGN_ENTRIES distances (512 kB, which stays in a core's cache from
+    the product to `reduce`) and no more [x, 1] values than that, so a
+    screen against a few codewords runs a few long chunks.  Every chunk
+    reuses one distance block and one [x, 1] staging block.
     """
+    # Each entry is a float32 dot product of L + 1 terms (L = dim) of x and
+    # A, both rounded to float32.  With u = 2^-24 it lies within
+    # e = (L + 3) u (||x|| + max ||c||)^2 of its exact value ||c||^2 - 2 x.c,
+    # to first order and in any summation order: (L + 1) u for the products
+    # and the sum, and u each for the roundings of x, of -2c and of ||c||^2.
+    # Exact values of two codewords differ by the difference of their exact
+    # distances.  So a row whose smallest entry lies more than margin = 4e
+    # below every other has a nearest codeword that beats every other by
+    # more than 2e, which no float64 product (error near 2^-29 e) and no
+    # difference-form distance (the same) can reverse; the factor 2 also
+    # covers second-order terms and the rounding of the margin.  The bound
+    # needs float32 to neither overflow nor go sub-normal where it matters:
+    # with ||x|| + max ||c|| in [2^-32, 2^32] every partial sum stays below
+    # 2^64, and each under- or flushed-to-zero term errs by at most 2^-126,
+    # below 2^-30 e.  Other rows are staged as zeros and get margin inf.
+    # max ||c|| is over every codeword, not only codewords[cols], so that the
+    # margin also covers the earlier products' entries a screen compares with.
     n, dim = blocks.shape
-    count = codewords.shape[0]
-    a = np.empty((dim + 1, count))
-    a[:dim] = -2.0 * codewords.T
-    a[dim] = (codewords**2).sum(axis=1)
-    rows = _block_rows(width or count, dim)
+    norms = (codewords**2).sum(axis=1)
+    c_norm = math.sqrt(float(norms.max()))
+    if cols is not None:
+        codewords, norms = codewords[cols], norms[cols]
+    a = np.zeros((dim + 1, codewords.shape[0]), dtype=np.float32)
+    if c_norm <= _F32_NORMS[1]:
+        a[:dim] = -2.0 * codewords.T
+        a[dim] = norms
+    r = np.sqrt(np.einsum("ij,ij->i", blocks, blocks)) + c_norm
+    fits = (r >= _F32_NORMS[0]) & (r <= _F32_NORMS[1])
+    margin = np.where(fits, (dim + 3) * 2.0**-22 * r * r, np.inf)
+    if not fits.all():
+        blocks = np.where(fits[:, None], blocks, 0.0)
+    rows = _block_rows(a.shape[1], dim)
     size = min(rows, n)
-    d2 = np.empty((size, count))
-    x1 = np.ones((size, dim + 1))
+    d2 = np.empty((size, a.shape[1]), dtype=np.float32)
+    x1 = np.ones((size, dim + 1), dtype=np.float32)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        x, m = blocks[lo:hi], hi - lo
-        x1[:m, :dim] = x
+        m = hi - lo
+        x1[:m, :dim] = blocks[lo:hi]
         np.matmul(x1[:m], a, out=d2[:m])
-        reduce(lo, hi, x, d2[:m])
+        reduce(lo, hi, d2[:m], margin[lo:hi])
 
 
-def _first_copy(codewords: np.ndarray) -> np.ndarray:
-    """Index of the first copy (bytewise equal row) of each codeword."""
-    cw = np.ascontiguousarray(codewords)
-    keys = cw.view(np.dtype((np.void, cw.itemsize * cw.shape[1]))).ravel()
-    _, first, copy_of = np.unique(keys, return_index=True, return_inverse=True)
-    return first[copy_of]
+def _row_min(d2: np.ndarray) -> np.ndarray:
+    """Each row's smallest entry (one `argmin` pass, cheaper than `min`'s)."""
+    return d2[np.arange(d2.shape[0]), d2.argmin(axis=1)]
 
 
-def _nearest(codewords: np.ndarray, blocks: np.ndarray, runner_up: bool = False,
-             lowest: np.ndarray = None):
+def _first_nearest(codewords: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Index of each row's nearest codeword by the difference-form distances
+    ((c - x)^2).sum() of `_sq_dists`, the first at a tie, so that copies of
+    a codeword go to the first copy.  Its differences take no more bytes
+    than one float32 `_products` distance block (_ASSIGN_ENTRIES // 2
+    values), however many rows and codewords there are."""
+    n, dim = x.shape
+    count = codewords.shape[0]
+    cols = max(1, min(count, _ASSIGN_ENTRIES // (2 * dim)))
+    rows = max(1, min(n, _ASSIGN_ENTRIES // (2 * cols * dim)))
+    idx = np.zeros(n, dtype=np.int64)
+    best = np.full(n, np.inf)
+    diff = np.empty((rows, cols, dim))
+    for lo in range(0, n, rows):
+        xs = x[lo:lo + rows, None]
+        for c0 in range(0, count, cols):
+            cs = codewords[None, c0:c0 + cols]
+            d = np.subtract(cs, xs, out=diff[:xs.shape[0], :cs.shape[1]])
+            d *= d
+            s = d.sum(axis=2)
+            j = s.argmin(axis=1)
+            v = s[np.arange(s.shape[0]), j]
+            win = np.flatnonzero(v < best[lo:lo + rows])
+            idx[lo + win] = c0 + j[win]
+            best[lo + win] = v[win]
+    return idx
+
+
+def _nearest(codewords: np.ndarray, blocks: np.ndarray, runner_up: bool = False):
     """Chunked nearest-codeword search: (indices, exact squared distances).
 
-    Each chunk is one `_products` block and one argmin.  Leaving ||x||^2 out
-    moves only ties at rounding level.  Ties resolve to the lowest index:
-    argmin returns the first minimum, and a copy of a codeword maps to its
-    first copy (`lowest`, the codewords' `_first_copy`, computed here when
-    not given).  Stored distances are recomputed from the differences, never
-    taken from the product.  With `runner_up`, also returns each row's own
-    product value (its codeword's entry of [x, 1] @ A) and runner-up value
-    (the smallest entry of any other codeword, inf for one codeword).
+    Each chunk is one float32 `_products` block and its `argmin`, kept for
+    each row whose runner-up entry clears its own by the margin (always
+    with one codeword).  The other rows (near ties, copies of a codeword,
+    rows outside float32's range) are decided by `_first_nearest`.  Every
+    index is thus the first minimum of the difference-form distances, a
+    function of the row and the codebook alone, whatever the chunks and
+    however a BLAS blocks them.  Stored distances are recomputed from the
+    differences, never taken from the product.  With `runner_up`, also
+    returns each row's own value (the float32 entry of its argmin) and
+    runner-up value (the smallest entry of any other codeword: inf for one
+    codeword, -inf for a row that `_first_nearest` decided).
     """
     n = blocks.shape[0]
     idx = np.empty(n, dtype=np.int64)
-    dist = np.empty(n)
-    own, runner = (np.empty(n), np.empty(n)) if runner_up else (None, None)
-    # BLAS may round the product differently for two copies of one codeword,
-    # so each index maps to the first copy of its codeword
-    cw = np.ascontiguousarray(codewords)
-    if lowest is None:
-        lowest = _first_copy(cw)
+    own, runner = np.empty(n), np.empty(n)
 
-    def reduce(lo, hi, x, d2):
-        ii = lowest[d2.argmin(axis=1)]
+    def reduce(lo, hi, d2, margin):
+        r = np.arange(hi - lo)
+        ii = d2.argmin(axis=1)
+        own[lo:hi] = d2[r, ii]
+        d2[r, ii] = np.inf
+        runner[lo:hi] = _row_min(d2)
+        near = np.flatnonzero(runner[lo:hi] - own[lo:hi] <= margin)
+        if near.size:
+            ii[near] = _first_nearest(codewords, blocks[lo + near])
+            runner[lo + near] = -np.inf
         idx[lo:hi] = ii
-        dist[lo:hi] = _sq_dists(codewords, x, ii)
-        if runner_up:
-            r = np.arange(hi - lo)
-            own[lo:hi] = d2[r, ii]
-            d2[r, ii] = np.inf
-            runner[lo:hi] = d2.min(axis=1)
 
-    _products(cw, blocks, reduce)
+    _products(codewords, blocks, reduce)
+    dist = _sq_dists(codewords, blocks, idx)
     return (idx, dist, own, runner) if runner_up else (idx, dist)
 
 
-def _screen(codewords: np.ndarray, moved, blocks: np.ndarray, own_col, own, runner) -> None:
+def _screen(codewords: np.ndarray, moved, blocks: np.ndarray, own_col, own, runner):
     """Lower each row's `runner` to its smallest `_products` entry over the
-    codewords[moved] other than column own_col (-1: none), and write that
-    column's entry into `own`."""
+    codewords[moved] other than column own_col (-1: none), write that
+    column's entry into `own`, and return a mask of the rows whose own value
+    does not clear the lowered runner by the `_products` margin."""
+    again = np.empty(blocks.shape[0], dtype=bool)
 
-    def reduce(lo, hi, x, d2):
+    def reduce(lo, hi, d2, margin):
         col = own_col[lo:hi]
         r = np.flatnonzero(col >= 0)
         own[lo + r] = d2[r, col[r]]
         d2[r, col[r]] = np.inf
-        np.minimum(runner[lo:hi], d2.min(axis=1), out=runner[lo:hi])
+        np.minimum(runner[lo:hi], _row_min(d2), out=runner[lo:hi])
+        again[lo:hi] = runner[lo:hi] - own[lo:hi] <= margin
 
-    _products(codewords[moved], blocks, reduce, width=codewords.shape[0])
+    _products(codewords, blocks, reduce, cols=moved)
+    return again
 
 
 def _assignments(x: np.ndarray, centroids: np.ndarray):
@@ -223,40 +277,40 @@ def _assignments(x: np.ndarray, centroids: np.ndarray):
     reproduces an unchanged cell's centroid bit for bit), excluding the
     row's own codeword, and lowers the runner-up to the screened minimum, a
     bound below every other codeword's value.  A row keeps its codeword
-    unless its own value comes within a rounding margin of that bound; such
-    rows are searched again over all codewords.  The labels are the full
-    search's labels except at rounding-level ties, and each row whose own
-    centroid moved gets its distance recomputed from the differences.
+    only if its own value clears that bound by the `_products` margin of
+    this round's centroids: every entry, of whichever earlier product, of a
+    codeword unchanged since lies within a quarter of that margin of its
+    exact value, so the row's codeword is still its unique nearest, the one
+    `_nearest` finds.  The other rows are searched again over all codewords,
+    and each row whose own centroid moved gets its distance recomputed from
+    the differences.  A round in which so many centroids moved that a
+    screen would cost more than a full search is a full search.  The labels
+    are thus `_nearest`'s in every round.
     """
     n, dim = x.shape
     count = centroids.shape[0]
     lab, dist, own, runner = _nearest(centroids, x, runner_up=True)
     searched = n * count
-    x_norm = math.sqrt(float((x**2).sum(axis=1).max()))
     moved_col = np.full(count, -1)
     while True:
         last = centroids.copy()
         yield lab, dist, searched
         moved = np.flatnonzero((centroids.view(np.uint64) != last.view(np.uint64)).any(axis=1))
+        if 8 * moved.size > 7 * count:
+            # a screen would cost more than this full search: after the
+            # first update nearly every centroid moves, and the screen then
+            # searches a fifth of the rows again (`simulate --seed 11`, 1024
+            # codewords: 951 moved, 1.14 full rounds; next round 848, 0.92)
+            lab, dist, own, runner = _nearest(centroids, x, runner_up=True)
+            searched = n * count
+            continue
         searched = n * moved.size
         if moved.size == 0:
             continue
         moved_col[:] = -1
         moved_col[moved] = np.arange(moved.size)
         own_col = moved_col[lab]
-        _screen(centroids, moved, x, own_col, own, runner)
-        # A product entry is a dot product of dim + 1 terms, one of them the
-        # rounded ||c||^2, so it lies within e = (2 dim + 1) u S of its exact
-        # value in whichever product computed it (u = 2^-53, first order, any
-        # summation order), with S = (max ||x|| + max ||c||)^2.  A full search
-        # would read the row's own entry at most own + 2e and every other
-        # entry at least bound - 2e, so a row whose own value lies more than
-        # 4e below its bound keeps its codeword under a full search too.
-        # 4e <= (8 dim + 4) u S < 1e-15 (dim + 1) S; twice that also covers
-        # the rounding of S and of the comparison.
-        c_norm = math.sqrt(float((centroids**2).sum(axis=1).max()))
-        margin = 2e-15 * (dim + 1) * (x_norm + c_norm) ** 2
-        again = own >= runner - margin
+        again = _screen(centroids, moved, x, own_col, own, runner)
         fix = (own_col >= 0) & ~again
         dist[fix] = _sq_dists(centroids, x[fix], lab[fix])
         rows = np.flatnonzero(again)
@@ -276,8 +330,8 @@ def train_codebook(samples, rate_bits: float, block_len: int, seed,
     Each round's labels come from `_assignments`: after a full first search,
     a round screens the rows against the centroids that moved and searches
     all codewords again only for rows that one of them may have captured (up
-    to a rounding margin), so the labels are the full search's labels except
-    at rounding-level ties.  Logs the assignment rounds run, the rule that
+    to a rounding margin), so every round's labels are those of a full
+    `_nearest` search.  Logs the assignment rounds run, the rule that
     stopped them, the row x codeword distances searched against a full
     search's and the last assignment's per-sample distortion at DEBUG.
 
@@ -324,7 +378,7 @@ def assign_signature(cb: Codebook, x) -> Signature:
     x = np.asarray(x, dtype=float)
     if x.shape != (cb.block_len,):
         raise DimensionMismatch(f"block length {x.shape} != {cb.block_len}")
-    idx, dist = _nearest(cb.codewords, x[None, :], lowest=cb.first_copy)
+    idx, dist = _nearest(cb.codewords, x[None, :])
     return Signature(int(idx[0]), float(dist[0]) / cb.block_len)
 
 
@@ -394,7 +448,7 @@ def _encode(cb: Codebook, x, y):
     stored, d_hat = np.zeros(x.shape[0]), np.zeros(x.shape[0])
     for lo in range(0, x.shape[1], cb.block_len):
         sub = slice(lo, lo + cb.block_len)
-        idx, dist = _nearest(cb.codewords, x[:, sub], lowest=cb.first_copy)
+        idx, dist = _nearest(cb.codewords, x[:, sub])
         stored += dist
         d_hat += _sq_dists(cb.codewords, y[:, sub], idx)
     return stored / x.shape[1], d_hat / x.shape[1]
@@ -482,12 +536,9 @@ def estimate_pr_maybe(
     The pairs are drawn, encoded and decided one chunk of `_chunk_rows`
     rows at a time, keeping only per-threshold counts between chunks, so
     memory does not grow with `trials`.  The results are those of drawing
-    and encoding every pair at once, bit for bit, whenever a chunk holds
-    whole `_products` row blocks: always unless one row block would hold
-    more than twice _CHUNK_VALUES values of x (a codebook of fewer codewords
-    than the block has samples, as at 1 bit per sample and 512 samples),
-    where a chunk is a fraction of one and a nearest codeword can differ at
-    a tie within rounding (see `component_scheme_pr_maybe`).
+    and encoding every pair at once, bit for bit: the chunks are rows of the
+    whole draws (`_sample_streams`), and a row's nearest codeword and
+    distances depend on that row and the codebook alone (`_nearest`).
 
     Pass a dict as `training` to receive the codebook's k-means round count
     (`kmeans_rounds`) and per-sample training distortion at its last
@@ -553,9 +604,10 @@ def component_scheme_pr_maybe(
     powers of two), or, when one row block alone would hold more than twice
     that (few codewords at a large M: 1 or 2 at M > 2), of a divisor of it
     (`_chunk_rows`).
-    Such a chunk's products are smaller matrix products than one call over
-    every pair makes, which a BLAS may round differently in the last bit, so
-    a nearest codeword can then differ at a tie within rounding.
+    Such a chunk's KLT coefficients come from smaller matrix products than
+    one call over every pair makes, which a BLAS may round differently in
+    the last bit, so a coefficient, and at a tie its nearest codeword, can
+    then differ.
 
     Pass a list as `decision_log` to receive each component's per-trial
     decision array (for auditing the AND composition).

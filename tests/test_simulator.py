@@ -1,6 +1,7 @@
 import logging
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,104 @@ def test_nearest_contract(case):
         mp.setattr(simulator, "_ASSIGN_ENTRIES", rows * cw.shape[0])
         idx, dist = simulator._nearest(cw, x)
     _assert_nearest_bound(cw, x, idx, dist)
+
+
+def _first_minimum(cw, x):
+    """Index of the first nearest codeword of each row by brute-force
+    difference-form distances."""
+    return ((cw[None, :, :] - x[:, None, :]) ** 2).sum(axis=2).argmin(axis=1)
+
+
+@st.composite
+def _float32_cases(draw):
+    """Codebooks (copies of a codeword among them, one-codeword books too)
+    and rows at scales 10^-30 to 10^30, inside and outside the range where
+    float32 products pick codewords; some rows sit on a codeword or halfway
+    between two, where distances tie.  Then the codebook after a move of a
+    non-empty set of its codewords, each onto another codeword, a little off
+    its place, or onto the mirror image of a row's nearest codeword through
+    that row (a tie), and a chunk size."""
+    count, dim = draw(st.sampled_from([1, 2, 4, 8, 64, 300])), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-30, 30))
+    offset = draw(st.sampled_from([0.0, 1e3]))
+    cw = rng.standard_normal((count, dim)) * scale + offset
+    dup = rng.random(count) < draw(st.floats(0.0, 0.5))
+    cw[dup] = cw[rng.integers(0, count, size=count)[dup]]
+    n = draw(st.integers(1, 200))
+    x = rng.standard_normal((n, dim)) * scale + offset
+    pick = rng.integers(0, count, size=(2, n))
+    tie = rng.random(n) < 0.3
+    x[tie] = (cw[pick[0]] + cw[pick[1]])[tie] / 2
+    moved = rng.random(count) < 0.5
+    moved[rng.integers(0, count)] = True
+    moved = np.flatnonzero(moved)
+    row = rng.integers(0, n, size=moved.size)
+    mirror = 2 * x[row] - cw[_first_minimum(cw, x[row])]
+    cw2 = cw.copy()
+    cw2[moved] = np.choose(rng.integers(0, 3, size=(moved.size, 1)), [
+        cw[::-1][moved], cw[moved] + 0.3 * scale * rng.standard_normal((moved.size, dim)), mirror])
+    return cw, cw2, moved, x, draw(st.integers(1, 64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_float32_cases())
+def test_float32_search_and_screen_pick_the_first_minimum(case):
+    cw, cw2, moved, x, rows = case
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+        warnings.simplefilter("error")
+        mp.setattr(simulator, "_ASSIGN_ENTRIES", rows * cw.shape[0])
+        idx, dist, own, runner = simulator._nearest(cw, x, runner_up=True)
+        moved_col = np.full(cw.shape[0], -1)
+        moved_col[moved] = np.arange(moved.size)
+        again = simulator._screen(cw2, moved, x, moved_col[idx], own, runner)
+    _assert_nearest_bound(cw, x, idx, dist)
+    assert np.array_equal(idx, _first_minimum(cw, x))
+    # a row the screen clears keeps the first minimum of the moved codebook
+    assert np.array_equal(idx[~again], _first_minimum(cw2, x)[~again])
+
+
+@pytest.mark.parametrize("count,dim,n", [(4, 1, 70_000), (8, 1, 70_000), (1024, 16, 4096)])
+def test_nearest_does_not_depend_on_the_row_blocks(monkeypatch, count, dim, n):
+    # OpenBLAS rounds [x, 1] @ A of a scalar book differently for some rows
+    # in 3-row blocks than in one product, and a single row goes through
+    # another routine; a tenth of the rows lie halfway between two codewords.
+    # (4096 rows at 1024 codewords: one 70000-row block would take 287 MB.)
+    rng = np.random.default_rng(count)
+    cw = rng.standard_normal((count, dim))
+    x = rng.standard_normal((n, dim))
+    pick = rng.integers(0, count, size=(2, n // 10))
+    x[: n // 10] = (cw[pick[0]] + cw[pick[1]]) / 2
+    runs = []
+    for rows in (1, 3, n):
+        monkeypatch.setattr(simulator, "_ASSIGN_ENTRIES", rows * max(count, dim + 1))
+        assert simulator._block_rows(count, dim) == rows
+        runs.append(simulator._nearest(cw, x))
+    for idx, dist in runs[1:]:
+        assert np.array_equal(idx, runs[0][0]) and np.array_equal(dist, runs[0][1])
+
+
+def test_rows_inside_the_margin_hold_no_more_than_one_search_block():
+    # every row of one 128-row chunk ties between copies of one codeword, so
+    # no float32 pick is certified; deciding them over all 1024 codewords at
+    # once would take 128 x 1024 x 16 differences (16.8 MB)
+    rng = np.random.default_rng(3)
+    cw = rng.standard_normal((1024, 16))
+    x = rng.standard_normal((128, 16))
+    tied = np.repeat(cw[:1], 1024, axis=0)
+    block = 4 * simulator._block_rows(1024, 16) * 1024  # float32 distances
+    peaks = []
+    for book in (cw, tied, cw, tied):  # the first two leave out numpy's set-up
+        tracemalloc.start()
+        try:
+            idx, _ = simulator._nearest(book, x)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert not idx.any()
+    # one block of differences, their sums over the 16 samples and numpy's
+    # 64 kB ufunc buffer; a second block would take 512 kB more
+    assert peaks[3] - peaks[2] <= block * 5 // 4
 
 
 @pytest.mark.parametrize("dim", [2, 4, 8])
